@@ -9,7 +9,9 @@ A session lives in a directory:
     dialogue.jsonl                one record per trial
 
 Floats are written with 17 significant digits so save/load round-trips
-bit-exactly.
+bit-exactly. Every CSV in the container, the synced container's included,
+goes through ``_read_table``/``_write_table``, built on numpy ``loadtxt``
+and ``savetxt``, which read and write exactly the format above.
 """
 
 from __future__ import annotations
@@ -218,10 +220,6 @@ def validate_session(session: RawSession) -> list[str]:
 
 # -- serialization ----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _manifest_to_dict(m: SessionManifest) -> dict:
     return {
         "session_id": m.session_id,
@@ -275,45 +273,58 @@ def _manifest_from_dict(d: dict) -> SessionManifest:
         raise MalformedManifest(f"manifest: {exc}") from exc
 
 
+def _write_table(path: Path, header: str, columns) -> None:
+    """Write ``columns`` (1-D or 2-D, equal length) as CSV under one header row.
+
+    ``%.17g`` round-trips every float and prints integers below 1e17 as ``%d``.
+    """
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        np.savetxt(
+            f, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments=""
+        )
+
+
+def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
+    """Header names and the ``(rows, len(names))`` body of a container CSV.
+
+    A token that does not parse as ``dtype``, a ragged row or rows whose width
+    differs from the header raise MalformedManifest naming the file (and,
+    from loadtxt, the row).
+    """
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            names = f.readline().strip().split(",")
+            # loadtxt warns on a body without rows, and warning filters are
+            # process-wide, so a header-only table is answered here.
+            if not any(line.strip() for line in f):
+                return names, np.empty((0, len(names)), dtype=dtype)
+        data = np.loadtxt(
+            path, dtype, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
+        )
+    except ValueError as exc:
+        raise MalformedManifest(f"{path}: {exc}") from exc
+    if data.shape[1] != len(names):
+        raise MalformedManifest(
+            f"{path}: rows have {data.shape[1]} columns, header has {len(names)}"
+        )
+    return names, data
+
+
 def _write_series_csv(path: Path, series: TimedSeries) -> None:
     header = "t," + ",".join(ch.name for ch in series.channels)
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for i in range(series.n_samples):
-            row = [_fmt(series.timestamps[i])]
-            row.extend(_fmt(v) for v in series.values[i])
-            f.write(",".join(row) + "\n")
+    _write_table(path, header, [series.timestamps, series.values])
 
 
-def _read_series_csv(path: Path, channels: tuple[Channel, ...]) -> TimedSeries:
-    with path.open("r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        names = header.split(",")[1:]
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if [c.name for c in channels] != names:
+def _read_series_csv(path: Path, channels: tuple[Channel, ...] | None = None) -> TimedSeries:
+    """Read a numeric stream; without ``channels`` they come unitless from the header."""
+    names, data = _read_table(path)
+    if channels is None:
+        channels = tuple(Channel(n, "") for n in names[1:])
+    elif [c.name for c in channels] != names[1:]:
         raise MalformedManifest(
-            f"{path.name}: header channels {names} do not match manifest"
+            f"{path.name}: header channels {names[1:]} do not match manifest"
         )
-    if rows:
-        data = np.array(rows, dtype=np.float64)
-        t, v = data[:, 0], data[:, 1:]
-    else:
-        t, v = np.empty(0), np.empty((0, len(channels)))
-    return TimedSeries(timestamps=t, values=v, channels=channels)
-
-
-def _write_frame_log_csv(path: Path, log: FrameTimestampLog) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write("t\n")
-        for t in log.frame_timestamps:
-            f.write(_fmt(t) + "\n")
-
-
-def _read_frame_log_csv(path: Path, stream: str) -> FrameTimestampLog:
-    with path.open("r", encoding="utf-8") as f:
-        f.readline()
-        ts = [float(line) for line in f if line.strip()]
-    return FrameTimestampLog(stream=stream, frame_timestamps=np.array(ts))
+    return TimedSeries(timestamps=data[:, 0], values=data[:, 1:], channels=channels)
 
 
 def _write_wav(path: Path, track: AudioTrack) -> None:
@@ -359,7 +370,7 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
             rel = desc.file if desc else f"video/{name}.timestamps.csv"
             path = root / rel
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_frame_log_csv(path, log)
+            _write_table(path, "t", [log.frame_timestamps])
         for name, track in session.audio.items():
             desc = session.manifest.descriptor(name)
             rel = desc.file if desc else f"audio/{name}.wav"
@@ -393,7 +404,7 @@ def load_session(root_path: str | Path) -> RawSession:
         if desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(path, desc.channels)
         elif desc.kind is StreamKind.VIDEO_FRAMES:
-            frame_logs[desc.name] = _read_frame_log_csv(path, desc.name)
+            frame_logs[desc.name] = FrameTimestampLog(desc.name, _read_table(path)[1][:, 0])
         elif desc.kind is StreamKind.AUDIO:
             audio[desc.name] = _read_wav(path, desc.file)
 

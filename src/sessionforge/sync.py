@@ -18,16 +18,22 @@ import numpy as np
 from .errors import (
     EmptyFrameLog,
     GridOutsideSeries,
+    MissingFile,
     NoOverlap,
     UnbridgeableGap,
 )
 from .session import (
-    Channel,
     FrameTimestampLog,
     RawSession,
     SessionManifest,
     StreamKind,
     TimedSeries,
+    _manifest_from_dict,
+    _manifest_to_dict,
+    _read_series_csv,
+    _read_table,
+    _write_series_csv,
+    _write_table,
 )
 
 DEFAULT_MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
@@ -239,8 +245,6 @@ def sync_session(
 
 def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
     """Persist a synced session: grid, selections, resampled streams, report."""
-    from .session import _fmt, _manifest_to_dict, _write_series_csv
-
     root = Path(root_path)
     root.mkdir(parents=True, exist_ok=True)
     (root / "manifest.json").write_text(
@@ -248,17 +252,13 @@ def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
     )
     meta = {"rate": synced.grid.rate, "tau": synced.tau}
     (root / "grid.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    with (root / "grid.csv").open("w", encoding="utf-8", newline="\n") as f:
-        f.write("t\n")
-        for t in synced.grid.timestamps:
-            f.write(_fmt(t) + "\n")
+    _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
     sel_dir = root / "selections"
     sel_dir.mkdir(exist_ok=True)
     for name, sel in synced.frame_selections.items():
-        with (sel_dir / f"{name}.csv").open("w", encoding="utf-8", newline="\n") as f:
-            f.write("index,accepted\n")
-            for i, a in zip(sel.selected_indices, sel.accepted_flags):
-                f.write(f"{int(i)},{int(a)}\n")
+        _write_table(
+            sel_dir / f"{name}.csv", "index,accepted", [sel.selected_indices, sel.accepted_flags]
+        )
     streams_dir = root / "streams"
     streams_dir.mkdir(exist_ok=True)
     for name, series in synced.numeric.items():
@@ -269,9 +269,6 @@ def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
 
 
 def load_synced(root_path: str | Path) -> SyncedSession:
-    from .errors import MissingFile
-    from .session import _manifest_from_dict, _read_series_csv
-
     root = Path(root_path)
     for required in ("manifest.json", "grid.json", "grid.csv"):
         if not (root / required).is_file():
@@ -280,36 +277,23 @@ def load_synced(root_path: str | Path) -> SyncedSession:
         json.loads((root / "manifest.json").read_text(encoding="utf-8"))
     )
     meta = json.loads((root / "grid.json").read_text(encoding="utf-8"))
-    with (root / "grid.csv").open("r", encoding="utf-8") as f:
-        f.readline()
-        grid_ts = np.array([float(line) for line in f if line.strip()])
-    grid = ReferenceGrid(timestamps=grid_ts, rate=float(meta["rate"]))
+    _, grid_ts = _read_table(root / "grid.csv")
+    grid = ReferenceGrid(timestamps=grid_ts[:, 0], rate=float(meta["rate"]))
 
     selections: dict[str, FrameSelection] = {}
     sel_dir = root / "selections"
     if sel_dir.is_dir():
         for path in sorted(sel_dir.glob("*.csv")):
-            rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-            idx, acc = [], []
-            for row in rows:
-                i, a = row.split(",")
-                idx.append(int(i))
-                acc.append(bool(int(a)))
+            _, sel = _read_table(path, dtype=int)
             selections[path.stem] = FrameSelection(
                 stream=path.stem,
-                selected_indices=np.array(idx, dtype=int),
-                accepted_flags=np.array(acc, dtype=bool),
+                selected_indices=sel[:, 0],
+                accepted_flags=sel[:, 1].astype(bool),
             )
     numeric: dict[str, TimedSeries] = {}
     for path in sorted((root / "streams").glob("*.csv")):
         desc = manifest.descriptor(path.stem)
-        if desc is not None:
-            channels = desc.channels
-        else:
-            with path.open("r", encoding="utf-8") as f:
-                names = f.readline().strip().split(",")[1:]
-            channels = tuple(Channel(n, "") for n in names)
-        numeric[path.stem] = _read_series_csv(path, channels)
+        numeric[path.stem] = _read_series_csv(path, desc.channels if desc else None)
     return SyncedSession(
         manifest=manifest,
         grid=grid,

@@ -48,6 +48,18 @@ class TestExitCodes:
         assert {"module", "code", "message"} <= set(payload)
 
 
+    def test_malformed_csv_row_is_json_error(self, capsys, dataset):
+        root, trial_ids = dataset
+        path = root / trial_ids[0] / "streams" / "ee_pose.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root))
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["code"] == "malformed-manifest"
+        assert "ee_pose.csv" in payload["message"]
+
 class TestSynthCommand:
     def test_synth_writes_session(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--seed", "3", "--out", str(tmp_path / "s"))

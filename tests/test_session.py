@@ -1,14 +1,24 @@
 import json
 import os
 import stat
+import warnings
 from dataclasses import replace
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
 from sessionforge.errors import InvariantViolation, IoError, MalformedManifest, MissingFile
 from sessionforge.session import (
+    Channel,
+    FrameTimestampLog,
+    RawSession,
+    SessionManifest,
+    StreamDescriptor,
+    StreamKind,
     Task,
+    TimedSeries,
+    _read_series_csv,
     load_session,
     save_session,
     sessions_equal,
@@ -75,6 +85,99 @@ class TestLoadErrors:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(InvariantViolation, match="strictly increasing"):
             load_session(tmp_path / "trial")
+
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda row: row.rsplit(",", 1)[0],  # one field dropped
+            lambda row: row + ",0",  # one field too many
+            lambda row: row.replace(",", ",x", 1),  # non-numeric token
+        ],
+        ids=["dropped-field", "extra-field", "non-numeric"],
+    )
+    def test_malformed_row(self, synthetic_session, tmp_path, corrupt):
+        save_session(synthetic_session, tmp_path / "trial")
+        path = tmp_path / "trial" / "streams" / "ee_pose.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[5] = corrupt(lines[5])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedManifest, match="ee_pose.csv"):
+            load_session(tmp_path / "trial")
+
+    def test_every_row_narrower_than_header(self, synthetic_session, tmp_path):
+        save_session(synthetic_session, tmp_path / "trial")
+        path = tmp_path / "trial" / "streams" / "ee_pose.csv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        rows = [r.rsplit(",", 1)[0] for r in rows]
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedManifest, match="columns"):
+            load_session(tmp_path / "trial")
+
+    def test_header_only_csv(self, synthetic_session, tmp_path):
+        save_session(synthetic_session, tmp_path / "trial")
+        path = tmp_path / "trial" / "streams" / "ee_pose.csv"
+        path.write_text(path.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        channels = synthetic_session.numeric["ee_pose"].channels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = _read_series_csv(path, channels)
+            assert series.timestamps.shape == (0,)
+            assert series.values.shape == (0, len(channels))
+            with pytest.raises(InvariantViolation, match="N >= 2"):
+                load_session(tmp_path / "trial")
+
+
+class TestFormat:
+    """The container's CSV text, pinned byte for byte."""
+
+    def test_golden_bytes(self, tmp_path):
+        series = TimedSeries(
+            timestamps=[0.0, 5e-324, 0.1],
+            values=[
+                [np.nan, -0.0],
+                [np.inf, 0.1],
+                [-np.inf, -1.2345678901234567e-10],
+            ],
+            channels=(Channel("x", "m"), Channel("y", "m")),
+        )
+        log = FrameTimestampLog("cam", [0.0, 1 / 15, 0.2])
+        manifest = SessionManifest(
+            session_id="golden",
+            participant_id="p1",
+            task=Task.FEEDING,
+            success=True,
+            created_at=datetime(2026, 1, 1, tzinfo=timezone.utc),
+            streams=(
+                StreamDescriptor(
+                    "pose", StreamKind.NUMERIC, 100.0, series.channels, "streams/pose.csv"
+                ),
+                StreamDescriptor(
+                    "cam", StreamKind.VIDEO_FRAMES, 15.0, (Channel("frame", "1"),),
+                    "video/cam.timestamps.csv",
+                ),
+            ),
+        )
+        session = RawSession(manifest=manifest, numeric={"pose": series}, frame_logs={"cam": log})
+        save_session(session, tmp_path / "trial")
+
+        assert (tmp_path / "trial" / "streams" / "pose.csv").read_bytes() == (
+            b"t,x,y\n"
+            b"0,nan,-0\n"
+            b"4.9406564584124654e-324,inf,0.10000000000000001\n"
+            b"0.10000000000000001,-inf,-1.2345678901234568e-10\n"
+        )
+        assert (tmp_path / "trial" / "video" / "cam.timestamps.csv").read_bytes() == (
+            b"t\n0\n0.066666666666666666\n0.20000000000000001\n"
+        )
+        loaded = load_session(tmp_path / "trial")
+        got = loaded.numeric["pose"]
+        for a, b in [
+            (series.timestamps, got.timestamps),
+            (series.values, got.values),
+            (log.frame_timestamps, loaded.frame_logs["cam"].frame_timestamps),
+        ]:
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSaveErrors:

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionforge.errors import EmptyFrameLog, GridOutsideSeries, NoOverlap, UnbridgeableGap
+from sessionforge.errors import (
+    EmptyFrameLog,
+    GridOutsideSeries,
+    MalformedManifest,
+    NoOverlap,
+    UnbridgeableGap,
+)
 from sessionforge.session import Channel, FrameTimestampLog, TimedSeries
 from sessionforge.sync import (
     OverlapWindow,
@@ -11,7 +17,9 @@ from sessionforge.sync import (
     compute_overlap,
     default_tau,
     interpolate_numeric,
+    load_synced,
     match_frames,
+    save_synced,
     sync_session,
 )
 from sessionforge.synth import Scenario, gen_session
@@ -236,3 +244,43 @@ class TestSyncSession:
 
     def test_default_tau_is_half_period(self):
         assert default_tau(12.0) == pytest.approx(1.0 / 24.0)
+
+
+class TestSyncedContainer:
+    def test_save_load_round_trip_is_bit_exact(self, tmp_path):
+        session, _ = gen_session(Scenario(seed=7, duration=3.0, timestamp_jitter_sd=0.03))
+        synced = sync_session(session)
+        assert not all(sel.accepted_flags.all() for sel in synced.frame_selections.values())
+        save_synced(synced, tmp_path / "synced")
+        loaded = load_synced(tmp_path / "synced")
+
+        def bits(a):
+            return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+        assert np.array_equal(bits(loaded.grid.timestamps), bits(synced.grid.timestamps))
+        assert loaded.grid.rate == synced.grid.rate
+        assert loaded.tau == synced.tau
+        assert loaded.manifest == synced.manifest
+        assert set(loaded.frame_selections) == set(synced.frame_selections)
+        for name, sel in synced.frame_selections.items():
+            got = loaded.frame_selections[name]
+            assert got.selected_indices.dtype.kind == "i"
+            assert got.accepted_flags.dtype == bool
+            assert np.array_equal(got.selected_indices, sel.selected_indices)
+            assert np.array_equal(got.accepted_flags, sel.accepted_flags)
+        assert set(loaded.numeric) == set(synced.numeric)
+        for name, series in synced.numeric.items():
+            got = loaded.numeric[name]
+            assert got.channels == series.channels
+            assert np.array_equal(bits(got.timestamps), bits(series.timestamps))
+            assert np.array_equal(bits(got.values), bits(series.values))
+
+    def test_fractional_selection_index_is_rejected(self, tmp_path):
+        session, _ = gen_session(Scenario(seed=7, duration=3.0))
+        save_synced(sync_session(session), tmp_path / "synced")
+        path = tmp_path / "synced" / "selections" / "ego_cam.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = "1.5,1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedManifest, match="ego_cam.csv"):
+            load_synced(tmp_path / "synced")

@@ -22,7 +22,7 @@ from .dialogue import (
 from .filters import (
     DenoisePolicy,
     FilterSpec,
-    denoise_raw_imu,
+    denoise_raw,
     denoise_session,
     design_butterworth_lowpass,
     filtfilt,

@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
@@ -45,27 +46,10 @@ def process_trial(
     raw = sess.load_session(trial_dir)
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
-    remaining = {
-        name: series for name, series in synced.numeric.items() if name not in done
-    }
-    if remaining:
-        partial = sync.SyncedSession(
-            manifest=synced.manifest,
-            grid=synced.grid,
-            frame_selections=synced.frame_selections,
-            numeric=remaining,
-            tau=synced.tau,
-        )
-        denoised_rest = filters.denoise_session(partial, policy, strict=False)
-        merged = dict(synced.numeric)
-        merged.update(denoised_rest.numeric)
-        synced = sync.SyncedSession(
-            manifest=synced.manifest,
-            grid=synced.grid,
-            frame_selections=synced.frame_selections,
-            numeric=merged,
-            tau=synced.tau,
-        )
+    rest = {name: series for name, series in synced.numeric.items() if name not in done}
+    if rest:
+        grid = filters.denoise_session(replace(synced, numeric=rest), policy, strict=False)
+        synced = replace(synced, numeric={**synced.numeric, **grid.numeric})
     return metrics.compute_trial_metrics(synced), synced, raw
 
 
@@ -133,8 +117,6 @@ def _cmd_synth(args) -> int:
     if args.scenario:
         scenario = synth.Scenario.from_json_file(args.scenario)
         if args.seed is not None:
-            from dataclasses import replace
-
             scenario = replace(scenario, seed=args.seed)
     else:
         scenario = synth.Scenario(seed=args.seed if args.seed is not None else 0)

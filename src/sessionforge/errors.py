@@ -85,6 +85,11 @@ class UnbridgeableGap(SessionForgeError):
     code = "unbridgeable-gap"
 
 
+class MissingStream(SessionForgeError):
+    module = "sync_engine"
+    code = "missing-stream"
+
+
 # -- dsp_filters ------------------------------------------------------------
 
 class InvalidCutoff(SessionForgeError):
@@ -117,6 +122,11 @@ class EmptyInput(SessionForgeError):
 class MissingChannel(SessionForgeError):
     module = "kinematics_metrics"
     code = "missing-channel"
+
+
+class AmbiguousStream(SessionForgeError):
+    module = "kinematics_metrics"
+    code = "ambiguous-stream"
 
 
 # -- curation ---------------------------------------------------------------

@@ -2,19 +2,20 @@
 
 Coefficients come from the analog prototype poles via a prewarped bilinear
 transform, computed here directly rather than taken from a library, so the
-design is reproducible from first principles. The zero-phase pass uses
-odd-reflection padding of length 3*(order+1) at both ends.
+design is reproducible from first principles. The zero-phase pass is
+``scipy.signal.filtfilt`` along axis 0 (time), with odd-reflection padding of
+length 3*(order+1) at both ends.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.signal import lfilter, lfilter_zi
+import scipy.signal
 
 from .errors import InvalidCutoff, SignalTooShort, UnclassifiedChannel
 
@@ -81,36 +82,23 @@ def design_butterworth_lowpass(order: int, cutoff: float, sample_rate: float) ->
 
 
 def filtfilt(spec: FilterSpec, signal: np.ndarray, method: str = "pad") -> np.ndarray:
-    """Zero-phase filtering: forward pass, backward pass, squared magnitude.
+    """Zero-phase filtering along axis 0: forward pass, backward pass.
 
+    The pass is ``scipy.signal.filtfilt`` with the first-principles ``spec``
+    coefficients, so every column of a 2-D ``signal`` is filtered at once.
     With ``method="pad"`` transients are suppressed by odd-reflection padding
-    and by seeding the filter state at the padded signal's first value; edge
-    transients decay with the slowest pole, so the result is only
-    approximately time-reversal symmetric. ``method="gust"`` chooses the two
-    initial states by least squares (Gustafsson 1996), which makes the
-    operator exactly symmetric under time reversal.
+    of ``spec.padlen`` samples and by seeding the filter state at the padded
+    signal's first value; edge transients decay with the slowest pole, so the
+    result is only approximately time-reversal symmetric. ``method="gust"``
+    chooses the two initial states by least squares (Gustafsson 1996), which
+    makes the operator exactly symmetric under time reversal.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if method == "gust":
-        from scipy.signal import filtfilt as _scipy_filtfilt
-
-        if len(x) <= 3 * max(len(spec.a), len(spec.b)):
-            raise SignalTooShort(f"need more samples, got {len(x)}")
-        return _scipy_filtfilt(spec.b, spec.a, x, method="gust")
-    if method != "pad":
+    if method not in ("pad", "gust"):
         raise ValueError(f"unknown method '{method}'")
-    padlen = spec.padlen
-    if len(x) <= padlen:
-        raise SignalTooShort(f"need > {padlen} samples, got {len(x)}")
-    head = 2.0 * x[0] - x[padlen:0:-1]
-    tail = 2.0 * x[-1] - x[-2 : -padlen - 2 : -1]
-    ext = np.concatenate([head, x, tail])
-    zi = lfilter_zi(spec.b, spec.a)
-    y, _ = lfilter(spec.b, spec.a, ext, zi=zi * ext[0])
-    y = y[::-1]
-    y, _ = lfilter(spec.b, spec.a, y, zi=zi * y[0])
-    y = y[::-1]
-    return y[padlen : padlen + len(x)]
+    if len(x) <= spec.padlen:
+        raise SignalTooShort(f"need > {spec.padlen} samples, got {len(x)}")
+    return scipy.signal.filtfilt(spec.b, spec.a, x, axis=0, method=method, padlen=spec.padlen)
 
 
 class ChannelClass(str, Enum):
@@ -176,14 +164,21 @@ class DenoisePolicy:
 
 def filter_series(series, spec: FilterSpec):
     """Apply zero-phase filtering to every channel of a TimedSeries."""
-    from .session import TimedSeries
+    return replace(series, timestamps=series.timestamps.copy(), values=filtfilt(spec, series.values))
 
-    out = np.column_stack(
-        [filtfilt(spec, series.values[:, c]) for c in range(series.values.shape[1])]
-    )
-    return TimedSeries(
-        timestamps=series.timestamps.copy(), values=out, channels=series.channels
-    )
+
+def _policy_class(name: str, policy: DenoisePolicy, strict: bool) -> ChannelClass | None:
+    """The policy class of stream ``name``, or None when it has none.
+
+    An unclassified stream raises in strict mode and warns otherwise.
+    """
+    cls_ = classify_stream(name)
+    if cls_ is None or cls_ not in policy.cutoffs:
+        if strict:
+            raise UnclassifiedChannel(f"stream '{name}' matches no policy class")
+        warnings.warn(f"stream '{name}' unclassified; passing through unfiltered")
+        return None
+    return cls_
 
 
 def denoise_session(synced, policy: DenoisePolicy | None = None, strict: bool = True):
@@ -192,29 +187,15 @@ def denoise_session(synced, policy: DenoisePolicy | None = None, strict: bool = 
     Frame selections and the grid are untouched. Unknown stream classes raise
     in strict mode and pass through with a warning otherwise.
     """
-    from .sync import SyncedSession
-
     if policy is None:
         policy = DenoisePolicy.default()
-    fs = synced.grid.rate
     numeric = {}
     for name, series in synced.numeric.items():
-        cls_ = classify_stream(name)
-        if cls_ is None or cls_ not in policy.cutoffs:
-            if strict:
-                raise UnclassifiedChannel(f"stream '{name}' matches no policy class")
-            warnings.warn(f"stream '{name}' unclassified; passing through unfiltered")
-            numeric[name] = series
-            continue
-        spec = policy.spec_for(cls_, fs)
-        numeric[name] = filter_series(series, spec)
-    return SyncedSession(
-        manifest=synced.manifest,
-        grid=synced.grid,
-        frame_selections=synced.frame_selections,
-        numeric=numeric,
-        tau=synced.tau,
-    )
+        cls_ = _policy_class(name, policy, strict)
+        if cls_ is not None:
+            series = filter_series(series, policy.spec_for(cls_, synced.grid.rate))
+        numeric[name] = series
+    return replace(synced, numeric=numeric)
 
 
 def denoise_raw(
@@ -231,66 +212,18 @@ def denoise_raw(
     native rate cannot support their cutoff are left for the grid-rate stage.
     Returns a new RawSession and the set of stream names filtered.
     """
-    from .session import RawSession
-
     if policy is None:
         policy = DenoisePolicy.default()
     numeric = dict(session.numeric)
     filtered: set[str] = set()
     for name, series in session.numeric.items():
-        cls_ = classify_stream(name)
-        if cls_ is None or cls_ not in policy.cutoffs:
-            if strict:
-                raise UnclassifiedChannel(f"stream '{name}' matches no policy class")
-            warnings.warn(f"stream '{name}' unclassified; passing through unfiltered")
+        cls_ = _policy_class(name, policy, strict)
+        if cls_ is None or (classes is not None and cls_ not in classes):
             continue
-        if classes is not None and cls_ not in classes:
-            continue
-        dts = np.diff(series.timestamps)
-        native_rate = 1.0 / float(np.median(dts))
+        native_rate = 1.0 / float(np.median(np.diff(series.timestamps)))
         _, cutoff = policy.cutoffs[cls_]
         if native_rate <= 2.0 * cutoff:
             continue
-        spec = policy.spec_for(cls_, native_rate)
-        numeric[name] = filter_series(series, spec)
+        numeric[name] = filter_series(series, policy.spec_for(cls_, native_rate))
         filtered.add(name)
-    return (
-        RawSession(
-            manifest=session.manifest,
-            numeric=numeric,
-            frame_logs=session.frame_logs,
-            audio=session.audio,
-            dialogues=session.dialogues,
-        ),
-        filtered,
-    )
-
-
-def denoise_raw_imu(session, policy: DenoisePolicy | None = None, min_native_rate: float = 20.0):
-    """Filter IMU streams at their native rate, before interpolation.
-
-    A 10 Hz cutoff is infeasible at a 12 Hz grid, so IMU denoising happens on
-    the raw series whenever the native rate supports it. Returns a new
-    RawSession; non-IMU streams are untouched.
-    """
-    from .session import RawSession
-
-    if policy is None:
-        policy = DenoisePolicy.default()
-    numeric = dict(session.numeric)
-    for name, series in session.numeric.items():
-        if classify_stream(name) is not ChannelClass.IMU:
-            continue
-        dts = np.diff(series.timestamps)
-        native_rate = 1.0 / float(np.median(dts))
-        if native_rate <= min_native_rate:
-            continue
-        spec = policy.spec_for(ChannelClass.IMU, native_rate)
-        numeric[name] = filter_series(series, spec)
-    return RawSession(
-        manifest=session.manifest,
-        numeric=numeric,
-        frame_logs=session.frame_logs,
-        audio=session.audio,
-        dialogues=session.dialogues,
-    )
+    return replace(session, numeric=numeric), filtered

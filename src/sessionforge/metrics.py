@@ -6,11 +6,13 @@ statistics aggregate trial means with the sample (n-1) standard deviation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, MissingChannel, TooFewSamples
+from .errors import AmbiguousStream, EmptyInput, MissingChannel, TooFewSamples
+from .filters import ChannelClass, classify_stream
 
 # Published wheelchair ride comfort band for mean jerk, m/s^3.
 COMFORT_BAND_LOW = 0.3
@@ -116,19 +118,21 @@ class TrialMetrics:
         }
 
 
-def _positions(synced, stream_pattern: str, axes: tuple[str, ...]) -> np.ndarray:
-    import re
-
-    for name, series in synced.numeric.items():
-        if re.search(stream_pattern, name.lower()):
-            cols = []
-            for axis in axes:
-                idx = series.channel_index(axis)
-                if idx is None:
-                    raise MissingChannel(f"stream '{name}' lacks channel '{axis}'")
-                cols.append(series.values[:, idx])
-            return np.column_stack(cols)
-    raise MissingChannel(f"no stream matching /{stream_pattern}/")
+def _positions(synced, role: str, is_role, axes: tuple[str, ...]) -> np.ndarray:
+    """The ``axes`` columns of the one stream whose name ``is_role`` accepts."""
+    names = [name for name in synced.numeric if is_role(name)]
+    if not names:
+        raise MissingChannel(f"no {role} stream")
+    if len(names) > 1:
+        raise AmbiguousStream(f"streams {names} are all {role} streams")
+    series = synced.numeric[names[0]]
+    cols = []
+    for axis in axes:
+        idx = series.channel_index(axis)
+        if idx is None:
+            raise MissingChannel(f"stream '{names[0]}' lacks channel '{axis}'")
+        cols.append(series.values[:, idx])
+    return np.column_stack(cols)
 
 
 def compute_trial_metrics(synced) -> TrialMetrics:
@@ -139,8 +143,13 @@ def compute_trial_metrics(synced) -> TrialMetrics:
     """
     grid = synced.grid
     dt = 1.0 / grid.rate
-    ee = _positions(synced, r"(^|_)ee($|_)|end[_-]?effector", ("x", "y", "z"))
-    wheelchair = _positions(synced, r"wheelchair", ("x", "y"))
+    ee = _positions(
+        synced, "end-effector", lambda n: classify_stream(n) is ChannelClass.EE_POSE, ("x", "y", "z")
+    )
+    # Not the "wheel" class, which also holds wheel-speed streams without x/y.
+    wheelchair = _positions(
+        synced, "wheelchair", lambda n: re.search("wheelchair", n.lower()), ("x", "y")
+    )
     duration = float(grid.timestamps[-1] - grid.timestamps[0])
     return TrialMetrics(
         trial_id=synced.manifest.session_id,

@@ -288,8 +288,8 @@ def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
     """Header names and the ``(rows, len(names))`` body of a container CSV.
 
     A token that does not parse as ``dtype``, a ragged row or rows whose width
-    differs from the header raise MalformedManifest naming the file (and,
-    from loadtxt, the row).
+    differs from the header raise MalformedManifest naming the file and the
+    line of the first bad row.
     """
     try:
         with path.open("r", encoding="utf-8") as f:
@@ -301,13 +301,31 @@ def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
         data = np.loadtxt(
             path, dtype, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
         )
-    except ValueError as exc:
+        if data.shape[1] == len(names):
+            return names, data
+    except UnicodeDecodeError as exc:
         raise MalformedManifest(f"{path}: {exc}") from exc
-    if data.shape[1] != len(names):
-        raise MalformedManifest(
-            f"{path}: rows have {data.shape[1]} columns, header has {len(names)}"
-        )
-    return names, data
+    except ValueError:
+        pass
+    raise MalformedManifest(f"{path}: {_first_bad_row(path, len(names), dtype)}")
+
+
+def _first_bad_row(path: Path, ncols: int, dtype) -> str:
+    """The 1-based file line of the first body row that is not ``ncols`` values
+    of ``dtype``, and what is wrong with it. Parses row by row, so it runs
+    only after the whole-table read has failed."""
+    with path.open("r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            text = line.rstrip("\r\n")
+            if line_no == 1 or not text:
+                continue  # the header; loadtxt skips empty lines
+            try:
+                row = np.loadtxt([text], dtype, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                return f"line {line_no}: cannot parse {text!r} as {np.dtype(dtype).name}"
+            if row.shape[1] != ncols:
+                return f"line {line_no} has {row.shape[1]} columns, header has {ncols}"
+    return "no bad row found"
 
 
 def _write_series_csv(path: Path, series: TimedSeries) -> None:

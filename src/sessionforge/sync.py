@@ -18,7 +18,9 @@ import numpy as np
 from .errors import (
     EmptyFrameLog,
     GridOutsideSeries,
+    IoError,
     MissingFile,
+    MissingStream,
     NoOverlap,
     UnbridgeableGap,
 )
@@ -215,7 +217,7 @@ def sync_session(
         s for s in session.manifest.streams if s.kind is StreamKind.VIDEO_FRAMES
     ]
     if not video_descs or not session.numeric:
-        raise ValueError("sync requires >= 1 video stream and >= 1 numeric stream")
+        raise MissingStream("sync requires >= 1 video stream and >= 1 numeric stream")
     grid_rate = min(s.nominal_rate for s in video_descs)
     if tau is None:
         tau = default_tau(grid_rate)
@@ -246,26 +248,29 @@ def sync_session(
 def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
     """Persist a synced session: grid, selections, resampled streams, report."""
     root = Path(root_path)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text(
-        json.dumps(_manifest_to_dict(synced.manifest), indent=2) + "\n", encoding="utf-8"
-    )
-    meta = {"rate": synced.grid.rate, "tau": synced.tau}
-    (root / "grid.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
-    _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
-    sel_dir = root / "selections"
-    sel_dir.mkdir(exist_ok=True)
-    for name, sel in synced.frame_selections.items():
-        _write_table(
-            sel_dir / f"{name}.csv", "index,accepted", [sel.selected_indices, sel.accepted_flags]
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        (root / "manifest.json").write_text(
+            json.dumps(_manifest_to_dict(synced.manifest), indent=2) + "\n", encoding="utf-8"
         )
-    streams_dir = root / "streams"
-    streams_dir.mkdir(exist_ok=True)
-    for name, series in synced.numeric.items():
-        _write_series_csv(streams_dir / f"{name}.csv", series)
-    (root / "sync_report.json").write_text(
-        json.dumps(synced.report(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        meta = {"rate": synced.grid.rate, "tau": synced.tau}
+        (root / "grid.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
+        sel_dir = root / "selections"
+        sel_dir.mkdir(exist_ok=True)
+        for name, sel in synced.frame_selections.items():
+            _write_table(
+                sel_dir / f"{name}.csv", "index,accepted", [sel.selected_indices, sel.accepted_flags]
+            )
+        streams_dir = root / "streams"
+        streams_dir.mkdir(exist_ok=True)
+        for name, series in synced.numeric.items():
+            _write_series_csv(streams_dir / f"{name}.csv", series)
+        (root / "sync_report.json").write_text(
+            json.dumps(synced.report(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:
+        raise IoError(f"writing synced session to {root}: {exc}") from exc
 
 
 def load_synced(root_path: str | Path) -> SyncedSession:

@@ -60,6 +60,31 @@ class TestExitCodes:
         assert payload["code"] == "malformed-manifest"
         assert "ee_pose.csv" in payload["message"]
 
+    def test_sync_unwritable_out_is_io_error(self, capsys, tmp_path, dataset):
+        root, trial_ids = dataset
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code, _, err = run(
+            capsys, "--errors", "json", "sync",
+            "--in", str(root / trial_ids[0]), "--out", str(blocker / "sub"),
+        )
+        assert code == 1
+        assert json.loads(err)["code"] == "io-error"
+
+    def test_trial_without_video_is_json_error(self, capsys, dataset):
+        root, trial_ids = dataset
+        trial = root / trial_ids[0]
+        manifest = json.loads((trial / "manifest.json").read_text(encoding="utf-8"))
+        video = [s for s in manifest["streams"] if s["kind"] == "video_frames"]
+        manifest["streams"] = [s for s in manifest["streams"] if s not in video]
+        (trial / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        for s in video:
+            (trial / s["file"]).unlink()
+        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root))
+        assert code == 1
+        assert json.loads(err)["code"] == "missing-stream"
+
+
 class TestSynthCommand:
     def test_synth_writes_session(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--seed", "3", "--out", str(tmp_path / "s"))

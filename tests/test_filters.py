@@ -117,10 +117,22 @@ class TestFiltfilt:
             x = rng.uniform(-1, 1, 500)
             assert np.max(np.abs(filtfilt(spec, x))) <= 2.0
 
-    def test_too_short_signal(self):
+    @pytest.mark.parametrize("method", ["pad", "gust"])
+    def test_too_short_signal(self, method):
         spec = design_butterworth_lowpass(4, 5.0, 100.0)
         with pytest.raises(SignalTooShort):
-            filtfilt(spec, np.zeros(spec.padlen))
+            filtfilt(spec, np.zeros(spec.padlen), method=method)
+
+    # "pad" filters each column exactly as on its own; "gust" solves the
+    # initial states of all columns in one least-squares call, which rounds
+    # differently (about 1e-14 here).
+    @pytest.mark.parametrize("method, atol", [("pad", 0.0), ("gust", 1e-12)])
+    def test_columns_filtered_as_one_array(self, method, atol):
+        rng = np.random.default_rng(11)
+        spec = design_butterworth_lowpass(4, 5.0, 100.0)
+        x = rng.normal(size=(600, 3))
+        per_column = np.column_stack([filtfilt(spec, x[:, c], method=method) for c in range(3)])
+        np.testing.assert_allclose(filtfilt(spec, x, method=method), per_column, rtol=0, atol=atol)
 
     def test_agrees_with_scipy_filtfilt(self):
         # same padding convention (odd reflection, padlen 3*(order+1))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sessionforge.errors import EmptyInput, MissingChannel, TooFewSamples
+from sessionforge.errors import AmbiguousStream, EmptyInput, MissingChannel, TooFewSamples
 from sessionforge.metrics import (
     comfort_check,
     compute_trial_metrics,
@@ -177,6 +177,23 @@ class TestComputeTrialMetrics:
         del numeric["wheelchair_pose"]
         with pytest.raises(MissingChannel):
             compute_trial_metrics(replace(synced, numeric=numeric))
+
+    def test_two_ee_streams_are_ambiguous(self):
+        session, _ = gen_session(Scenario(seed=5))
+        synced = sync_session(session)
+        from dataclasses import replace
+
+        numeric = {**synced.numeric, "end_effector": synced.numeric["ee_pose"]}
+        with pytest.raises(AmbiguousStream, match="ee_pose.*end_effector"):
+            compute_trial_metrics(replace(synced, numeric=numeric))
+
+    def test_imu_named_ee_is_not_the_ee_stream(self):
+        session, _ = gen_session(Scenario(seed=5))
+        synced = sync_session(session)
+        from dataclasses import replace
+
+        numeric = {**synced.numeric, "ee_imu": synced.numeric["imu"]}
+        assert compute_trial_metrics(replace(synced, numeric=numeric)) == compute_trial_metrics(synced)
 
     def test_time_shift_invariance(self):
         session, _ = gen_session(Scenario(seed=6))

@@ -102,7 +102,7 @@ class TestLoadErrors:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[5] = corrupt(lines[5])
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(MalformedManifest, match="ee_pose.csv"):
+        with pytest.raises(MalformedManifest, match=r"ee_pose\.csv: line 6\b"):
             load_session(tmp_path / "trial")
 
     def test_every_row_narrower_than_header(self, synthetic_session, tmp_path):

@@ -40,8 +40,9 @@ for turn in dialogue.turns:
 
 # Round trip through the on-disk container: manifest + CSV streams + WAV +
 # JSONL. Equality is checked down to float bit patterns.
-root = Path(tempfile.mkdtemp()) / session.manifest.session_id
-save_session(session, root)
-print("wrote", sorted(p.name for p in root.iterdir()))
-assert sessions_equal(session, load_session(root))
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp) / session.manifest.session_id
+    save_session(session, root)
+    print("wrote", sorted(p.name for p in root.iterdir()))
+    assert sessions_equal(session, load_session(root))
 print("save -> load round trip is lossless")

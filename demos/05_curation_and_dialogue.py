@@ -22,41 +22,42 @@ from sessionforge.dialogue import (
     import_jsonl,
 )
 
-root = Path(tempfile.mkdtemp())
+with tempfile.TemporaryDirectory() as tmp:
+    root = Path(tmp)
 
-# Six trials across three tasks; two of them go wrong.
-trials = []
-for seed, task in enumerate([Task.FEEDING, Task.FEEDING, Task.DRINKING,
-                             Task.DRINKING, Task.CLEANING, Task.CLEANING]):
-    session, _ = gen_session(Scenario(seed=seed, task=task, duration=1.0))
-    save_session(session, root / session.manifest.session_id)
-    trials.append(session.manifest.session_id)
+    # Six trials across three tasks; two of them go wrong.
+    trials = []
+    for seed, task in enumerate([Task.FEEDING, Task.FEEDING, Task.DRINKING,
+                                 Task.DRINKING, Task.CLEANING, Task.CLEANING]):
+        session, _ = gen_session(Scenario(seed=seed, task=task, duration=1.0))
+        save_session(session, root / session.manifest.session_id)
+        trials.append(session.manifest.session_id)
 
-# Success is exactly "no violation flags"; unknown kinds survive as other:<..>.
-for trial_id in trials:
-    label_trial(root, trial_id, [])
-label_trial(root, trials[1], ["object_drop"])
-label_trial(root, trials[4], ["spilled the detergent"])
+    # Success is exactly "no violation flags"; unknown kinds survive as other:<..>.
+    for trial_id in trials:
+        label_trial(root, trial_id, [])
+    label_trial(root, trials[1], ["object_drop"])
+    label_trial(root, trials[4], ["spilled the detergent"])
 
-stats = dataset_stats(load_manifests(root))
-print("per task:", stats.per_task)
-print(f"success: {stats.total_successful}/{stats.total_raw}"
-      f" = {stats.success_percentage}% (half-up, 2 decimals)")
-print("curated subset:", filter_successful(root))
+    stats = dataset_stats(load_manifests(root))
+    print("per task:", stats.per_task)
+    print(f"success: {stats.total_successful}/{stats.total_raw}"
+          f" = {stats.success_percentage}% (half-up, 2 decimals)")
+    print("curated subset:", filter_successful(root))
 
-# Dialogue: load a trial's transcript, re-label a turn, round trip JSONL.
-path = root / trials[0] / "dialogue.jsonl"
-(dialogue,) = import_jsonl(path.read_bytes())
-dialogue = annotate_utterance(
-    dialogue, 2, AmbiguityLabel(Clarity.AMBIGUOUS, AmbiguityType.SPATIAL)
-)
-path.write_bytes(export_jsonl([dialogue]))
-assert import_jsonl(path.read_bytes()) == [dialogue]
-print("relabeled turn 2 of", trials[0], "and round tripped the JSONL")
+    # Dialogue: load a trial's transcript, re-label a turn, round trip JSONL.
+    path = root / trials[0] / "dialogue.jsonl"
+    (dialogue,) = import_jsonl(path.read_bytes())
+    dialogue = annotate_utterance(
+        dialogue, 2, AmbiguityLabel(Clarity.AMBIGUOUS, AmbiguityType.SPATIAL)
+    )
+    path.write_bytes(export_jsonl([dialogue]))
+    assert import_jsonl(path.read_bytes()) == [dialogue]
+    print("relabeled turn 2 of", trials[0], "and round tripped the JSONL")
 
-dialogues = []
-for trial_id in trials:
-    dialogues.extend(import_jsonl((root / trial_id / "dialogue.jsonl").read_bytes()))
+    dialogues = []
+    for trial_id in trials:
+        dialogues.extend(import_jsonl((root / trial_id / "dialogue.jsonl").read_bytes()))
 dist = ambiguity_distribution(dialogues)
 print("utterance counts:", dist["utterances"])
 print("ambiguity matrix (feeding):", dist["matrix"]["feeding"])

@@ -33,10 +33,6 @@ def _aggregate_to_dict(agg: metrics.TaskAggregate) -> dict:
     return {"mean": agg.mean, "sd": agg.sd, "n": agg.n_trial}
 
 
-def _trial_dirs(root: Path) -> list[Path]:
-    return sorted(p.parent for p in root.glob("*/manifest.json"))
-
-
 # -- per-trial processing ---------------------------------------------------
 
 def process_trial(
@@ -64,10 +60,7 @@ def build_report(
     for task, row in by_task.items():
         tasks[task] = {
             "n": row["n"],
-            "duration": _aggregate_to_dict(row["duration"]),
-            "ee_path_length": _aggregate_to_dict(row["ee_path_length"]),
-            "ee_mean_jerk": _aggregate_to_dict(row["ee_mean_jerk"]),
-            "wheelchair_mean_jerk": _aggregate_to_dict(row["wheelchair_mean_jerk"]),
+            **{m: _aggregate_to_dict(row[m]) for m in metrics.REPORTED_METRICS},
             "wheelchair_comfort_band": metrics.comfort_check(
                 row["wheelchair_mean_jerk"].mean
             ).wheelchair_band,
@@ -87,27 +80,13 @@ def _report_json(report: dict) -> str:
 
 
 def _report_csv(report: dict) -> str:
-    lines = ["task,n,duration_mean,duration_sd,path_mean,path_sd,ee_jerk_mean,ee_jerk_sd,wc_jerk_mean,wc_jerk_sd"]
-    for task, row in sorted(report["tasks"].items()):
-        def fmt(v):
-            return "" if v is None else repr(v)
+    def fmt(v):
+        return "" if v is None else repr(v)
 
-        lines.append(
-            ",".join(
-                [
-                    task,
-                    str(row["n"]),
-                    fmt(row["duration"]["mean"]),
-                    fmt(row["duration"]["sd"]),
-                    fmt(row["ee_path_length"]["mean"]),
-                    fmt(row["ee_path_length"]["sd"]),
-                    fmt(row["ee_mean_jerk"]["mean"]),
-                    fmt(row["ee_mean_jerk"]["sd"]),
-                    fmt(row["wheelchair_mean_jerk"]["mean"]),
-                    fmt(row["wheelchair_mean_jerk"]["sd"]),
-                ]
-            )
-        )
+    stats = [(m, stat) for m in metrics.REPORTED_METRICS for stat in ("mean", "sd")]
+    lines = [",".join(["task", "n"] + [f"{metrics.CSV_PREFIXES[m]}_{stat}" for m, stat in stats])]
+    for task, row in sorted(report["tasks"].items()):
+        lines.append(",".join([task, str(row["n"])] + [fmt(row[m][stat]) for m, stat in stats]))
     return "\n".join(lines) + "\n"
 
 
@@ -226,12 +205,7 @@ def _cmd_curate(args) -> int:
 
 
 def _collect_dialogues(root: Path) -> list[dlg.AnnotatedDialogue]:
-    dialogues = []
-    for trial_dir in _trial_dirs(root):
-        path = trial_dir / "dialogue.jsonl"
-        if path.is_file():
-            dialogues.extend(dlg.import_jsonl(path.read_bytes()))
-    return dialogues
+    return [d for trial_dir in sess.trial_dirs(root) for d in sess.read_dialogues(trial_dir)]
 
 
 def _cmd_dialogue(args) -> int:
@@ -281,7 +255,7 @@ def _cmd_dialogue(args) -> int:
 def _run_pipeline(args) -> dict:
     root = _dataset_root(args)
     policy = _load_policy(args.policy)
-    trial_dirs = _trial_dirs(root)
+    trial_dirs = sess.trial_dirs(root)
     if not trial_dirs:
         raise SessionForgeError(f"no trials under {root}")
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
@@ -16,7 +15,7 @@ from .errors import (
     UnknownTrial,
     UnlabeledTrial,
 )
-from .session import SessionManifest, Task, _manifest_from_dict, _manifest_to_dict
+from .session import SessionManifest, Task, read_manifest, trial_dirs, write_manifest
 
 
 class Violation(str, Enum):
@@ -37,29 +36,19 @@ class Violation(str, Enum):
             return f"other:{raw}"
 
 
-def _iter_manifest_paths(root: Path):
-    for path in sorted(root.glob("*/manifest.json")):
-        yield path
-
-
 def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> SessionManifest:
     """Set a trial's violation flags; success is exactly 'no flags'.
 
     Relabeling overwrites any previous flags. The updated manifest is written
     back in place and returned.
     """
-    root = Path(dataset_root)
-    for path in _iter_manifest_paths(root):
-        manifest = _manifest_from_dict(json.loads(path.read_text(encoding="utf-8")))
+    for trial_dir in trial_dirs(dataset_root):
+        manifest = read_manifest(trial_dir)
         if manifest.session_id != trial_id:
             continue
         parsed = tuple(Violation.parse(f) for f in flags)
-        from dataclasses import replace
-
         updated = replace(manifest, violation_flags=parsed, success=len(parsed) == 0)
-        path.write_text(
-            json.dumps(_manifest_to_dict(updated), indent=2) + "\n", encoding="utf-8"
-        )
+        write_manifest(trial_dir, updated)
         return updated
     raise UnknownTrial(trial_id)
 
@@ -110,11 +99,7 @@ def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
 
 
 def load_manifests(dataset_root: str | Path) -> list[SessionManifest]:
-    root = Path(dataset_root)
-    return [
-        _manifest_from_dict(json.loads(p.read_text(encoding="utf-8")))
-        for p in _iter_manifest_paths(root)
-    ]
+    return [read_manifest(trial_dir) for trial_dir in trial_dirs(dataset_root)]
 
 
 def filter_successful(dataset_root: str | Path, strict: bool = True) -> list[str]:

@@ -174,10 +174,14 @@ def export_jsonl(dialogues: list[AnnotatedDialogue]) -> bytes:
 
 def import_jsonl(data: bytes) -> list[AnnotatedDialogue]:
     """Parse JSONL bytes; validates the label schema of every record."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"not UTF-8: {exc}") from exc
     dialogues = []
     # split on '\n' only: unescaped unicode line separators (e.g. U+0085) may
     # legitimately appear inside utterance text with ensure_ascii=False
-    for i, line in enumerate(data.decode("utf-8").split("\n")):
+    for i, line in enumerate(text.split("\n")):
         if not line.strip():
             continue
         try:

@@ -7,7 +7,7 @@ statistics aggregate trial means with the sample (n-1) standard deviation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -20,6 +20,16 @@ COMFORT_BAND_HIGH = 0.9
 # Whole-body vibration comfort threshold; an *acceleration* (m/s^2), kept as
 # context only and never compared against jerk values.
 ISO_WHOLE_BODY_COMFORT_ACCEL = 0.315
+
+# The TrialMetrics fields the report aggregates per task, in CSV column order,
+# and the prefix of each one's mean/sd columns in the CSV report.
+REPORTED_METRICS = ("duration", "ee_path_length", "ee_mean_jerk", "wheelchair_mean_jerk")
+CSV_PREFIXES = {
+    "duration": "duration",
+    "ee_path_length": "path",
+    "ee_mean_jerk": "ee_jerk",
+    "wheelchair_mean_jerk": "wc_jerk",
+}
 
 
 def jerk_series(positions: np.ndarray, dt: float) -> np.ndarray:
@@ -108,14 +118,7 @@ class TrialMetrics:
     wheelchair_mean_jerk: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trial_id": self.trial_id,
-            "task": self.task,
-            "duration": self.duration,
-            "ee_path_length": self.ee_path_length,
-            "ee_mean_jerk": self.ee_mean_jerk,
-            "wheelchair_mean_jerk": self.wheelchair_mean_jerk,
-        }
+        return asdict(self)
 
 
 def _positions(synced, role: str, is_role, axes: tuple[str, ...]) -> np.ndarray:
@@ -172,11 +175,6 @@ def aggregate_by_task(trials: list[TrialMetrics]) -> dict:
     for task, tms in sorted(by_task.items()):
         out[task] = {
             "n": len(tms),
-            "duration": task_aggregate([t.duration for t in tms], task),
-            "ee_path_length": task_aggregate([t.ee_path_length for t in tms], task),
-            "ee_mean_jerk": task_aggregate([t.ee_mean_jerk for t in tms], task),
-            "wheelchair_mean_jerk": task_aggregate(
-                [t.wheelchair_mean_jerk for t in tms], task
-            ),
+            **{m: task_aggregate([getattr(t, m) for t in tms], task) for m in REPORTED_METRICS},
         }
     return out

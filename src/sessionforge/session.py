@@ -1,6 +1,8 @@
 """Session data model and on-disk container.
 
-A session lives in a directory:
+This module is the one owner of the container layout: every other module
+reads and writes a trial directory, and the synced container's JSON files,
+through the functions here. A session lives in a directory:
 
     manifest.json
     streams/<name>.csv            header ``t,<ch1>,<ch2>,...``, floats as %.17g
@@ -8,10 +10,12 @@ A session lives in a directory:
     audio/<name>.wav              RIFF PCM
     dialogue.jsonl                one record per trial
 
-Floats are written with 17 significant digits so save/load round-trips
-bit-exactly. Every CSV in the container, the synced container's included,
-goes through ``_read_table``/``_write_table``, built on numpy ``loadtxt``
-and ``savetxt``, which read and write exactly the format above.
+and a dataset is a directory of such trial directories. Floats are written
+with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
+the container, the synced container's included, goes through
+``_read_table``/``_write_table``, built on numpy ``loadtxt`` and ``savetxt``,
+and every JSON file through ``read_json``/``write_json``. A file that cannot
+be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
 """
 
 from __future__ import annotations
@@ -26,10 +30,18 @@ from pathlib import Path
 import numpy as np
 
 from . import dialogue as dlg
-from .errors import InvariantViolation, IoError, MalformedManifest, MissingFile
+from .errors import (
+    InvariantViolation,
+    IoError,
+    MalformedManifest,
+    MissingFile,
+    SerializationError,
+)
 
 PAPER_AUDIO_RATE = 48000
 PAPER_AUDIO_BIT_DEPTH = 16
+MANIFEST = "manifest.json"
+DIALOGUE = "dialogue.jsonl"
 
 
 class Task(str, Enum):
@@ -242,7 +254,7 @@ def _manifest_to_dict(m: SessionManifest) -> dict:
     }
 
 
-def _manifest_from_dict(d: dict) -> SessionManifest:
+def _manifest_from_dict(d: dict, path: Path) -> SessionManifest:
     try:
         task_raw = d["task"]
         try:
@@ -270,7 +282,46 @@ def _manifest_from_dict(d: dict) -> SessionManifest:
             violation_flags=tuple(d.get("violation_flags", ())),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"manifest: {exc}") from exc
+        raise MalformedManifest(f"{path}: {exc}") from exc
+
+
+def read_json(path: Path):
+    """The parsed JSON of a container file."""
+    if not path.is_file():
+        raise MissingFile(str(path))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
+        raise MalformedManifest(f"{path}: {exc}") from exc
+
+
+def write_json(path: Path, obj, sort_keys: bool = False) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+
+
+def read_manifest(trial_dir: str | Path) -> SessionManifest:
+    path = Path(trial_dir) / MANIFEST
+    return _manifest_from_dict(read_json(path), path)
+
+
+def write_manifest(trial_dir: str | Path, manifest: SessionManifest) -> None:
+    write_json(Path(trial_dir) / MANIFEST, _manifest_to_dict(manifest))
+
+
+def trial_dirs(root: str | Path) -> list[Path]:
+    """The trial directories of a dataset: those holding a manifest, sorted."""
+    return sorted(p.parent for p in Path(root).glob(f"*/{MANIFEST}"))
+
+
+def read_dialogues(trial_dir: str | Path) -> tuple[dlg.AnnotatedDialogue, ...]:
+    """A trial's dialogues; none when it has no dialogue file."""
+    path = Path(trial_dir) / DIALOGUE
+    if not path.is_file():
+        return ()
+    try:
+        return tuple(dlg.import_jsonl(path.read_bytes()))
+    except (OSError, SerializationError) as exc:
+        raise MalformedManifest(f"{path}: {exc}") from exc
 
 
 def _write_table(path: Path, header: str, columns) -> None:
@@ -354,14 +405,18 @@ def _write_wav(path: Path, track: AudioTrack) -> None:
 
 
 def _read_wav(path: Path, file_ref: str) -> AudioTrack:
-    with wave.open(str(path), "rb") as w:
-        meta = AudioMeta(
-            sample_rate=w.getframerate(),
-            bit_depth=w.getsampwidth() * 8,
-            channels=w.getnchannels(),
-            file=file_ref,
-        )
-        samples = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    try:
+        with wave.open(str(path), "rb") as w:
+            meta = AudioMeta(
+                sample_rate=w.getframerate(),
+                bit_depth=w.getsampwidth() * 8,
+                channels=w.getnchannels(),
+                file=file_ref,
+            )
+            samples = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+    except (wave.Error, EOFError, OSError, ValueError) as exc:
+        # ValueError: a data chunk cut mid-sample leaves an odd byte count.
+        raise MalformedManifest(f"{path}: not a readable PCM WAV: {exc}") from exc
     return AudioTrack(meta=meta, samples=samples)
 
 
@@ -373,29 +428,19 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
     root = Path(root_path)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        (root / "manifest.json").write_text(
-            json.dumps(_manifest_to_dict(session.manifest), indent=2) + "\n",
-            encoding="utf-8",
-        )
-        for name, series in session.numeric.items():
-            desc = session.manifest.descriptor(name)
-            rel = desc.file if desc else f"streams/{name}.csv"
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_series_csv(path, series)
-        for name, log in session.frame_logs.items():
-            desc = session.manifest.descriptor(name)
-            rel = desc.file if desc else f"video/{name}.timestamps.csv"
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_table(path, "t", [log.frame_timestamps])
-        for name, track in session.audio.items():
-            desc = session.manifest.descriptor(name)
-            rel = desc.file if desc else f"audio/{name}.wav"
-            path = root / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_wav(path, track)
-        (root / "dialogue.jsonl").write_bytes(dlg.export_jsonl(list(session.dialogues)))
+        write_manifest(root, session.manifest)
+        for streams, default, write in (
+            (session.numeric, "streams/{}.csv", _write_series_csv),
+            (session.frame_logs, "video/{}.timestamps.csv",
+             lambda path, log: _write_table(path, "t", [log.frame_timestamps])),
+            (session.audio, "audio/{}.wav", _write_wav),
+        ):
+            for name, data in streams.items():
+                desc = session.manifest.descriptor(name)
+                path = root / (desc.file if desc else default.format(name))
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write(path, data)
+        (root / DIALOGUE).write_bytes(dlg.export_jsonl(list(session.dialogues)))
     except OSError as exc:
         raise IoError(f"writing session to {root}: {exc}") from exc
 
@@ -403,14 +448,7 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
 def load_session(root_path: str | Path) -> RawSession:
     """Load and validate a session directory; raises on any broken invariant."""
     root = Path(root_path)
-    manifest_path = root / "manifest.json"
-    if not manifest_path.is_file():
-        raise MissingFile(str(manifest_path))
-    try:
-        manifest_dict = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise MalformedManifest(f"{manifest_path}: {exc}") from exc
-    manifest = _manifest_from_dict(manifest_dict)
+    manifest = read_manifest(root)
 
     numeric: dict[str, TimedSeries] = {}
     frame_logs: dict[str, FrameTimestampLog] = {}
@@ -426,17 +464,12 @@ def load_session(root_path: str | Path) -> RawSession:
         elif desc.kind is StreamKind.AUDIO:
             audio[desc.name] = _read_wav(path, desc.file)
 
-    dialogues: tuple[dlg.AnnotatedDialogue, ...] = ()
-    dlg_path = root / "dialogue.jsonl"
-    if dlg_path.is_file():
-        dialogues = tuple(dlg.import_jsonl(dlg_path.read_bytes()))
-
     session = RawSession(
         manifest=manifest,
         numeric=numeric,
         frame_logs=frame_logs,
         audio=audio,
-        dialogues=dialogues,
+        dialogues=read_dialogues(root),
     )
     violations = validate_session(session)
     # Audio-rate nonconformance is a warning-level violation, not fatal on load.

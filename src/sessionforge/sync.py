@@ -9,7 +9,6 @@ grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from .errors import (
     EmptyFrameLog,
     GridOutsideSeries,
     IoError,
+    MalformedManifest,
     MissingFile,
     MissingStream,
     NoOverlap,
@@ -30,12 +30,14 @@ from .session import (
     SessionManifest,
     StreamKind,
     TimedSeries,
-    _manifest_from_dict,
-    _manifest_to_dict,
     _read_series_csv,
     _read_table,
     _write_series_csv,
     _write_table,
+    read_json,
+    read_manifest,
+    write_json,
+    write_manifest,
 )
 
 DEFAULT_MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
@@ -250,11 +252,8 @@ def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
     root = Path(root_path)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        (root / "manifest.json").write_text(
-            json.dumps(_manifest_to_dict(synced.manifest), indent=2) + "\n", encoding="utf-8"
-        )
-        meta = {"rate": synced.grid.rate, "tau": synced.tau}
-        (root / "grid.json").write_text(json.dumps(meta, indent=2) + "\n", encoding="utf-8")
+        write_manifest(root, synced.manifest)
+        write_json(root / "grid.json", {"rate": synced.grid.rate, "tau": synced.tau})
         _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
         sel_dir = root / "selections"
         sel_dir.mkdir(exist_ok=True)
@@ -266,24 +265,24 @@ def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
         streams_dir.mkdir(exist_ok=True)
         for name, series in synced.numeric.items():
             _write_series_csv(streams_dir / f"{name}.csv", series)
-        (root / "sync_report.json").write_text(
-            json.dumps(synced.report(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(root / "sync_report.json", synced.report(), sort_keys=True)
     except OSError as exc:
         raise IoError(f"writing synced session to {root}: {exc}") from exc
 
 
 def load_synced(root_path: str | Path) -> SyncedSession:
     root = Path(root_path)
-    for required in ("manifest.json", "grid.json", "grid.csv"):
-        if not (root / required).is_file():
-            raise MissingFile(str(root / required))
-    manifest = _manifest_from_dict(
-        json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    )
-    meta = json.loads((root / "grid.json").read_text(encoding="utf-8"))
+    manifest = read_manifest(root)
+    meta_path = root / "grid.json"
+    meta = read_json(meta_path)
+    try:
+        rate, tau = float(meta["rate"]), float(meta["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{meta_path}: bad rate or tau: {exc!r}") from exc
+    if not (root / "grid.csv").is_file():
+        raise MissingFile(str(root / "grid.csv"))
     _, grid_ts = _read_table(root / "grid.csv")
-    grid = ReferenceGrid(timestamps=grid_ts[:, 0], rate=float(meta["rate"]))
+    grid = ReferenceGrid(timestamps=grid_ts[:, 0], rate=rate)
 
     selections: dict[str, FrameSelection] = {}
     sel_dir = root / "selections"
@@ -304,5 +303,5 @@ def load_synced(root_path: str | Path) -> SyncedSession:
         grid=grid,
         frame_selections=selections,
         numeric=numeric,
-        tau=float(meta["tau"]),
+        tau=tau,
     )

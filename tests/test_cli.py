@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +84,68 @@ class TestExitCodes:
         code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root))
         assert code == 1
         assert json.loads(err)["code"] == "missing-stream"
+
+
+def _replace_bytes(data: bytes):
+    return lambda path: path.write_bytes(data)
+
+
+def _truncate(n: int):
+    return lambda path: path.write_bytes(path.read_bytes()[:n])
+
+
+def _drop_grid_rate(path):
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    del meta["rate"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+# Every unreadable container file fails with a typed error naming it, never
+# a traceback: case -> (command, file to corrupt, corruption).
+UNREADABLE_CONTAINER_CASES = {
+    "wav-not-riff": (
+        "sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _replace_bytes(b"RIFX" * 16)
+    ),
+    # Cut inside the 44-byte header, then one byte into the first 16-bit sample.
+    "wav-truncated": ("sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _truncate(30)),
+    "wav-cut-mid-sample": (
+        "sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _truncate(45)
+    ),
+    "dialogue-not-utf8": (
+        "sync --in {trial} --out {out}", "{trial}/dialogue.jsonl", _replace_bytes(b"\xff{}\n")
+    ),
+    "manifest-not-json": (
+        "analyze --in {synced}", "{synced}/manifest.json", _replace_bytes(b"{not json")
+    ),
+    "grid-without-rate": ("analyze --in {synced}", "{synced}/grid.json", _drop_grid_rate),
+    "grid-not-json": (
+        "denoise --in {synced} --out {out}", "{synced}/grid.json", _replace_bytes(b"{not json")
+    ),
+    # Labeling a trial that does not exist reads every manifest.
+    **{
+        f"curate-{sub.split()[0]}": (
+            f"curate {sub} --root {{root}}", "{trial}/manifest.json", _replace_bytes(b"{not json")
+        )
+        for sub in ("stats", "label no-such-trial", "filter")
+    },
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE_CONTAINER_CASES)
+def test_unreadable_container_file_is_json_error(capsys, tmp_path, dataset, case):
+    command, target, corrupt = UNREADABLE_CONTAINER_CASES[case]
+    root, trial_ids = dataset
+    dirs = {"root": root, "trial": root / trial_ids[0], "synced": tmp_path / "synced",
+            "out": tmp_path / "out"}
+    assert run(capsys, "sync", "--in", str(dirs["trial"]), "--out", str(dirs["synced"]))[0] == 0
+    target = target.format(**dirs)
+    corrupt(Path(target))
+    code, _, err = run(capsys, "--errors", "json", *command.format(**dirs).split())
+    assert code == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "malformed-manifest"
+    assert target in payload["message"]
 
 
 class TestSynthCommand:

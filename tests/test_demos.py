@@ -1,4 +1,5 @@
-"""Every demo runs to completion against the current public API."""
+"""Every demo runs to completion against the current public API and
+removes the temporary files it makes."""
 
 import os
 import subprocess
@@ -13,7 +14,9 @@ DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmpdir))
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=tmp_path,
@@ -23,3 +26,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+    assert not any(tmpdir.iterdir()), f"left behind in TMPDIR: {sorted(tmpdir.iterdir())}"

@@ -3,7 +3,6 @@
 
 import socket
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ with tempfile.TemporaryDirectory() as tmp:
         udp.sendto(dg.encode(), ("127.0.0.1", handle.udp_port))
     udp.close()
 
-    time.sleep(0.5)  # let the receiver drain
+    # stop() is the cut-off: it keeps every byte and datagram sent before it.
     recorded = handle.stop()
 
     print("topics:", {k: v.n_samples for k, v in recorded.numeric.items()})

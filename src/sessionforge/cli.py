@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
-from .errors import SessionForgeError
+from .errors import MissingFile, SessionForgeError
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -144,9 +144,7 @@ def _cmd_sync(args) -> int:
 def _load_policy(spec: str) -> filters.DenoisePolicy:
     if spec == "default":
         return filters.DenoisePolicy.default()
-    return filters.DenoisePolicy.from_json_dict(
-        json.loads(Path(spec).read_text(encoding="utf-8"))
-    )
+    return filters.DenoisePolicy.from_json_dict(sess.read_json(Path(spec)))
 
 
 def _cmd_denoise(args) -> int:
@@ -211,6 +209,8 @@ def _collect_dialogues(root: Path) -> list[dlg.AnnotatedDialogue]:
 def _cmd_dialogue(args) -> int:
     if args.dialogue_cmd == "annotate":
         path = Path(args.file)
+        if not path.is_file():
+            raise MissingFile(str(path))
         dialogues = dlg.import_jsonl(path.read_bytes())
         label = dlg.AmbiguityLabel(
             clarity=dlg.Clarity(args.clarity),

@@ -11,6 +11,8 @@ from pathlib import Path
 from .errors import (
     EmptyInput,
     EmptyQuestion,
+    MalformedSurvey,
+    MissingFile,
     OutOfRangeRating,
     UnknownTrial,
     UnlabeledTrial,
@@ -150,11 +152,28 @@ def survey_stats(responses: dict[str, list[int]]) -> SurveySummary:
 
 
 def load_survey_csv(path: str | Path) -> dict[str, list[int]]:
-    """Read survey responses: CSV columns question_id, participant_id, rating."""
+    """Read survey responses: CSV columns question_id, participant_id, rating.
+
+    A missing file raises MissingFile; a missing column or a rating that is
+    not an integer raises MalformedSurvey naming the file and the line.
+    """
     import csv
 
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(str(path))
     responses: dict[str, list[int]] = {}
-    with Path(path).open("r", encoding="utf-8", newline="") as f:
-        for row in csv.DictReader(f):
-            responses.setdefault(row["question_id"], []).append(int(row["rating"]))
+    with path.open("r", encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in ("question_id", "rating") if c not in (reader.fieldnames or ())]
+        if missing:
+            raise MalformedSurvey(f"{path}: line 1: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                rating = int(row["rating"])
+            except (TypeError, ValueError) as exc:  # TypeError: None for a short row
+                raise MalformedSurvey(
+                    f"{path}: line {reader.line_num}: rating {row['rating']!r} is not an integer"
+                ) from exc
+            responses.setdefault(row["question_id"], []).append(rating)
     return responses

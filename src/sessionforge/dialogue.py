@@ -82,9 +82,6 @@ class AnnotatedDialogue:
             if by_index[idx].speaker is not Speaker.USER:
                 raise NotUserTurn(f"turn {idx} is not a user turn")
 
-    def user_turns(self) -> list[Utterance]:
-        return [u for u in self.turns if u.speaker is Speaker.USER]
-
 
 def annotate_utterance(
     dialogue: AnnotatedDialogue, turn_index: int, label: AmbiguityLabel

@@ -151,6 +151,11 @@ class OutOfRangeRating(SessionForgeError):
     code = "out-of-range-rating"
 
 
+class MalformedSurvey(SessionForgeError):
+    module = "curation"
+    code = "malformed-survey"
+
+
 # -- dialogue_annotations ---------------------------------------------------
 
 class NotUserTurn(SessionForgeError):

@@ -13,9 +13,10 @@ through the functions here. A session lives in a directory:
 and a dataset is a directory of such trial directories. Floats are written
 with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
 the container, the synced container's included, goes through
-``_read_table``/``_write_table``, built on numpy ``loadtxt`` and ``savetxt``,
-and every JSON file through ``read_json``/``write_json``. A file that cannot
-be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
+``_read_table``/``_write_table``: numpy ``loadtxt`` reads them, and the writer
+formats blocks of rows with one ``%`` each. Every JSON file goes through
+``read_json``/``write_json``. A file that cannot be read raises
+``MissingFile`` or ``MalformedManifest`` naming it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ PAPER_AUDIO_RATE = 48000
 PAPER_AUDIO_BIT_DEPTH = 16
 MANIFEST = "manifest.json"
 DIALOGUE = "dialogue.jsonl"
+_BLOCK_ROWS = 4096  # rows per formatted block when writing a CSV
 
 
 class Task(str, Enum):
@@ -50,10 +52,6 @@ class Task(str, Enum):
     DRAWER_OPENING = "drawer_opening"
     DRINKING = "drinking"
     FEEDING = "feeding"
-
-    @property
-    def display_name(self) -> str:
-        return self.value.replace("_", " ").title()
 
 
 class StreamKind(str, Enum):
@@ -286,7 +284,7 @@ def _manifest_from_dict(d: dict, path: Path) -> SessionManifest:
 
 
 def read_json(path: Path):
-    """The parsed JSON of a container file."""
+    """The parsed JSON of a container file, or of a JSON file the user passed."""
     if not path.is_file():
         raise MissingFile(str(path))
     try:
@@ -328,11 +326,16 @@ def _write_table(path: Path, header: str, columns) -> None:
     """Write ``columns`` (1-D or 2-D, equal length) as CSV under one header row.
 
     ``%.17g`` round-trips every float and prints integers below 1e17 as ``%d``.
+    Rows are formatted a block at a time with one ``%``: the bytes
+    ``numpy.savetxt`` writes, without its per-row loop, in bounded memory.
     """
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as f:
-        np.savetxt(
-            f, np.column_stack(columns), fmt="%.17g", delimiter=",", header=header, comments=""
-        )
+        f.write(header + "\n")
+        for lo in range(0, len(table), _BLOCK_ROWS):
+            block = table[lo : lo + _BLOCK_ROWS]
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:

@@ -9,7 +9,6 @@ denoiser can actually remove.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,6 +34,7 @@ from .session import (
     StreamKind,
     Task,
     TimedSeries,
+    read_json,
 )
 
 DEFAULT_NOISE_FREQ = 30.0  # Hz, narrowband sensor disturbance
@@ -209,7 +209,7 @@ class Scenario:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(read_json(Path(path)))
 
 
 def _camera_name(i: int, n: int) -> str:

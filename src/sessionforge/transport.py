@@ -13,14 +13,24 @@ Audio datagram:
     timestamp f64       seconds
     pcm       16-bit little-endian PCM samples (even byte count)
 
-The receiver keeps one reader task per socket; a single writer drains a
-merged bounded queue, so per-topic arrival order is preserved while
-cross-stream ordering stays unspecified.
+The recorder runs one thread per socket: the listening socket, each accepted
+connection and the UDP socket. Each thread blocks on its socket and on a
+shared wake socket, so nothing polls. A connection thread decodes every
+whole frame of a received chunk in place and appends them to the per-topic
+lists under one lock, so per-topic arrival order is preserved while
+cross-stream ordering stays unspecified. TCP flow control is the
+backpressure.
+
+``stop()`` is the cut-off: it writes to the wake socket, and each thread then
+takes, without waiting, what its socket holds: the connections in the listen
+backlog, the bytes a connection has received, and the datagrams queued in the
+kernel. Each drain has a fixed budget, so a sender that keeps sending cannot
+hold ``stop()`` open.
 """
 
 from __future__ import annotations
 
-import queue
+import selectors
 import socket
 import struct
 import threading
@@ -47,7 +57,13 @@ from .session import (
 
 # smallest valid frame body: 1-byte topic + terminator + timestamp
 _MIN_BODY = 1 + 1 + 8
-DEFAULT_HIGH_WATER = 10_000
+_U32 = struct.Struct(">I")
+_RECV_BYTES = 65536
+_BACKLOG = 16
+# Drain budgets at the cut-off: the listen backlog, the bytes a connection had
+# queued, and this many datagrams, so a sender that keeps sending cannot hold
+# stop() open.
+_DRAIN_DATAGRAMS = 4096
 
 
 @dataclass(frozen=True)
@@ -67,37 +83,37 @@ class TcpFrame:
         return struct.pack(">I", len(body)) + body
 
 
-def frame_decode(data: bytes) -> tuple[TcpFrame, int]:
-    """Decode one frame from the head of ``data``.
+def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
+    """Decode one frame starting at ``data[offset]``.
 
     Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
     and MalformedFrame for an invalid one.
     """
-    if len(data) < 4:
-        raise NeedMoreBytes(4 - len(data))
-    (length,) = struct.unpack_from(">I", data, 0)
+    avail = len(data) - offset
+    if avail < 4:
+        raise NeedMoreBytes(4 - avail)
+    (length,) = _U32.unpack_from(data, offset)
     if length < _MIN_BODY:
         raise MalformedFrame(f"length field {length} below minimum frame body {_MIN_BODY}")
     total = 4 + length
-    if len(data) < total:
-        raise NeedMoreBytes(total - len(data))
-    body = data[4:total]
-    nul = body.find(b"\x00")
-    if nul <= 0:
+    if avail < total:
+        raise NeedMoreBytes(total - avail)
+    start, end = offset + 4, offset + total
+    nul = data.find(b"\x00", start, end)
+    if nul <= start:  # -1 (no terminator) or an empty topic
         raise MalformedFrame("missing or empty topic before terminator")
     try:
-        topic = body[:nul].decode("utf-8")
+        topic = data[start:nul].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"topic not valid UTF-8: {exc}") from exc
-    rest = body[nul + 1 :]
-    if len(rest) < 8:
+    payload = end - nul - 1 - 8
+    if payload < 0:
         raise MalformedFrame("frame too short for timestamp")
-    (timestamp,) = struct.unpack(">d", rest[:8])
-    payload = rest[8:]
-    if len(payload) % 8 != 0:
-        raise MalformedFrame(f"payload length {len(payload)} not a multiple of 8")
-    values = struct.unpack(f">{len(payload) // 8}d", payload)
-    return TcpFrame(topic=topic, timestamp=timestamp, values=values), total
+    if payload % 8 != 0:
+        raise MalformedFrame(f"payload length {payload} not a multiple of 8")
+    numbers = struct.unpack_from(f">{payload // 8 + 1}d", data, nul + 1)
+    # positional: keyword arguments make the frozen dataclass's __init__ slower
+    return TcpFrame(topic, numbers[0], numbers[1:]), total
 
 
 @dataclass(frozen=True)
@@ -186,6 +202,24 @@ def audio_reassemble(
 
 # -- live recorder ----------------------------------------------------------
 
+def _queued_bytes(sock: socket.socket) -> int:
+    """Bytes received by the kernel and not yet read from ``sock`` (POSIX)."""
+    import fcntl
+    import termios
+
+    return struct.unpack("i", fcntl.ioctl(sock, termios.FIONREAD, b"\0\0\0\0"))[0]
+
+
+def _drain(step, budget: int) -> None:
+    """At the cut-off: call ``step`` without waiting until it takes nothing
+    or ``budget`` units are taken."""
+    while budget > 0:
+        taken = step()
+        if not taken:
+            return
+        budget -= taken
+
+
 @dataclass
 class RecorderConfig:
     session_root: Path
@@ -199,7 +233,6 @@ class RecorderConfig:
     stream_map: dict[str, tuple[float, tuple[Channel, ...]]] = field(default_factory=dict)
     audio_stream: str = "mic"
     audio_rate: int = 48000
-    high_water: int = DEFAULT_HIGH_WATER
 
 
 class RecordingHandle:
@@ -207,12 +240,10 @@ class RecordingHandle:
 
     def __init__(self, config: RecorderConfig):
         self.config = config
-        self._queue: queue.Queue = queue.Queue(maxsize=config.high_water)
         self._topics: dict[str, tuple[list[float], list[tuple[float, ...]]]] = {}
         self._datagrams: list[AudioDatagram] = []
-        self._datagram_lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._rx_done = threading.Event()
+        # guards _topics, _datagrams and the two counters
+        self._lock = threading.Lock()
         self._stopped = False
         self._session: RawSession | None = None
         self.malformed_frames = 0
@@ -223,115 +254,145 @@ class RecordingHandle:
             self._tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             self._tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._tcp_sock.bind((config.host, config.tcp_port))
-            self._tcp_sock.listen(16)
+            self._tcp_sock.listen(_BACKLOG)
             self._udp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             # audio datagrams arrive in bursts; a large receive buffer avoids
-            # kernel-level drops between recvfrom calls
+            # kernel-level drops between recv calls
             self._udp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
             self._udp_sock.bind((config.host, config.udp_port))
         except OSError as exc:
             raise BindError(str(exc)) from exc
         self.tcp_port = self._tcp_sock.getsockname()[1]
         self.udp_port = self._udp_sock.getsockname()[1]
-        self._tcp_sock.settimeout(0.2)
-        self._udp_sock.settimeout(0.2)
+        self._tcp_sock.setblocking(False)
+        self._udp_sock.setblocking(False)
+        # stop() writes one byte here and nothing reads it, so it stays
+        # readable for every thread's selector
+        self._wake_r, self._wake_w = socket.socketpair()
 
         self._threads = [
             threading.Thread(target=self._accept_loop, daemon=True),
             threading.Thread(target=self._udp_loop, daemon=True),
-            threading.Thread(target=self._writer_loop, daemon=True),
         ]
         self._conn_threads: list[threading.Thread] = []
         for t in self._threads:
             t.start()
 
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                conn, _ = self._tcp_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            t = threading.Thread(target=self._conn_loop, args=(conn,), daemon=True)
-            self._conn_threads.append(t)
-            t.start()
+    def _until_stopped(self, sock: socket.socket, step) -> bool:
+        """Call ``step`` each time ``sock`` is readable. True once stop() has
+        woken the loop, False if ``step`` found the socket finished first.
 
-    def _conn_loop(self, conn: socket.socket):
-        conn.settimeout(0.2)
-        buf = b""
+        ``step`` reads ``sock`` once and returns the units it took, 0 when
+        nothing was pending, or None when the socket is finished.
+        """
+        with selectors.DefaultSelector() as sel:
+            sel.register(sock, selectors.EVENT_READ)
+            sel.register(self._wake_r, selectors.EVENT_READ)
+            while all(key.fileobj is not self._wake_r for key, _ in sel.select()):
+                if step() is None:
+                    return False
+        return True
+
+    def _accept_loop(self) -> None:
+        if self._until_stopped(self._tcp_sock, self._accept):
+            _drain(self._accept, _BACKLOG)
+
+    def _udp_loop(self) -> None:
+        if self._until_stopped(self._udp_sock, self._recv_datagram):
+            _drain(self._recv_datagram, _DRAIN_DATAGRAMS)
+
+    def _accept(self) -> int | None:
+        try:
+            conn, _ = self._tcp_sock.accept()
+        except BlockingIOError:
+            return 0
+        except OSError:
+            return None
+        t = threading.Thread(target=self._conn_loop, args=(conn,), daemon=True)
+        self._conn_threads.append(t)
+        t.start()
+        return 1
+
+    def _conn_loop(self, conn: socket.socket) -> None:
+        rest = b""
+
+        def step() -> int | None:
+            nonlocal rest
+            try:
+                chunk = conn.recv(_RECV_BYTES)
+            except BlockingIOError:
+                return 0
+            except OSError:
+                return None
+            if not chunk:
+                return None
+            rest = self._ingest(rest + chunk)
+            return len(chunk)
+
         with conn:
-            while True:
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    if self._stopping.is_set():
-                        break
-                    continue
-                except OSError:
-                    break
-                if not chunk:
-                    break
-                buf += chunk
-                while buf:
-                    try:
-                        frame, consumed = frame_decode(buf)
-                    except NeedMoreBytes:
-                        break
-                    except MalformedFrame:
-                        # resync: drop the declared frame length and move on
-                        self.malformed_frames += 1
-                        declared = 4 + struct.unpack_from(">I", buf, 0)[0]
-                        buf = buf[min(declared, len(buf)) :]
-                        continue
-                    buf = buf[consumed:]
-                    # blocking put = backpressure once the queue hits high water
-                    self._queue.put(frame)
+            conn.setblocking(False)
+            if self._until_stopped(conn, step):
+                _drain(step, _queued_bytes(conn))
 
-    def _udp_loop(self):
-        while not self._stopping.is_set():
+    def _ingest(self, buf: bytes) -> bytes:
+        """Record every whole frame in ``buf``; return the partial frame at its end."""
+        frames = []
+        malformed = 0
+        off, end = 0, len(buf)
+        while off < end:
             try:
-                data, _ = self._udp_sock.recvfrom(65536)
-            except socket.timeout:
-                continue
-            except OSError:
+                frame, consumed = frame_decode(buf, off)
+            except NeedMoreBytes:
                 break
-            try:
-                dg = datagram_decode(data)
             except MalformedFrame:
-                self.malformed_frames += 1
-                continue
-            with self._datagram_lock:
-                self._datagrams.append(dg)
+                # resync: drop the declared frame length and move on
+                malformed += 1
+                consumed = min(4 + _U32.unpack_from(buf, off)[0], end - off)
+            else:
+                frames.append(frame)
+            off += consumed
+        with self._lock:
+            for frame in frames:
+                ts, vals = self._topics.setdefault(frame.topic, ([], []))
+                ts.append(frame.timestamp)
+                vals.append(frame.values)
+            self.frames_received += len(frames)
+            self.malformed_frames += malformed
+        return buf[off:]
 
-    def _writer_loop(self):
-        while True:
-            try:
-                frame = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                if self._rx_done.is_set():
-                    return
-                continue
-            ts, vals = self._topics.setdefault(frame.topic, ([], []))
-            ts.append(frame.timestamp)
-            vals.append(frame.values)
-            self.frames_received += 1
+    def _recv_datagram(self) -> int | None:
+        try:
+            data = self._udp_sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return 0
+        except OSError:
+            return None
+        try:
+            dg = datagram_decode(data)
+        except MalformedFrame:
+            with self._lock:
+                self.malformed_frames += 1
+            return 1
+        with self._lock:
+            self._datagrams.append(dg)
+        return 1
 
     def stop(self) -> RawSession:
-        """Stop receiving, flush the session to disk, return it. Idempotent."""
+        """Stop receiving at a cut-off, flush the session to disk, return it.
+
+        Keeps the connections in the listen backlog, the bytes each connection
+        has received and the datagrams queued in the kernel at the cut-off,
+        each up to a fixed drain budget. Idempotent.
+        """
         if self._stopped:
             assert self._session is not None
             return self._session
-        # let in-flight connections drain before tearing sockets down
-        self._stopping.set()
-        self._threads[0].join(timeout=5.0)  # accept loop
-        for t in self._conn_threads:
-            t.join(timeout=5.0)
-        self._threads[1].join(timeout=5.0)  # udp loop
-        self._rx_done.set()
-        self._threads[2].join(timeout=10.0)  # writer
-        self._tcp_sock.close()
-        self._udp_sock.close()
+        self._wake_w.send(b"\x00")
+        self._threads[0].join()  # accept loop; it starts the backlog's connections
+        for t in self._conn_threads + self._threads[1:]:
+            t.join()
+        for sock in (self._tcp_sock, self._udp_sock, self._wake_r, self._wake_w):
+            sock.close()
         self._session = self._build_session()
         save_session(self._session, self.config.session_root)
         self._stopped = True
@@ -366,10 +427,8 @@ class RecordingHandle:
             warnings.warn("recording stopped with zero frames received")
 
         audio: dict[str, AudioTrack] = {}
-        with self._datagram_lock:
-            datagrams = list(self._datagrams)
-        if datagrams:
-            pcm, self.gap_report = audio_reassemble(datagrams, stream=cfg.audio_stream)
+        if self._datagrams:
+            pcm, self.gap_report = audio_reassemble(self._datagrams, stream=cfg.audio_stream)
             samples = np.frombuffer(pcm, dtype="<i2")
             audio[cfg.audio_stream] = AudioTrack(
                 meta=AudioMeta(

@@ -148,6 +148,53 @@ def test_unreadable_container_file_is_json_error(capsys, tmp_path, dataset, case
     assert target in payload["message"]
 
 
+# Files the user passes that fail with a typed error naming the file, never a
+# traceback: case -> (command, file content or None for no file, error code,
+# text the message holds besides the path).
+BAD_USER_FILE_CASES = {
+    "policy-missing": ("pipeline --root {root} --policy {file}", None, "missing-file", ""),
+    "policy-not-json": (
+        "pipeline --root {root} --policy {file}", "{bad", "malformed-manifest", ""
+    ),
+    "scenario-missing": ("synth --scenario {file} --out {out}", None, "missing-file", ""),
+    "scenario-not-json": (
+        "synth --scenario {file} --out {out}", "{bad", "malformed-manifest", ""
+    ),
+    "survey-missing": ("curate survey {file}", None, "missing-file", ""),
+    "survey-bad-rating": (
+        "curate survey {file}",
+        "question_id,participant_id,rating\nq1,p1,5\nq1,p2,five\n",
+        "malformed-survey",
+        "line 3",
+    ),
+    "survey-missing-column": (
+        "curate survey {file}", "question_id,participant_id\nq1,p1\n", "malformed-survey", "rating"
+    ),
+    "annotate-missing-file": (
+        "dialogue annotate --file {file} --trial x --turn 0 --clarity specific",
+        None,
+        "missing-file",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_USER_FILE_CASES)
+def test_bad_user_file_is_json_error(capsys, tmp_path, request, case):
+    command, content, code_name, text = BAD_USER_FILE_CASES[case]
+    root = request.getfixturevalue("dataset")[0] if "{root}" in command else None
+    path = tmp_path / "user-file"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    argv = command.format(root=root, file=path, out=tmp_path / "out").split()
+    code, _, err = run(capsys, "--errors", "json", *argv)
+    assert code == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == code_name
+    assert str(path) in payload["message"] and text in payload["message"]
+
+
 class TestSynthCommand:
     def test_synth_writes_session(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--seed", "3", "--out", str(tmp_path / "s"))

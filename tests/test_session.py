@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import stat
@@ -19,6 +20,7 @@ from sessionforge.session import (
     Task,
     TimedSeries,
     _read_series_csv,
+    _write_table,
     load_session,
     save_session,
     sessions_equal,
@@ -178,6 +180,22 @@ class TestFormat:
             (log.frame_timestamps, loaded.frame_logs["cam"].frame_timestamps),
         ]:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
+    def test_table_bytes_match_savetxt(self, tmp_path, rows):
+        """The block writer gives numpy.savetxt's bytes, across block edges."""
+        rng = np.random.default_rng(rows)
+        values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
+        flat = values.reshape(-1)  # a view
+        flat[::7] = np.resize([np.nan, np.inf, -np.inf, -0.0, 1e17, 5e-324, 3.0], flat[::7].size)
+        columns = [np.arange(rows) / 7.0, values]
+        _write_table(tmp_path / "t.csv", "t,a,b,c", columns)
+        want = io.StringIO()
+        np.savetxt(
+            want, np.column_stack(columns), fmt="%.17g", delimiter=",", header="t,a,b,c",
+            comments="",
+        )
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want.getvalue()
 
 
 class TestSaveErrors:

@@ -1,5 +1,6 @@
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -58,6 +59,39 @@ class TestFrameCodec:
         body = b"topicwithoutnul" + struct.pack(">d", 0.0)
         with pytest.raises(MalformedFrame):
             frame_decode(struct.pack(">I", len(body)) + body)
+
+    @pytest.mark.parametrize(
+        "frame, partial",
+        [
+            (TcpFrame(topic="ee_pose", timestamp=1.5, values=(1.0, -2.0, 3.0)).encode(), False),
+            (TcpFrame(topic="t", timestamp=0.0, values=()).encode(), False),
+            (TcpFrame(topic="t", timestamp=1.0, values=(2.0,)).encode()[:-3], True),
+            (b"\x00\x00", True),  # cut inside the length field
+            (struct.pack(">I", 3) + b"abc", False),  # length below the minimum body
+            (struct.pack(">I", 13) + b"t\x00" + struct.pack(">d", 0.0) + b"abc", False),
+            (struct.pack(">I", 10) + b"\x00t" + struct.pack(">d", 0.0), False),  # empty topic
+            (struct.pack(">I", 10) + b"tt" + b"\x01" * 8, False),  # no terminator
+            (struct.pack(">I", 10) + b"tt\x00" + bytes(7), False),  # no room for timestamp
+            (struct.pack(">I", 10) + b"\xff\x00" + struct.pack(">d", 0.0), False),  # not UTF-8
+        ],
+        ids=["good", "no-values", "partial", "partial-length", "tiny-length", "payload-not-8",
+             "empty-topic", "no-terminator", "short-timestamp", "bad-utf8"],
+    )
+    def test_decode_at_offset_equals_decode_of_slice(self, frame, partial):
+        """At an offset the decoder gives what it gives on the slice from that
+        offset: the same frame and length, or the same error. The prefixes hold
+        NUL bytes and a complete frame follows, so neither may be read."""
+        following = b"" if partial else TcpFrame(topic="next", timestamp=9.0, values=(9.0,)).encode()
+        for prefix in (b"", b"\x00", b"xy\x00\x00\x00\x0ct"):
+            buf, off = prefix + frame + following, len(prefix)
+            try:
+                want = frame_decode(buf[off:])
+            except (NeedMoreBytes, MalformedFrame) as exc:
+                with pytest.raises(type(exc)) as got:
+                    frame_decode(buf, off)
+                assert str(got.value) == str(exc)
+            else:
+                assert frame_decode(buf, off) == want
 
 
 class TestAudioReassembly:
@@ -203,3 +237,93 @@ class TestRecording:
         session = handle.stop()
         assert session.numeric["ok"].n_samples == 2
         assert handle.malformed_frames == 1
+
+
+class TestStopCutOff:
+    """stop() is a cut-off: it wakes every receive loop at once and keeps what
+    the sockets hold at that moment, within a fixed drain budget."""
+
+    def test_stop_right_after_start_is_prompt(self, tmp_path):
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        t0 = time.monotonic()
+        with pytest.warns(UserWarning, match="zero frames"):
+            handle.stop()
+        assert time.monotonic() - t0 < 0.1
+
+    def test_stop_keeps_everything_sent_before_it(self, tmp_path):
+        """No sleep before stop(): the connection may still sit in the listen
+        backlog and the datagrams in the kernel's queue."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        frames = [TcpFrame("ee_pose", float(k), (float(k), -1.0)) for k in range(3000)]
+        with socket.create_connection(("127.0.0.1", handle.tcp_port)) as sock:
+            sock.sendall(b"".join(f.encode() for f in frames))
+        pcm = np.arange(100 * 480, dtype="<i2").reshape(100, 480)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+            for seq in range(100):
+                dg = AudioDatagram(seq, seq * 0.01, pcm[seq].tobytes())
+                udp.sendto(dg.encode(), ("127.0.0.1", handle.udp_port))
+        session = handle.stop()
+        np.testing.assert_array_equal(session.numeric["ee_pose"].timestamps, np.arange(3000.0))
+        np.testing.assert_array_equal(session.audio["mic"].samples, pcm.ravel())
+        assert handle.gap_report.total_missing == 0
+        assert handle.frames_received == 3000 and handle.malformed_frames == 0
+
+    def test_senders_that_keep_sending_cannot_hold_stop_open(self, tmp_path):
+        """Four TCP senders, each sending a good and a malformed frame per
+        write, and one UDP sender run through stop(). Short switch intervals
+        make the threads interleave inside the counters' updates."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        done = threading.Event()
+        connected = [threading.Event() for _ in range(4)]
+        bad_body = b"x\x00" + struct.pack(">d", 0.0) + b"abc"  # payload not /8
+        bad = struct.pack(">I", len(bad_body)) + bad_body
+
+        def tcp_sender(i):
+            k = 0
+            try:
+                with socket.create_connection(("127.0.0.1", handle.tcp_port)) as sock:
+                    connected[i].set()
+                    while not done.is_set():
+                        sock.sendall(TcpFrame(f"s{i}", float(k), (float(k),)).encode() + bad)
+                        k += 1
+            except OSError:  # the recorder closed the connection at stop()
+                pass
+
+        def udp_sender():
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                seq = 0
+                while not done.is_set():
+                    udp.sendto(AudioDatagram(seq, seq * 0.01, b"\x01\x00" * 8).encode(),
+                               ("127.0.0.1", handle.udp_port))
+                    seq += 1
+
+        senders = [threading.Thread(target=tcp_sender, args=(i,)) for i in range(4)]
+        senders.append(threading.Thread(target=udp_sender))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in senders:
+                t.start()
+            assert all(c.wait(timeout=10.0) for c in connected)
+            deadline = time.monotonic() + 10.0
+            while handle.frames_received < 2000 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            session = handle.stop()
+            stop_s = time.monotonic() - t0
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for t in senders:
+                t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in senders)
+        assert stop_s < 2.0
+        assert sum(s.n_samples for s in session.numeric.values()) == handle.frames_received
+        assert handle.frames_received >= 2000
+        # each connection's malformed frame follows its good one, so a cut-off
+        # can leave at most one good frame per connection without its pair
+        assert handle.frames_received - 4 <= handle.malformed_frames <= handle.frames_received
+        for i in range(4):
+            ts = session.numeric[f"s{i}"].timestamps
+            np.testing.assert_array_equal(ts, np.arange(len(ts), dtype=float))
+        assert handle.gap_report.received == len(handle._datagrams) > 0

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
-from .errors import MissingFile, SessionForgeError
+from .errors import MalformedManifest, MissingFile, SessionForgeError
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -144,7 +144,12 @@ def _cmd_sync(args) -> int:
 def _load_policy(spec: str) -> filters.DenoisePolicy:
     if spec == "default":
         return filters.DenoisePolicy.default()
-    return filters.DenoisePolicy.from_json_dict(sess.read_json(Path(spec)))
+    path = Path(spec)
+    d = sess.read_json(path)
+    try:
+        return filters.DenoisePolicy.from_json_dict(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{path}: not a denoise policy: {exc}") from exc
 
 
 def _cmd_denoise(args) -> int:

@@ -13,15 +13,34 @@ through the functions here. A session lives in a directory:
 and a dataset is a directory of such trial directories. Floats are written
 with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
 the container, the synced container's included, goes through
-``_read_table``/``_write_table``: numpy ``loadtxt`` reads them, and the writer
+``_read_table``/``_write_table``: numpy ``loadtxt`` parses them, and the writer
 formats blocks of rows with one ``%`` each. Every JSON file goes through
 ``read_json``/``write_json``. A file that cannot be read raises
 ``MissingFile`` or ``MalformedManifest`` naming it.
+
+The first read of a CSV leaves a hidden sidecar next to it,
+``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
+after the digest of the CSV's bytes. Later reads of the same bytes load the
+sidecar instead of parsing the text. The CSV stays canonical:
+an edited CSV no longer matches its sidecar's digest and is parsed again, and
+a sidecar that is unreadable or of the wrong dtype or shape is ignored and
+replaced. Sidecars add about 40 % of the CSV bytes on disk and are safe to
+delete; a dataset that cannot be written, read-only say, is simply not cached.
+The cache pays only when the same bytes are read again: a first read costs
+a hash and a file write more than the parse, and a read of a dataset that
+cannot be written a hash more.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
+import hashlib
+import io
 import json
+import os
+import stat
+import tempfile
 import wave
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -344,41 +363,143 @@ def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
     A token that does not parse as ``dtype``, a ragged row or rows whose width
     differs from the header raise MalformedManifest naming the file and the
     line of the first bad row.
+
+    The body is memoized in a hidden sidecar keyed on the sha256 of the CSV's
+    bytes (see ``_sidecar_name``), like a hash-checked ``.pyc``: the CSV stays
+    canonical, and the sidecar is used only when the digest it is named after
+    is the CSV's and it holds a 2-D ``dtype`` array as wide as the header.
+    Otherwise the CSV is parsed, and the parsed array is stored as the sidecar,
+    so a sidecar holds the parser's own output bit for bit.
+
+    The CSV's bytes are read once for the digest and the header. A miss parses
+    the file by path, because numpy reads a path in large chunks but text held
+    in memory line by line, about a tenth slower; the parse is stored only if
+    the file still holds the hashed bytes (see ``_write_sidecar``), so no
+    sidecar is named after bytes other than the ones parsed.
+    """
+    raw = path.read_bytes()
+    try:
+        names = _text(raw).readline().strip().split(",")
+    except UnicodeDecodeError as exc:
+        raise MalformedManifest(f"{path}: {exc}") from exc
+    sidecar = path.with_name(_sidecar_name(path.name, hashlib.sha256(raw).hexdigest()))
+    data = _read_sidecar(sidecar, dtype, len(names))
+    if data is None:
+        data = _parse_body(path, raw, len(names), dtype)
+        _write_sidecar(path, raw, sidecar, data)
+    return names, data
+
+
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """``raw`` as ``path.open("r", encoding="utf-8")`` reads the file it came
+    from: decoded as it is read, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
+def _sidecar_name(csv_name: str, digest: str) -> str:
+    """``.<name>.<digest>.npy``, next to the CSV: hidden, and not ``*.csv``,
+    so the container's CSV globs never pick it up."""
+    return f".{csv_name}.{digest}.npy"
+
+
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
+    """The sidecar's array, or None when it is missing, unreadable, or not a
+    2-D C-order ``dtype`` array ``width`` columns wide.
+
+    The ``.npy`` header is checked against the file's size before the body is
+    read, so a header that claims more data than the file holds allocates
+    nothing.
     """
     try:
-        with path.open("r", encoding="utf-8") as f:
-            names = f.readline().strip().split(",")
-            # loadtxt warns on a body without rows, and warning filters are
-            # process-wide, so a header-only table is answered here.
-            if not any(line.strip() for line in f):
-                return names, np.empty((0, len(names)), dtype=dtype)
+        with sidecar.open("rb") as f:
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(f))
+            if read_header is None:
+                return None
+            shape, fortran_order, stored = read_header(f)
+            if stored != dtype or fortran_order or len(shape) != 2 or shape[1] != width:
+                return None
+            count = shape[0] * width
+            if os.fstat(f.fileno()).st_size - f.tell() != count * stored.itemsize:
+                return None
+            return np.fromfile(f, stored, count).reshape(shape)
+    except (OSError, ValueError):
+        return None
+
+
+def _write_sidecar(path: Path, raw: bytes, sidecar: Path, data: np.ndarray) -> None:
+    """Store ``data``, parsed from ``path`` whose bytes were ``raw``, as its one
+    sidecar, with ``path``'s permissions, removing its stale ones.
+
+    Written to a temp file unique to this writer and moved into place only if
+    ``path`` still holds ``raw``, so a reader never sees a partial sidecar and
+    a CSV rewritten during the parse is not cached; the temp file is removed
+    unless it was moved, whatever interrupts the write. A dataset that cannot
+    be written, read-only say, is simply not cached.
+    """
+    with contextlib.suppress(OSError):
+        mode = stat.S_IMODE(path.stat().st_mode)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        placed = False
+        try:
+            with os.fdopen(fd, "wb") as f:
+                os.fchmod(f.fileno(), mode)
+                np.save(f, data, allow_pickle=False)
+            if path.read_bytes() != raw:
+                return
+            os.replace(tmp, sidecar)
+            placed = True
+        finally:
+            if not placed:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+        any_digest = "?" * (2 * hashlib.sha256().digest_size)
+        for old in path.parent.glob(_sidecar_name(glob.escape(path.name), any_digest)):
+            if old != sidecar:
+                old.unlink()
+
+
+def _parse_body(path: Path, raw: bytes, ncols: int, dtype) -> np.ndarray:
+    """The rows below the header of ``path``, whose bytes are ``raw``,
+    ``ncols`` values of ``dtype`` each."""
+    try:
+        f = _text(raw)
+        f.readline()
+        # loadtxt warns on a body without rows, and warning filters are
+        # process-wide, so a header-only table is answered here.
+        if not any(line.strip() for line in f):
+            return np.empty((0, ncols), dtype=dtype)
         data = np.loadtxt(
             path, dtype, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
         )
-        if data.shape[1] == len(names):
-            return names, data
+        if data.shape[1] == ncols:
+            return data
     except UnicodeDecodeError as exc:
         raise MalformedManifest(f"{path}: {exc}") from exc
     except ValueError:
         pass
-    raise MalformedManifest(f"{path}: {_first_bad_row(path, len(names), dtype)}")
+    raise MalformedManifest(f"{path}: {_first_bad_row(raw, ncols, dtype)}")
 
 
-def _first_bad_row(path: Path, ncols: int, dtype) -> str:
+def _first_bad_row(raw: bytes, ncols: int, dtype) -> str:
     """The 1-based file line of the first body row that is not ``ncols`` values
     of ``dtype``, and what is wrong with it. Parses row by row, so it runs
     only after the whole-table read has failed."""
-    with path.open("r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.rstrip("\r\n")
-            if line_no == 1 or not text:
-                continue  # the header; loadtxt skips empty lines
-            try:
-                row = np.loadtxt([text], dtype, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                return f"line {line_no}: cannot parse {text!r} as {np.dtype(dtype).name}"
-            if row.shape[1] != ncols:
-                return f"line {line_no} has {row.shape[1]} columns, header has {ncols}"
+    for line_no, line in enumerate(_text(raw), start=1):
+        text = line.rstrip("\r\n")
+        if line_no == 1 or not text:
+            continue  # the header; loadtxt skips empty lines
+        try:
+            row = np.loadtxt([text], dtype, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return f"line {line_no}: cannot parse {text!r} as {np.dtype(dtype).name}"
+        if row.shape[1] != ncols:
+            return f"line {line_no} has {row.shape[1]} columns, header has {ncols}"
     return "no bad row found"
 
 

@@ -24,6 +24,7 @@ from .dialogue import (
     Speaker,
     Utterance,
 )
+from .errors import MalformedManifest
 from .session import (
     AudioMeta,
     AudioTrack,
@@ -209,7 +210,12 @@ class Scenario:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
-        return cls.from_json_dict(read_json(Path(path)))
+        path = Path(path)
+        d = read_json(path)
+        try:
+            return cls.from_json_dict(d)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedManifest(f"{path}: not a scenario: {exc}") from exc
 
 
 def _camera_name(i: int, n: int) -> str:

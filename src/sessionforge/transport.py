@@ -30,6 +30,7 @@ hold ``stop()`` open.
 
 from __future__ import annotations
 
+import contextlib
 import selectors
 import socket
 import struct
@@ -250,18 +251,24 @@ class RecordingHandle:
         self.frames_received = 0
         self.gap_report: GapReport | None = None
 
-        try:
-            self._tcp_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._tcp_sock.bind((config.host, config.tcp_port))
-            self._tcp_sock.listen(_BACKLOG)
-            self._udp_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            # audio datagrams arrive in bursts; a large receive buffer avoids
-            # kernel-level drops between recv calls
-            self._udp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
-            self._udp_sock.bind((config.host, config.udp_port))
-        except OSError as exc:
-            raise BindError(str(exc)) from exc
+        with contextlib.ExitStack() as opened:
+            try:
+                self._tcp_sock = opened.enter_context(
+                    socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                )
+                self._tcp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                self._tcp_sock.bind((config.host, config.tcp_port))
+                self._tcp_sock.listen(_BACKLOG)
+                self._udp_sock = opened.enter_context(
+                    socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                )
+                # audio datagrams arrive in bursts; a large receive buffer
+                # avoids kernel-level drops between recv calls
+                self._udp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
+                self._udp_sock.bind((config.host, config.udp_port))
+            except OSError as exc:
+                raise BindError(str(exc)) from exc
+            opened.pop_all()  # both bound: the handle owns them from here
         self.tcp_port = self._tcp_sock.getsockname()[1]
         self.udp_port = self._udp_sock.getsockname()[1]
         self._tcp_sock.setblocking(False)

@@ -156,9 +156,21 @@ BAD_USER_FILE_CASES = {
     "policy-not-json": (
         "pipeline --root {root} --policy {file}", "{bad", "malformed-manifest", ""
     ),
+    "policy-wrong-shape": (
+        "pipeline --root {root} --policy {file}", '{"imu": 3}', "malformed-manifest", "policy"
+    ),
+    "policy-unknown-class": (
+        "pipeline --root {root} --policy {file}",
+        '{"bogus": {"order": 2, "cutoff": 5.0}}',
+        "malformed-manifest",
+        "bogus",
+    ),
     "scenario-missing": ("synth --scenario {file} --out {out}", None, "missing-file", ""),
     "scenario-not-json": (
         "synth --scenario {file} --out {out}", "{bad", "malformed-manifest", ""
+    ),
+    "scenario-unknown-field": (
+        "synth --scenario {file} --out {out}", '{"bogus": 1}', "malformed-manifest", "bogus"
     ),
     "survey-missing": ("curate survey {file}", None, "missing-file", ""),
     "survey-bad-rating": (

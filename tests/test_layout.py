@@ -1,6 +1,7 @@
 """The session container layout has one owner: only ``session.py`` names the
-container's files or calls the manifest codec. Every other module goes
-through ``read_manifest``, ``trial_dirs``, ``read_dialogues`` and friends."""
+container's files, the ``.npy`` sidecars that cache its CSVs included, or
+calls the manifest codec. Every other module goes through ``read_manifest``,
+``trial_dirs``, ``read_dialogues`` and friends."""
 
 from pathlib import Path
 
@@ -8,7 +9,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sessionforge"
 OWNER = "session.py"
-OWNED = ("manifest.json", "dialogue.jsonl", "_manifest_from_dict", "_manifest_to_dict")
+OWNED = (
+    "manifest.json",
+    "dialogue.jsonl",
+    ".npy",
+    "_sidecar",
+    "_manifest_from_dict",
+    "_manifest_to_dict",
+)
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != OWNER)
 
 

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import stat
+import sys
+import threading
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -20,6 +22,7 @@ from sessionforge.session import (
     Task,
     TimedSeries,
     _read_series_csv,
+    _read_table,
     _write_table,
     load_session,
     save_session,
@@ -27,6 +30,7 @@ from sessionforge.session import (
     validate_manifest,
     validate_session,
 )
+from sessionforge.sync import load_synced, save_synced, sync_session
 from sessionforge.synth import Scenario, gen_session
 
 
@@ -294,3 +298,224 @@ class TestMutationDetection:
             synthetic_session, numeric={**synthetic_session.numeric, "ee_pose": bad_series}
         )
         assert any("finite" in v for v in validate_session(bad))
+
+
+def sidecars(csv):
+    """The hidden files next to ``csv`` that belong to it."""
+    return sorted(p for p in csv.parent.iterdir() if p.name.startswith(f".{csv.name}."))
+
+
+def fresh_parse(csv, dtype=np.float64):
+    return np.loadtxt(csv, dtype, delimiter=",", skiprows=1, ndmin=2, comments=None)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def no_parse(*args, **kwargs):
+    raise AssertionError("parsed a CSV that has a valid sidecar")
+
+
+# Tables a sidecar must reproduce bit for bit: a negative NaN is written as
+# "nan" and parses back positive, so the sidecar holds the parse, not the table.
+SIDECAR_TABLES = {
+    "float-specials": (
+        "t,x,y",
+        [[0.0, 0.1, 5e-324], [-0.0, np.inf, -np.inf], [np.copysign(np.nan, -1), np.nan, 1e300]],
+        np.float64,
+    ),
+    "int-selections": ("index,accepted", [[0, 3, 7, 7], [1, 0, 1, 1]], int),
+}
+
+
+def huge_header(path, data):
+    """A valid ``.npy`` header claiming far more rows than the file holds."""
+    header = {"descr": "<f8", "fortran_order": False, "shape": (1 << 40, data.shape[1])}
+    with path.open("wb") as f:
+        np.lib.format.write_array_header_1_0(f, header)
+        f.write(data.tobytes())
+
+
+class TestSidecar:
+    """``_read_table`` memoizes its parse in a hash-checked sidecar."""
+
+    @pytest.fixture
+    def csv(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, "t,x,y", [np.arange(50) / 7.0, np.linspace(-1, 1, 100).reshape(50, 2)])
+        return path
+
+    @pytest.mark.parametrize("table", SIDECAR_TABLES)
+    def test_sidecar_equals_fresh_parse(self, tmp_path, monkeypatch, table):
+        header, columns, dtype = SIDECAR_TABLES[table]
+        path = tmp_path / "t.csv"
+        _write_table(path, header, [np.asarray(c, dtype=dtype) for c in columns])
+        want = fresh_parse(path, dtype)
+        names, cold = _read_table(path, dtype)
+        assert names == header.split(",") and same_bits(cold, want)
+        assert len(sidecars(path)) == 1
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        names, warm = _read_table(path, dtype)
+        assert names == header.split(",") and same_bits(warm, want)
+        assert warm.flags.writeable and warm.flags.c_contiguous
+
+    def test_edited_csv_wins_over_its_sidecar(self, csv):
+        _read_table(csv)
+        (old,) = sidecars(csv)
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        lines[3] = "9,9,9"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, data = _read_table(csv)
+        assert data[2].tolist() == [9.0, 9.0, 9.0]
+        assert same_bits(data, fresh_parse(csv))
+        (new,) = sidecars(csv)
+        assert new != old
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda path, data: path.write_bytes(b"not an npy file"),
+            lambda path, data: path.write_bytes(path.read_bytes()[:-8]),
+            lambda path, data: path.write_bytes(b""),
+            lambda path, data: np.save(path, data.astype(np.float32)),
+            lambda path, data: np.save(path, data[:, :2]),
+            lambda path, data: np.save(path, data.ravel()),
+            lambda path, data: np.save(path, data.astype(object), allow_pickle=True),
+            lambda path, data: np.save(path, np.asfortranarray(data)),
+            huge_header,
+        ],
+        ids=[
+            "corrupt",
+            "truncated",
+            "empty",
+            "wrong-dtype",
+            "wrong-width",
+            "1-d",
+            "pickled",
+            "fortran-order",
+            "huge-header",
+        ],
+    )
+    def test_bad_sidecar_falls_back_and_is_replaced(self, csv, spoil):
+        want = fresh_parse(csv)
+        _read_table(csv)
+        (sidecar,) = sidecars(csv)
+        spoil(sidecar, want)
+        _, data = _read_table(csv)
+        assert same_bits(data, want)
+        assert sidecars(csv) == [sidecar]
+        assert same_bits(np.load(sidecar, allow_pickle=False), want)
+
+    @pytest.mark.parametrize("call", ["tempfile.mkstemp", "numpy.save", "os.replace"])
+    def test_failed_sidecar_write_still_loads(self, csv, monkeypatch, call):
+        def fail(*args, **kwargs):
+            raise OSError(30, "Read-only file system")
+
+        monkeypatch.setattr(call, fail)
+        for _ in range(2):
+            _, data = _read_table(csv)
+            assert same_bits(data, fresh_parse(csv))
+        assert sidecars(csv) == []
+
+    def test_csv_rewritten_during_the_parse_is_not_cached(self, csv, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def rewrite_then_parse(*args, **kwargs):
+            _write_table(csv, "t,x,y", [np.zeros(4), np.ones((4, 2))])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", rewrite_then_parse)
+        _read_table(csv)
+        assert sidecars(csv) == []
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        _, data = _read_table(csv)
+        assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
+
+    def test_interrupted_sidecar_write_leaves_no_temp_file(self, csv, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _read_table(csv)
+        assert sidecars(csv) == []
+
+    @pytest.mark.parametrize("mode", [0o640, 0o664], ids=oct)
+    def test_sidecar_has_the_csv_permissions(self, csv, mode):
+        csv.chmod(mode)
+        _read_table(csv)
+        (sidecar,) = sidecars(csv)
+        assert stat.S_IMODE(sidecar.stat().st_mode) == mode
+
+    def test_crlf_csv_reads_like_its_lf_twin(self, csv, tmp_path, monkeypatch):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+        want = fresh_parse(csv)
+        for _ in range(2):
+            names, data = _read_table(crlf)
+            assert names == ["t", "x", "y"] and same_bits(data, want)
+            monkeypatch.setattr(np, "loadtxt", no_parse)
+
+    def test_malformed_csv_raises_and_writes_no_sidecar(self, csv):
+        _read_table(csv)
+        before = sidecars(csv)
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        lines[5] = lines[5].replace(",", ",x", 1)
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(MalformedManifest, match=r"t\.csv: line 6\b"):
+                _read_table(csv)
+        assert sidecars(csv) == before
+
+    def test_containers_read_once_load_the_same(self, tmp_path, monkeypatch):
+        session, _ = gen_session(Scenario(seed=7, duration=3.0, timestamp_jitter_sd=0.03))
+        save_session(session, tmp_path / "trial")
+        save_synced(sync_session(session), tmp_path / "synced")
+        cold = load_session(tmp_path / "trial"), load_synced(tmp_path / "synced")
+        for csv in [*(tmp_path / "synced").rglob("*.csv"), *(tmp_path / "trial").rglob("*.csv")]:
+            assert len(sidecars(csv)) == 1, csv
+        monkeypatch.setattr(np, "loadtxt", no_parse)
+        raw, synced = load_session(tmp_path / "trial"), load_synced(tmp_path / "synced")
+        assert sessions_equal(raw, cold[0])
+        assert same_bits(synced.grid.timestamps, cold[1].grid.timestamps)
+        assert set(synced.frame_selections) == set(cold[1].frame_selections)
+        for name, sel in cold[1].frame_selections.items():
+            got = synced.frame_selections[name]
+            assert same_bits(got.selected_indices, sel.selected_indices)
+            assert same_bits(got.accepted_flags, sel.accepted_flags)
+        assert set(synced.numeric) == set(cold[1].numeric)
+        for name, series in cold[1].numeric.items():
+            assert synced.numeric[name].channels == series.channels
+            assert same_bits(synced.numeric[name].timestamps, series.timestamps)
+            assert same_bits(synced.numeric[name].values, series.values)
+
+    def test_concurrent_first_reads_agree(self, csv):
+        """Readers racing to fill one CSV's sidecar all get the parse, and
+        leave one sidecar and no temp file."""
+        want = fresh_parse(csv)
+        results, errors = [], []
+
+        def read():
+            try:
+                for _ in range(20):
+                    results.append(_read_table(csv)[1])
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 160 and all(same_bits(r, want) for r in results)
+        (sidecar,) = sidecars(csv)
+        assert sorted(csv.parent.iterdir()) == [sidecar, csv]
+        assert same_bits(np.load(sidecar, allow_pickle=False), want)

@@ -1,13 +1,15 @@
+import gc
 import socket
 import struct
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from sessionforge.errors import MalformedFrame, NeedMoreBytes
+from sessionforge.errors import BindError, MalformedFrame, NeedMoreBytes
 from sessionforge.session import Task, load_session
 from sessionforge.transport import (
     AudioDatagram,
@@ -237,6 +239,26 @@ class TestRecording:
         session = handle.stop()
         assert session.numeric["ok"].n_samples == 2
         assert handle.malformed_frames == 1
+
+    def test_bind_error_closes_sockets(self, tmp_path):
+        def start_on_taken_port(port):
+            # returns rather than holds the error: its traceback would keep
+            # the half-built handle, and so its sockets, alive
+            try:
+                start_recording(RecorderConfig(session_root=tmp_path / "rec", udp_port=port))
+            except BindError as exc:
+                return exc
+            return None
+
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as taken:
+            taken.bind(("127.0.0.1", 0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                error = start_on_taken_port(taken.getsockname()[1])
+                assert isinstance(error, BindError)
+                del error
+                gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestStopCutOff:

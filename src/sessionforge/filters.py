@@ -144,10 +144,12 @@ class DenoisePolicy:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DenoisePolicy":
-        cutoffs = {
-            ChannelClass(name): (int(v["order"]), float(v["cutoff"]))
-            for name, v in d.items()
-        }
+        cutoffs = {}
+        for name, v in d.items():
+            order = v["order"]
+            if type(order) is not int or order < 1:  # bool is an int subclass
+                raise ValueError(f"{name}: order must be an integer >= 1, not {order!r}")
+            cutoffs[ChannelClass(name)] = (order, float(v["cutoff"]))
         return cls(cutoffs=cutoffs)
 
     def spec_for(self, cls_: ChannelClass, sample_rate: float) -> FilterSpec:
@@ -198,18 +200,13 @@ def denoise_session(synced, policy: DenoisePolicy | None = None, strict: bool = 
     return replace(synced, numeric=numeric)
 
 
-def denoise_raw(
-    session,
-    policy: DenoisePolicy | None = None,
-    strict: bool = True,
-    classes: set[ChannelClass] | None = None,
-):
+def denoise_raw(session, policy: DenoisePolicy | None = None, strict: bool = True):
     """Filter classified numeric streams at their native rate, pre-sync.
 
     Denoising after downsampling to the grid cannot remove noise that aliases
     into the grid band, so the batch pipeline filters raw streams first.
-    ``classes`` restricts which channel classes are touched. Streams whose
-    native rate cannot support their cutoff are left for the grid-rate stage.
+    Streams whose native rate cannot support their cutoff are left for the
+    grid-rate stage.
     Returns a new RawSession and the set of stream names filtered.
     """
     if policy is None:
@@ -218,7 +215,7 @@ def denoise_raw(
     filtered: set[str] = set()
     for name, series in session.numeric.items():
         cls_ = _policy_class(name, policy, strict)
-        if cls_ is None or (classes is not None and cls_ not in classes):
+        if cls_ is None:
             continue
         native_rate = 1.0 / float(np.median(np.diff(series.timestamps)))
         _, cutoff = policy.cutoffs[cls_]

@@ -218,21 +218,28 @@ def validate_manifest(manifest: SessionManifest) -> list[str]:
     return violations
 
 
+def series_violations(name: str, series: TimedSeries) -> list[str]:
+    """The invariants numeric stream ``name`` breaks; one string per rule."""
+    violations = []
+    t = series.timestamps
+    if len(t) < 2:
+        violations.append(f"streams[{name}]: N >= 2 required")
+    if not np.all(np.isfinite(t)):
+        violations.append(f"streams[{name}]: timestamps must be finite")
+    elif len(t) > 1 and not np.all(np.diff(t) > 0):
+        violations.append(f"streams[{name}]: timestamps strictly increasing")
+    if len(series.values) != len(t):
+        violations.append(f"streams[{name}]: values length must match timestamps")
+    if series.values.shape[1] != len(series.channels):
+        violations.append(f"streams[{name}]: channel count mismatch")
+    return violations
+
+
 def validate_session(session: RawSession) -> list[str]:
     """Manifest violations plus per-series invariant checks."""
     violations = validate_manifest(session.manifest)
     for name, series in session.numeric.items():
-        t = series.timestamps
-        if len(t) < 2:
-            violations.append(f"streams[{name}]: N >= 2 required")
-        if not np.all(np.isfinite(t)):
-            violations.append(f"streams[{name}]: timestamps must be finite")
-        elif len(t) > 1 and not np.all(np.diff(t) > 0):
-            violations.append(f"streams[{name}]: timestamps strictly increasing")
-        if len(series.values) != len(t):
-            violations.append(f"streams[{name}]: values length must match timestamps")
-        if series.values.shape[1] != len(series.channels):
-            violations.append(f"streams[{name}]: channel count mismatch")
+        violations += series_violations(name, series)
     for name, log in session.frame_logs.items():
         t = log.frame_timestamps
         if len(t) < 1:

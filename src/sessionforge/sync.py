@@ -210,9 +210,7 @@ def default_tau(grid_rate: float) -> float:
     return 0.5 / grid_rate
 
 
-def sync_session(
-    session: RawSession, tau: float | None = None, max_gap: float = DEFAULT_MAX_GAP
-) -> SyncedSession:
+def sync_session(session: RawSession, tau: float | None = None) -> SyncedSession:
     """Align a raw session: grid at the lowest video rate, frame selections
     per camera, numeric channels interpolated."""
     video_descs = [
@@ -233,7 +231,7 @@ def sync_session(
         name: match_frames(log, grid, tau) for name, log in session.frame_logs.items()
     }
     numeric = {
-        name: interpolate_numeric(series, grid, max_gap=max_gap)
+        name: interpolate_numeric(series, grid)
         for name, series in session.numeric.items()
     }
     return SyncedSession(

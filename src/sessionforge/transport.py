@@ -13,24 +13,25 @@ Audio datagram:
     timestamp f64       seconds
     pcm       16-bit little-endian PCM samples (even byte count)
 
-The recorder runs one thread per socket: the listening socket, each accepted
-connection and the UDP socket. Each thread blocks on its socket and on a
-shared wake socket, so nothing polls. A connection thread decodes every
-whole frame of a received chunk in place and appends them to the per-topic
-lists under one lock, so per-topic arrival order is preserved while
-cross-stream ordering stays unspecified. TCP flow control is the
-backpressure.
+One thread serves a recording. It waits in one selector on the listening
+socket, the UDP socket, every connection and a wake socket, and reads each
+readable socket once, so nothing polls and, with one writer, nothing locks.
+A read decodes every whole frame of its chunk in place into per-topic lists:
+per-topic arrival order is kept, cross-stream order is unspecified. TCP flow
+control is the backpressure.
 
-``stop()`` is the cut-off: it writes to the wake socket, and each thread then
-takes, without waiting, what its socket holds: the connections in the listen
-backlog, the bytes a connection has received, and the datagrams queued in the
-kernel. Each drain has a fixed budget, so a sender that keeps sending cannot
-hold ``stop()`` open.
+``stop()`` is the cut-off: it wakes the thread, which stops after its current
+read and takes, without waiting, what the sockets hold: the connections in
+the listen backlog, the bytes each connection has received, and the
+datagrams queued in the kernel. It closes the connections before decoding
+their last bytes. Each drain has a fixed budget, so a sender that keeps
+sending cannot hold ``stop()`` open.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import selectors
 import socket
 import struct
@@ -53,6 +54,7 @@ from .session import (
     Task,
     TimedSeries,
     save_session,
+    series_violations,
     utc_now,
 )
 
@@ -203,12 +205,17 @@ def audio_reassemble(
 
 # -- live recorder ----------------------------------------------------------
 
-def _queued_bytes(sock: socket.socket) -> int:
-    """Bytes received by the kernel and not yet read from ``sock`` (POSIX)."""
+def _take_queued(sock: socket.socket) -> bytes:
+    """At the cut-off: the bytes the kernel has received for ``sock`` and not
+    yet delivered (``FIONREAD``, POSIX), read without waiting."""
     import fcntl
     import termios
 
-    return struct.unpack("i", fcntl.ioctl(sock, termios.FIONREAD, b"\0\0\0\0"))[0]
+    queued = struct.unpack("i", fcntl.ioctl(sock, termios.FIONREAD, b"\0\0\0\0"))[0]
+    try:
+        return sock.recv(queued) if queued else b""
+    except OSError:
+        return b""
 
 
 def _drain(step, budget: int) -> None:
@@ -241,11 +248,12 @@ class RecordingHandle:
 
     def __init__(self, config: RecorderConfig):
         self.config = config
+        # written only by the recording thread
         self._topics: dict[str, tuple[list[float], list[tuple[float, ...]]]] = {}
         self._datagrams: list[AudioDatagram] = []
-        # guards _topics, _datagrams and the two counters
-        self._lock = threading.Lock()
-        self._stopped = False
+        # each open connection -> the partial frame at the end of its last chunk
+        self._rest: dict[socket.socket, bytes] = {}
+        self._stopping = False
         self._session: RawSession | None = None
         self.malformed_frames = 0
         self.frames_received = 0
@@ -273,40 +281,43 @@ class RecordingHandle:
         self.udp_port = self._udp_sock.getsockname()[1]
         self._tcp_sock.setblocking(False)
         self._udp_sock.setblocking(False)
-        # stop() writes one byte here and nothing reads it, so it stays
-        # readable for every thread's selector
+        # stop() sets _stopping, then writes here to wake a waiting select()
         self._wake_r, self._wake_w = socket.socketpair()
 
-        self._threads = [
-            threading.Thread(target=self._accept_loop, daemon=True),
-            threading.Thread(target=self._udp_loop, daemon=True),
-        ]
-        self._conn_threads: list[threading.Thread] = []
-        for t in self._threads:
-            t.start()
+        # each key's data is the step that reads its socket once and returns
+        # the units it took, 0 when nothing was pending, or None when the
+        # socket is finished
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(self._tcp_sock, selectors.EVENT_READ, self._accept)
+        self._sel.register(self._udp_sock, selectors.EVENT_READ, self._recv_datagram)
+        self._sel.register(self._wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
-    def _until_stopped(self, sock: socket.socket, step) -> bool:
-        """Call ``step`` each time ``sock`` is readable. True once stop() has
-        woken the loop, False if ``step`` found the socket finished first.
+    def _serve(self) -> None:
+        with self._sel:
+            while not self._stopping:
+                for key, _ in self._sel.select():
+                    # per step: the kernel queues more the later the cut-off starts
+                    if self._stopping:
+                        break
+                    if key.data() is None:
+                        # a finished socket stays readable: drop it, or select spins
+                        self._sel.unregister(key.fileobj)
+                        self._rest.pop(key.fileobj, None)
+                        key.fileobj.close()
+            self._cut_off()
 
-        ``step`` reads ``sock`` once and returns the units it took, 0 when
-        nothing was pending, or None when the socket is finished.
-        """
-        with selectors.DefaultSelector() as sel:
-            sel.register(sock, selectors.EVENT_READ)
-            sel.register(self._wake_r, selectors.EVENT_READ)
-            while all(key.fileobj is not self._wake_r for key, _ in sel.select()):
-                if step() is None:
-                    return False
-        return True
-
-    def _accept_loop(self) -> None:
-        if self._until_stopped(self._tcp_sock, self._accept):
-            _drain(self._accept, _BACKLOG)
-
-    def _udp_loop(self) -> None:
-        if self._until_stopped(self._udp_sock, self._recv_datagram):
-            _drain(self._recv_datagram, _DRAIN_DATAGRAMS)
+    def _cut_off(self) -> None:
+        _drain(self._accept, _BACKLOG)
+        # decode after closing: a closed connection's sender stops, and no
+        # longer competes with the decoding for the interpreter lock
+        taken = [(conn, _take_queued(conn)) for conn in self._rest]
+        for conn in self._rest:
+            conn.close()
+        _drain(self._recv_datagram, _DRAIN_DATAGRAMS)
+        for conn, data in taken:
+            self._ingest(self._rest[conn] + data)
 
     def _accept(self) -> int | None:
         try:
@@ -315,36 +326,26 @@ class RecordingHandle:
             return 0
         except OSError:
             return None
-        t = threading.Thread(target=self._conn_loop, args=(conn,), daemon=True)
-        self._conn_threads.append(t)
-        t.start()
+        conn.setblocking(False)
+        self._rest[conn] = b""
+        self._sel.register(conn, selectors.EVENT_READ, functools.partial(self._recv, conn))
         return 1
 
-    def _conn_loop(self, conn: socket.socket) -> None:
-        rest = b""
-
-        def step() -> int | None:
-            nonlocal rest
-            try:
-                chunk = conn.recv(_RECV_BYTES)
-            except BlockingIOError:
-                return 0
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            rest = self._ingest(rest + chunk)
-            return len(chunk)
-
-        with conn:
-            conn.setblocking(False)
-            if self._until_stopped(conn, step):
-                _drain(step, _queued_bytes(conn))
+    def _recv(self, conn: socket.socket) -> int | None:
+        try:
+            chunk = conn.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return 0
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        self._rest[conn] = self._ingest(self._rest[conn] + chunk)
+        return len(chunk)
 
     def _ingest(self, buf: bytes) -> bytes:
         """Record every whole frame in ``buf``; return the partial frame at its end."""
-        frames = []
-        malformed = 0
+        frames = malformed = 0
         off, end = 0, len(buf)
         while off < end:
             try:
@@ -356,15 +357,13 @@ class RecordingHandle:
                 malformed += 1
                 consumed = min(4 + _U32.unpack_from(buf, off)[0], end - off)
             else:
-                frames.append(frame)
-            off += consumed
-        with self._lock:
-            for frame in frames:
                 ts, vals = self._topics.setdefault(frame.topic, ([], []))
                 ts.append(frame.timestamp)
                 vals.append(frame.values)
-            self.frames_received += len(frames)
-            self.malformed_frames += malformed
+                frames += 1
+            off += consumed
+        self.frames_received += frames
+        self.malformed_frames += malformed
         return buf[off:]
 
     def _recv_datagram(self) -> int | None:
@@ -375,13 +374,9 @@ class RecordingHandle:
         except OSError:
             return None
         try:
-            dg = datagram_decode(data)
+            self._datagrams.append(datagram_decode(data))
         except MalformedFrame:
-            with self._lock:
-                self.malformed_frames += 1
-            return 1
-        with self._lock:
-            self._datagrams.append(dg)
+            self.malformed_frames += 1
         return 1
 
     def stop(self) -> RawSession:
@@ -389,21 +384,21 @@ class RecordingHandle:
 
         Keeps the connections in the listen backlog, the bytes each connection
         has received and the datagrams queued in the kernel at the cut-off,
-        each up to a fixed drain budget. Idempotent.
+        each up to a fixed drain budget. Idempotent; a call that raised while
+        saving can be repeated.
         """
-        if self._stopped:
-            assert self._session is not None
+        if self._session is not None:
             return self._session
-        self._wake_w.send(b"\x00")
-        self._threads[0].join()  # accept loop; it starts the backlog's connections
-        for t in self._conn_threads + self._threads[1:]:
-            t.join()
+        if self._thread.is_alive():
+            self._stopping = True
+            self._wake_w.send(b"\x00")
+            self._thread.join()
         for sock in (self._tcp_sock, self._udp_sock, self._wake_r, self._wake_w):
             sock.close()
-        self._session = self._build_session()
-        save_session(self._session, self.config.session_root)
-        self._stopped = True
-        return self._session
+        session = self._build_session()
+        save_session(session, self.config.session_root)
+        self._session = session
+        return session
 
     def _build_session(self) -> RawSession:
         import warnings
@@ -418,9 +413,13 @@ class RecordingHandle:
             else:
                 rate = max(1.0, (len(ts) - 1) / max(ts[-1] - ts[0], 1e-9)) if len(ts) > 1 else 1.0
                 channels = tuple(Channel(f"ch{i}", "1") for i in range(n_ch))
-            numeric[topic] = TimedSeries(
-                timestamps=np.array(ts), values=np.array(vals), channels=channels
-            )
+            series = TimedSeries(timestamps=np.array(ts), values=np.array(vals), channels=channels)
+            broken = series_violations(topic, series)
+            if broken:
+                # one bad topic must not cost the recording its other topics
+                warnings.warn(f"topic '{topic}' left out of the recording: {'; '.join(broken)}")
+                continue
+            numeric[topic] = series
             streams.append(
                 StreamDescriptor(
                     name=topic,
@@ -430,7 +429,7 @@ class RecordingHandle:
                     file=f"streams/{topic}.csv",
                 )
             )
-        if not numeric:
+        if not self._topics:
             warnings.warn("recording stopped with zero frames received")
 
         audio: dict[str, AudioTrack] = {}

@@ -165,6 +165,18 @@ BAD_USER_FILE_CASES = {
         "malformed-manifest",
         "bogus",
     ),
+    "policy-order-zero": (
+        "pipeline --root {root} --policy {file}",
+        '{"imu": {"order": 0, "cutoff": 5.0}}',
+        "malformed-manifest",
+        "order",
+    ),
+    "policy-order-fractional": (
+        "pipeline --root {root} --policy {file}",
+        '{"imu": {"order": 2.7, "cutoff": 5.0}}',
+        "malformed-manifest",
+        "order",
+    ),
     "scenario-missing": ("synth --scenario {file} --out {out}", None, "missing-file", ""),
     "scenario-not-json": (
         "synth --scenario {file} --out {out}", "{bad", "malformed-manifest", ""

@@ -1,4 +1,5 @@
 import gc
+import resource
 import socket
 import struct
 import sys
@@ -9,7 +10,8 @@ import warnings
 import numpy as np
 import pytest
 
-from sessionforge.errors import BindError, MalformedFrame, NeedMoreBytes
+from sessionforge import transport
+from sessionforge.errors import BindError, IoError, MalformedFrame, NeedMoreBytes
 from sessionforge.session import Task, load_session
 from sessionforge.transport import (
     AudioDatagram,
@@ -239,6 +241,77 @@ class TestRecording:
         session = handle.stop()
         assert session.numeric["ok"].n_samples == 2
         assert handle.malformed_frames == 1
+
+    def test_bad_topic_is_left_out_not_fatal(self, tmp_path):
+        """A topic that breaks a stream invariant (one sample, or repeated
+        timestamps) is dropped with a warning; the good topic is still saved."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        frames = [TcpFrame("ee", float(k), (float(k), 0.0, 1.0)) for k in range(100)]
+        frames.append(TcpFrame("stray", 0.5, (1.0,)))
+        frames += [TcpFrame("dup", 2.0, (float(k),)) for k in range(3)]
+        self.send_frames(handle.tcp_port, frames)
+        with pytest.warns(UserWarning) as caught:
+            session = handle.stop()
+        assert sorted(session.numeric) == ["ee"]
+        left_out = " ".join(str(w.message) for w in caught)
+        assert "'stray'" in left_out and "'dup'" in left_out
+        loaded = load_session(tmp_path / "rec")
+        assert sorted(loaded.numeric) == ["ee"]
+        assert loaded.numeric["ee"].n_samples == 100
+
+    def test_stop_that_failed_to_save_can_be_repeated(self, tmp_path, monkeypatch):
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        self.send_frames(handle.tcp_port, [TcpFrame("ee", float(k), (1.0,)) for k in range(10)])
+        save = transport.save_session
+        calls = []
+
+        def save_fails_once(session, root):
+            calls.append(root)
+            if len(calls) == 1:
+                raise IoError("disk full")
+            save(session, root)
+
+        monkeypatch.setattr(transport, "save_session", save_fails_once)
+        with pytest.raises(IoError):
+            handle.stop()
+        session = handle.stop()
+        assert len(calls) == 2
+        assert session.numeric["ee"].n_samples == 10
+        assert load_session(tmp_path / "rec").numeric["ee"].n_samples == 10
+        assert handle.stop() is session
+
+    def test_one_thread_serves_every_connection(self, tmp_path):
+        before = threading.active_count()
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        conns = [socket.create_connection(("127.0.0.1", handle.tcp_port)) for _ in range(8)]
+        try:
+            for i, conn in enumerate(conns):
+                conn.sendall(b"".join(TcpFrame(f"c{i}", float(k), (1.0,)).encode() for k in range(2)))
+            deadline = time.monotonic() + 5.0
+            while handle.frames_received < 16 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handle.frames_received == 16
+            assert threading.active_count() == before + 1
+        finally:
+            for conn in conns:
+                conn.close()
+        handle.stop()
+        assert threading.active_count() == before
+
+    def test_closed_connections_leave_the_recorder_idle(self, tmp_path):
+        """A connection the peer closed must leave the selector: a finished
+        socket stays readable, so keeping it would make the loop spin."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        for i in range(5):
+            self.send_frames(handle.tcp_port, [TcpFrame(f"c{i}", float(k), (1.0,)) for k in range(2)])
+        time.sleep(0.2)
+        t0 = resource.getrusage(resource.RUSAGE_SELF)
+        time.sleep(0.5)
+        t1 = resource.getrusage(resource.RUSAGE_SELF)
+        cpu_s = (t1.ru_utime - t0.ru_utime) + (t1.ru_stime - t0.ru_stime)
+        assert handle.frames_received == 10
+        handle.stop()
+        assert cpu_s < 0.1
 
     def test_bind_error_closes_sockets(self, tmp_path):
         def start_on_taken_port(port):

@@ -10,7 +10,10 @@ through the functions here. A session lives in a directory:
     audio/<name>.wav              RIFF PCM
     dialogue.jsonl                one record per trial
 
-and a dataset is a directory of such trial directories. Floats are written
+and a dataset is a directory of such trial directories. A stream's path is
+fixed by its kind and name, ``describe_stream`` derives its manifest entry,
+and a manifest naming another path fails to load. Conformance flags, such as
+audio not at 48 kHz, fail neither save nor load. Floats are written
 with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
 the container, the synced container's included, goes through
 ``_read_table``/``_write_table``: numpy ``loadtxt`` parses them, and the writer
@@ -166,8 +169,6 @@ class AudioMeta:
     sample_rate: int
     bit_depth: int
     channels: int
-    encoding: str = "pcm"
-    file: str = ""
 
 
 @dataclass(frozen=True)
@@ -193,29 +194,63 @@ class RawSession:
 
 # -- validation -------------------------------------------------------------
 
+_STREAM_PATHS = {
+    StreamKind.NUMERIC: "streams/{}.csv",
+    StreamKind.VIDEO_FRAMES: "video/{}.timestamps.csv",
+    StreamKind.AUDIO: "audio/{}.wav",
+}
+
+
+def describe_stream(name: str, data, rate: float | None = None) -> StreamDescriptor:
+    """The manifest entry of stream ``name`` holding ``data``, a series, frame
+    log or audio track, at ``rate``; an audio track's rate is its sample rate."""
+    if isinstance(data, TimedSeries):
+        kind, channels = StreamKind.NUMERIC, data.channels
+    elif isinstance(data, FrameTimestampLog):
+        kind, channels = StreamKind.VIDEO_FRAMES, (Channel("frame", "1"),)
+    else:
+        kind, channels = StreamKind.AUDIO, (Channel("pcm", "1"),)
+        rate = float(data.meta.sample_rate)
+    return StreamDescriptor(name, kind, rate, channels, _STREAM_PATHS[kind].format(name))
+
+
+def descriptor_violations(desc: StreamDescriptor) -> list[str]:
+    """The invariants manifest entry ``desc`` breaks; one string per rule. Its
+    name must be a plain file name, and its file the path of its kind and name."""
+    s, violations = desc, []
+    if not isinstance(s.name, str) or s.name in ("", ".", "..") or set("/\\\0") & set(s.name):
+        violations.append(f"streams[{s.name}].name: must be a plain file name")
+    elif s.file != (path := _STREAM_PATHS[s.kind].format(s.name)):
+        violations.append(f"streams[{s.name}].file: must be '{path}'")
+    if s.nominal_rate <= 0:
+        violations.append(f"streams[{s.name}].nominal_rate: must be > 0")
+    if s.kind is StreamKind.VIDEO_FRAMES and len(s.channels) != 1:
+        violations.append(
+            f"streams[{s.name}].channels: video streams have exactly one channel"
+        )
+    if s.kind is StreamKind.NUMERIC:
+        if len(s.channels) < 1:
+            violations.append(f"streams[{s.name}].channels: numeric streams need >= 1 channel")
+        for ch in s.channels:
+            if not ch.unit:
+                violations.append(
+                    f"streams[{s.name}].channels[{ch.name}].unit: must be a non-empty SI string"
+                )
+    return violations
+
+
+def _manifest_checks(manifest: SessionManifest) -> tuple[list[str], list[str]]:
+    """The manifest's broken invariants, and its conformance flags."""
+    broken = [] if manifest.session_id else ["session_id: must be non-empty"]
+    broken += [v for s in manifest.streams for v in descriptor_violations(s)]
+    known = isinstance(manifest.task, Task)
+    return broken, [] if known else [f"task: '{manifest.task}' not in task taxonomy"]
+
+
 def validate_manifest(manifest: SessionManifest) -> list[str]:
     """Check manifest invariants; returns one string per violated rule."""
-    violations = []
-    if not manifest.session_id:
-        violations.append("session_id: must be non-empty")
-    if not isinstance(manifest.task, Task):
-        violations.append(f"task: '{manifest.task}' not in task taxonomy")
-    for s in manifest.streams:
-        if s.nominal_rate <= 0:
-            violations.append(f"streams[{s.name}].nominal_rate: must be > 0")
-        if s.kind is StreamKind.VIDEO_FRAMES and len(s.channels) != 1:
-            violations.append(
-                f"streams[{s.name}].channels: video streams have exactly one channel"
-            )
-        if s.kind is StreamKind.NUMERIC:
-            if len(s.channels) < 1:
-                violations.append(f"streams[{s.name}].channels: numeric streams need >= 1 channel")
-            for ch in s.channels:
-                if not ch.unit:
-                    violations.append(
-                        f"streams[{s.name}].channels[{ch.name}].unit: must be a non-empty SI string"
-                    )
-    return violations
+    broken, flags = _manifest_checks(manifest)
+    return broken + flags
 
 
 def series_violations(name: str, series: TimedSeries) -> list[str]:
@@ -235,23 +270,44 @@ def series_violations(name: str, series: TimedSeries) -> list[str]:
     return violations
 
 
-def validate_session(session: RawSession) -> list[str]:
-    """Manifest violations plus per-series invariant checks."""
-    violations = validate_manifest(session.manifest)
+def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
+    """The session's broken invariants, and its conformance flags. Each stream
+    needs one manifest entry, ``describe_stream``'s of its data but for the
+    rate, and each entry data, or a saved session loads back different."""
+    broken, flags = _manifest_checks(session.manifest)
+    held = [*session.numeric.items(), *session.frame_logs.items(), *session.audio.items()]
+    wanted = [replace(describe_stream(name, data), nominal_rate=0.0) for name, data in held]
+    entries = [replace(s, nominal_rate=0.0) for s in session.manifest.streams]
+    for name in dict.fromkeys(s.name for s in entries + wanted):
+        if [s for s in entries if s.name == name] != [s for s in wanted if s.name == name]:
+            broken.append(f"streams[{name}]: manifest entry does not describe its data")
     for name, series in session.numeric.items():
-        violations += series_violations(name, series)
+        broken += series_violations(name, series)
     for name, log in session.frame_logs.items():
         t = log.frame_timestamps
         if len(t) < 1:
-            violations.append(f"streams[{name}]: frame log must be non-empty")
+            broken.append(f"streams[{name}]: frame log must be non-empty")
         elif len(t) > 1 and not np.all(np.diff(t) > 0):
-            violations.append(f"streams[{name}]: timestamps strictly increasing")
+            broken.append(f"streams[{name}]: timestamps strictly increasing")
     for name, track in session.audio.items():
         if track.meta.sample_rate != PAPER_AUDIO_RATE:
-            violations.append(f"streams[{name}]: audio-rate-nonconformant ({track.meta.sample_rate} Hz)")
-        if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:
-            violations.append(f"streams[{name}]: audio-bit-depth-nonconformant")
-    return violations
+            flags.append(f"streams[{name}]: audio-rate-nonconformant ({track.meta.sample_rate} Hz)")
+        if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:  # the samples are int16
+            broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
+    return broken, flags
+
+
+def validate_session(session: RawSession) -> list[str]:
+    """Manifest violations plus per-series invariant checks."""
+    broken, flags = _session_checks(session)
+    return broken + flags
+
+
+def _require_valid(session: RawSession) -> None:
+    """Save's and load's one rule: a broken invariant is fatal, a flag is not."""
+    broken, _ = _session_checks(session)
+    if broken:
+        raise InvariantViolation("; ".join(broken))
 
 
 # -- serialization ----------------------------------------------------------
@@ -535,14 +591,13 @@ def _write_wav(path: Path, track: AudioTrack) -> None:
         w.writeframes(track.samples.astype("<i2").tobytes())
 
 
-def _read_wav(path: Path, file_ref: str) -> AudioTrack:
+def _read_wav(path: Path) -> AudioTrack:
     try:
         with wave.open(str(path), "rb") as w:
             meta = AudioMeta(
                 sample_rate=w.getframerate(),
                 bit_depth=w.getsampwidth() * 8,
                 channels=w.getnchannels(),
-                file=file_ref,
             )
             samples = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
     except (wave.Error, EOFError, OSError, ValueError) as exc:
@@ -553,22 +608,18 @@ def _read_wav(path: Path, file_ref: str) -> AudioTrack:
 
 def save_session(session: RawSession, root_path: str | Path) -> None:
     """Write a session to ``root_path``; save/load is a lossless round trip."""
-    violations = validate_session(session)
-    if violations:
-        raise InvariantViolation("; ".join(violations))
+    _require_valid(session)
     root = Path(root_path)
     try:
         root.mkdir(parents=True, exist_ok=True)
         write_manifest(root, session.manifest)
-        for streams, default, write in (
-            (session.numeric, "streams/{}.csv", _write_series_csv),
-            (session.frame_logs, "video/{}.timestamps.csv",
-             lambda path, log: _write_table(path, "t", [log.frame_timestamps])),
-            (session.audio, "audio/{}.wav", _write_wav),
+        for streams, write in (
+            (session.numeric, _write_series_csv),
+            (session.frame_logs, lambda path, log: _write_table(path, "t", [log.frame_timestamps])),
+            (session.audio, _write_wav),
         ):
             for name, data in streams.items():
-                desc = session.manifest.descriptor(name)
-                path = root / (desc.file if desc else default.format(name))
+                path = root / session.manifest.descriptor(name).file
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write(path, data)
         (root / DIALOGUE).write_bytes(dlg.export_jsonl(list(session.dialogues)))
@@ -580,6 +631,10 @@ def load_session(root_path: str | Path) -> RawSession:
     """Load and validate a session directory; raises on any broken invariant."""
     root = Path(root_path)
     manifest = read_manifest(root)
+    # before any stream file is opened: a path may not leave the trial directory
+    broken = [v for s in manifest.streams for v in descriptor_violations(s)]
+    if broken:
+        raise MalformedManifest(f"{root / MANIFEST}: {'; '.join(broken)}")
 
     numeric: dict[str, TimedSeries] = {}
     frame_logs: dict[str, FrameTimestampLog] = {}
@@ -593,7 +648,7 @@ def load_session(root_path: str | Path) -> RawSession:
         elif desc.kind is StreamKind.VIDEO_FRAMES:
             frame_logs[desc.name] = FrameTimestampLog(desc.name, _read_table(path)[1][:, 0])
         elif desc.kind is StreamKind.AUDIO:
-            audio[desc.name] = _read_wav(path, desc.file)
+            audio[desc.name] = _read_wav(path)
 
     session = RawSession(
         manifest=manifest,
@@ -602,11 +657,7 @@ def load_session(root_path: str | Path) -> RawSession:
         audio=audio,
         dialogues=read_dialogues(root),
     )
-    violations = validate_session(session)
-    # Audio-rate nonconformance is a warning-level violation, not fatal on load.
-    fatal = [v for v in violations if "nonconformant" not in v and "taxonomy" not in v]
-    if fatal:
-        raise InvariantViolation("; ".join(fatal))
+    _require_valid(session)
     return session
 
 
@@ -633,13 +684,7 @@ def sessions_equal(a: RawSession, b: RawSession) -> bool:
             return False
     for name in a.audio:
         ta, tb = a.audio[name], b.audio[name]
-        if (ta.meta.sample_rate, ta.meta.bit_depth, ta.meta.channels) != (
-            tb.meta.sample_rate,
-            tb.meta.bit_depth,
-            tb.meta.channels,
-        ):
-            return False
-        if not np.array_equal(ta.samples, tb.samples):
+        if ta.meta != tb.meta or not np.array_equal(ta.samples, tb.samples):
             return False
     return a.dialogues == b.dialogues
 

@@ -29,12 +29,12 @@ from .session import (
     AudioMeta,
     AudioTrack,
     Channel,
+    FrameTimestampLog,
     RawSession,
     SessionManifest,
-    StreamDescriptor,
-    StreamKind,
     Task,
     TimedSeries,
+    describe_stream,
     read_json,
 )
 
@@ -332,8 +332,6 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     for i, rate in enumerate(scenario.video_rates):
         name = _camera_name(i, len(scenario.video_rates))
         ts = _frame_log_timestamps(rng, rate, duration, scenario.timestamp_jitter_sd)
-        from .session import FrameTimestampLog
-
         frame_logs[name] = FrameTimestampLog(stream=name, frame_timestamps=ts)
 
     t_num = np.arange(int(np.floor(duration * scenario.numeric_rate + 1e-9)) + 1) / scenario.numeric_rate
@@ -362,44 +360,17 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     tone = 0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(n_audio) / scenario.audio_rate)
     audio = {
         "mic": AudioTrack(
-            meta=AudioMeta(
-                sample_rate=scenario.audio_rate, bit_depth=16, channels=1, file="audio/mic.wav"
-            ),
+            meta=AudioMeta(sample_rate=scenario.audio_rate, bit_depth=16, channels=1),
             samples=np.round(tone * 32767).astype(np.int16),
         )
     }
 
-    streams = []
-    for name, log in frame_logs.items():
-        rate = scenario.video_rates[list(frame_logs).index(name)]
-        streams.append(
-            StreamDescriptor(
-                name=name,
-                kind=StreamKind.VIDEO_FRAMES,
-                nominal_rate=rate,
-                channels=(Channel("frame", "1"),),
-                file=f"video/{name}.timestamps.csv",
-            )
-        )
-    for name, series in numeric.items():
-        streams.append(
-            StreamDescriptor(
-                name=name,
-                kind=StreamKind.NUMERIC,
-                nominal_rate=scenario.numeric_rate,
-                channels=series.channels,
-                file=f"streams/{name}.csv",
-            )
-        )
-    streams.append(
-        StreamDescriptor(
-            name="mic",
-            kind=StreamKind.AUDIO,
-            nominal_rate=float(scenario.audio_rate),
-            channels=(Channel("pcm", "1"),),
-            file="audio/mic.wav",
-        )
-    )
+    streams = [
+        describe_stream(name, log, rate)
+        for (name, log), rate in zip(frame_logs.items(), scenario.video_rates)
+    ]
+    streams += [describe_stream(name, s, scenario.numeric_rate) for name, s in numeric.items()]
+    streams += [describe_stream(name, track) for name, track in audio.items()]
 
     manifest = SessionManifest(
         session_id=trial_id,

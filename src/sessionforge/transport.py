@@ -36,6 +36,7 @@ import selectors
 import socket
 import struct
 import threading
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,10 +50,10 @@ from .session import (
     Channel,
     RawSession,
     SessionManifest,
-    StreamDescriptor,
-    StreamKind,
     Task,
     TimedSeries,
+    describe_stream,
+    descriptor_violations,
     save_session,
     series_violations,
     utc_now,
@@ -401,59 +402,41 @@ class RecordingHandle:
         return session
 
     def _build_session(self) -> RawSession:
-        import warnings
-
         cfg = self.config
-        numeric: dict[str, TimedSeries] = {}
-        streams: list[StreamDescriptor] = []
-        for topic, (ts, vals) in sorted(self._topics.items()):
-            n_ch = len(vals[0]) if vals else 1
-            if topic in cfg.stream_map:
-                rate, channels = cfg.stream_map[topic]
-            else:
-                rate = max(1.0, (len(ts) - 1) / max(ts[-1] - ts[0], 1e-9)) if len(ts) > 1 else 1.0
-                channels = tuple(Channel(f"ch{i}", "1") for i in range(n_ch))
-            series = TimedSeries(timestamps=np.array(ts), values=np.array(vals), channels=channels)
-            broken = series_violations(topic, series)
-            if broken:
-                # one bad topic must not cost the recording its other topics
-                warnings.warn(f"topic '{topic}' left out of the recording: {'; '.join(broken)}")
-                continue
-            numeric[topic] = series
-            streams.append(
-                StreamDescriptor(
-                    name=topic,
-                    kind=StreamKind.NUMERIC,
-                    nominal_rate=rate,
-                    channels=channels,
-                    file=f"streams/{topic}.csv",
-                )
-            )
-        if not self._topics:
-            warnings.warn("recording stopped with zero frames received")
-
         audio: dict[str, AudioTrack] = {}
         if self._datagrams:
             pcm, self.gap_report = audio_reassemble(self._datagrams, stream=cfg.audio_stream)
-            samples = np.frombuffer(pcm, dtype="<i2")
             audio[cfg.audio_stream] = AudioTrack(
-                meta=AudioMeta(
-                    sample_rate=cfg.audio_rate,
-                    bit_depth=16,
-                    channels=1,
-                    file=f"audio/{cfg.audio_stream}.wav",
-                ),
-                samples=samples,
+                AudioMeta(sample_rate=cfg.audio_rate, bit_depth=16, channels=1),
+                np.frombuffer(pcm, dtype="<i2"),
             )
-            streams.append(
-                StreamDescriptor(
-                    name=cfg.audio_stream,
-                    kind=StreamKind.AUDIO,
-                    nominal_rate=float(cfg.audio_rate),
-                    channels=(Channel("pcm", "1"),),
-                    file=f"audio/{cfg.audio_stream}.wav",
-                )
-            )
+
+        # one bad topic must not cost the recording its other topics
+        numeric: dict[str, TimedSeries] = {}
+        streams = []
+        for topic, (ts, vals) in sorted(self._topics.items()):
+            widths = sorted(set(map(len, vals)))
+            if len(widths) > 1:
+                broken = [f"frames carry {widths} values"]
+            elif topic in audio:
+                broken = ["the audio stream has that name"]
+            else:
+                if topic in cfg.stream_map:
+                    rate, channels = cfg.stream_map[topic]
+                else:
+                    rate = max(1.0, (len(ts) - 1) / max(ts[-1] - ts[0], 1e-9))
+                    channels = tuple(Channel(f"ch{i}", "1") for i in range(widths[0]))
+                series = TimedSeries(np.array(ts), np.array(vals), channels)
+                desc = describe_stream(topic, series, rate)
+                broken = descriptor_violations(desc) + series_violations(topic, series)
+            if broken:
+                warnings.warn(f"topic '{topic}' left out of the recording: {'; '.join(broken)}")
+                continue
+            numeric[topic] = series
+            streams.append(desc)
+        if not self._topics:
+            warnings.warn("recording stopped with zero frames received")
+        streams += [describe_stream(name, track) for name, track in audio.items()]
 
         manifest = SessionManifest(
             session_id=cfg.session_id,

@@ -12,6 +12,9 @@ OWNER = "session.py"
 OWNED = (
     "manifest.json",
     "dialogue.jsonl",
+    "streams/",
+    ".timestamps.csv",
+    ".wav",
     ".npy",
     "_sidecar",
     "_manifest_from_dict",

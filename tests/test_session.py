@@ -1,18 +1,22 @@
 import io
 import json
 import os
+import shutil
 import stat
 import sys
 import threading
 import warnings
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sessionforge.errors import InvariantViolation, IoError, MalformedManifest, MissingFile
 from sessionforge.session import (
+    AudioMeta,
+    AudioTrack,
     Channel,
     FrameTimestampLog,
     RawSession,
@@ -24,6 +28,8 @@ from sessionforge.session import (
     _read_series_csv,
     _read_table,
     _write_table,
+    describe_stream,
+    descriptor_violations,
     load_session,
     save_session,
     sessions_equal,
@@ -120,6 +126,32 @@ class TestLoadErrors:
         with pytest.raises(MalformedManifest, match="columns"):
             load_session(tmp_path / "trial")
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"file": "../../outside/imu.csv"},
+            {"name": "../../../outside/imu", "file": "streams/../../../outside/imu.csv"},
+        ],
+        ids=["file", "name"],
+    )
+    def test_stream_outside_the_trial_is_never_opened(self, synthetic_session, tmp_path, entry):
+        """A manifest entry that reaches outside the trial fails before any
+        stream file is read, so nothing is read or created outside the dataset."""
+        data = tmp_path / "data"
+        save_session(synthetic_session, data / "trial")
+        (tmp_path / "outside").mkdir()
+        shutil.copy(data / "trial" / "streams" / "imu.csv", tmp_path / "outside" / "imu.csv")
+        path = data / "trial" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        next(s for s in manifest["streams"] if s["name"] == "imu").update(entry)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(MalformedManifest, match=r"manifest\.json: .*must be"):
+            load_session(data / "trial")
+        outside = [p for p in tmp_path.rglob("*") if data not in (p, *p.parents)]
+        assert sorted(p.relative_to(tmp_path) for p in outside) == [
+            Path("outside"), Path("outside/imu.csv")
+        ]
+
     def test_header_only_csv(self, synthetic_session, tmp_path):
         save_session(synthetic_session, tmp_path / "trial")
         path = tmp_path / "trial" / "streams" / "ee_pose.csv"
@@ -210,6 +242,29 @@ class TestSaveErrors:
         with pytest.raises(InvariantViolation, match="session_id"):
             save_session(bad, tmp_path / "trial")
 
+    @pytest.mark.parametrize(
+        "mismatch",
+        [
+            lambda d: replace(d, channels=d.channels[:2]),  # loads as a header mismatch
+            lambda d: replace(d, kind=StreamKind.VIDEO_FRAMES),
+            lambda d: None,  # written, then dropped by load
+        ],
+        ids=["channels", "kind", "no-entry"],
+    )
+    def test_entry_that_does_not_describe_the_data(self, synthetic_session, tmp_path, mismatch):
+        m = synthetic_session.manifest
+        streams = [mismatch(s) if s.name == "imu" else s for s in m.streams]
+        bad = replace(synthetic_session, manifest=replace(m, streams=[s for s in streams if s]))
+        with pytest.raises(InvariantViolation, match=r"streams\[imu\]: manifest entry"):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
+    def test_entry_without_data(self, synthetic_session, tmp_path):
+        numeric = {n: s for n, s in synthetic_session.numeric.items() if n != "imu"}
+        with pytest.raises(InvariantViolation, match=r"streams\[imu\]: manifest entry"):
+            save_session(replace(synthetic_session, numeric=numeric), tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
     def test_read_only_dir(self, synthetic_session, tmp_path):
         target = tmp_path / "ro"
         target.mkdir()
@@ -236,6 +291,36 @@ class TestValidateManifest:
     def test_nonconformant_audio_rate_flagged(self, synthetic_session):
         session, _ = gen_session(Scenario(seed=1, audio_rate=44100))
         assert any("audio-rate-nonconformant" in v for v in validate_session(session))
+
+    def test_describe_stream(self):
+        series = TimedSeries([0.0, 0.1], [[1.0], [2.0]], (Channel("x", "m"),))
+        log = FrameTimestampLog("cam", [0.0, 0.1])
+        track = AudioTrack(AudioMeta(48000, 16, 1), np.zeros(4, np.int16))
+        assert describe_stream("pose", series, 100) == StreamDescriptor(
+            "pose", StreamKind.NUMERIC, 100, series.channels, "streams/pose.csv"
+        )
+        assert describe_stream("cam", log, 15.0) == StreamDescriptor(
+            "cam", StreamKind.VIDEO_FRAMES, 15.0, (Channel("frame", "1"),),
+            "video/cam.timestamps.csv",
+        )
+        assert describe_stream("mic", track) == StreamDescriptor(
+            "mic", StreamKind.AUDIO, 48000.0, (Channel("pcm", "1"),), "audio/mic.wav"
+        )
+
+    def test_synth_manifest_is_described_from_its_data(self, synthetic_session):
+        session = synthetic_session
+        held = {**session.numeric, **session.frame_logs, **session.audio}
+        for s in session.manifest.streams:
+            assert describe_stream(s.name, held[s.name], s.nominal_rate) == s
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a\0b"])
+    def test_stream_name_must_be_a_plain_file_name(self, name):
+        desc = StreamDescriptor(name, StreamKind.AUDIO, 48000.0, (Channel("pcm", "1"),), "")
+        assert descriptor_violations(desc) == [f"streams[{name}].name: must be a plain file name"]
+
+    def test_stream_file_is_fixed_by_kind_and_name(self):
+        desc = StreamDescriptor("mic", StreamKind.AUDIO, 48000.0, (Channel("pcm", "1"),), "mic.wav")
+        assert descriptor_violations(desc) == ["streams[mic].file: must be 'audio/mic.wav'"]
 
     def test_task_enum_covers_exactly_the_five_tasks(self):
         assert {t.value for t in Task} == {

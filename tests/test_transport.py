@@ -12,7 +12,7 @@ import pytest
 
 from sessionforge import transport
 from sessionforge.errors import BindError, IoError, MalformedFrame, NeedMoreBytes
-from sessionforge.session import Task, load_session
+from sessionforge.session import Task, load_session, validate_session
 from sessionforge.transport import (
     AudioDatagram,
     RecorderConfig,
@@ -258,6 +258,52 @@ class TestRecording:
         loaded = load_session(tmp_path / "rec")
         assert sorted(loaded.numeric) == ["ee"]
         assert loaded.numeric["ee"].n_samples == 100
+
+    def test_topics_that_break_the_container_are_left_out(self, tmp_path):
+        """A topic whose name leaves the session directory, whose frames carry
+        different numbers of values, or whose frames carry none, is dropped
+        with a warning; nothing is written outside the session root."""
+        root = tmp_path / "a" / "b" / "rec"
+        handle = start_recording(RecorderConfig(session_root=root))
+        frames = [TcpFrame("../../escaped", float(k), (1.0,)) for k in range(3)]
+        frames += [TcpFrame("ragged", 0.0, (1.0,)), TcpFrame("ragged", 1.0, (1.0, 2.0))]
+        frames += [TcpFrame("empty", float(k), ()) for k in range(3)]
+        frames += [TcpFrame("ee", float(k), (float(k),)) for k in range(10)]
+        self.send_frames(handle.tcp_port, frames)
+        with pytest.warns(UserWarning) as caught:
+            session = handle.stop()
+        assert sorted(session.numeric) == ["ee"]
+        left_out = " ".join(str(w.message) for w in caught)
+        for topic in ("../../escaped", "ragged", "empty"):
+            assert f"topic '{topic}' left out" in left_out
+        written = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+        want = ("dialogue.jsonl", "manifest.json", "streams/ee.csv")
+        assert written == [f"a/b/rec/{f}" for f in want]
+        assert load_session(root).numeric["ee"].n_samples == 10
+
+    def test_topic_named_like_the_audio_stream_is_left_out(self, tmp_path):
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        self.send_frames(handle.tcp_port, [TcpFrame("mic", float(k), (1.0,)) for k in range(3)])
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            dg = AudioDatagram(0, 0.0, b"\x01\x00" * 8)
+            sock.sendto(dg.encode(), ("127.0.0.1", handle.udp_port))
+        with pytest.warns(UserWarning, match="topic 'mic' left out"):
+            session = handle.stop()
+        assert session.numeric == {} and len(session.audio["mic"].samples) == 8
+        assert len(load_session(tmp_path / "rec").audio["mic"].samples) == 8
+
+    def test_nonconformant_audio_rate_is_kept_with_its_flag(self, tmp_path):
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec", audio_rate=16000))
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for seq in range(5):
+                dg = AudioDatagram(seq, seq * 0.02, np.arange(320, dtype="<i2").tobytes())
+                sock.sendto(dg.encode(), ("127.0.0.1", handle.udp_port))
+        with pytest.warns(UserWarning, match="zero frames"):
+            handle.stop()
+        loaded = load_session(tmp_path / "rec")
+        assert loaded.audio["mic"].meta.sample_rate == 16000
+        assert len(loaded.audio["mic"].samples) == 5 * 320
+        assert "streams[mic]: audio-rate-nonconformant (16000 Hz)" in validate_session(loaded)
 
     def test_stop_that_failed_to_save_can_be_repeated(self, tmp_path, monkeypatch):
         handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))

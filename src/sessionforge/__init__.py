@@ -42,11 +42,14 @@ from .session import (
     AudioMeta,
     AudioTrack,
     Channel,
+    FrameSelection,
     FrameTimestampLog,
     RawSession,
+    ReferenceGrid,
     SessionManifest,
     StreamDescriptor,
     StreamKind,
+    SyncedSession,
     Task,
     TimedSeries,
     load_session,
@@ -55,10 +58,7 @@ from .session import (
     validate_manifest,
 )
 from .sync import (
-    FrameSelection,
     OverlapWindow,
-    ReferenceGrid,
-    SyncedSession,
     build_reference_grid,
     compute_overlap,
     interpolate_numeric,

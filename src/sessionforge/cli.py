@@ -37,7 +37,7 @@ def _aggregate_to_dict(agg: metrics.TaskAggregate) -> dict:
 
 def process_trial(
     trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
-) -> tuple[metrics.TrialMetrics, sync.SyncedSession, sess.RawSession]:
+) -> tuple[metrics.TrialMetrics, sess.SyncedSession, sess.RawSession]:
     """raw -> native-rate denoise -> sync -> grid-rate denoise -> metrics."""
     raw = sess.load_session(trial_dir)
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
@@ -136,7 +136,7 @@ def _cmd_record(args) -> int:
 def _cmd_sync(args) -> int:
     raw = sess.load_session(args.input)
     synced = sync.sync_session(raw, tau=args.tau)
-    sync.save_synced(synced, args.out)
+    sess.save_synced(synced, args.out)
     print(json.dumps(synced.report(), indent=2, sort_keys=True))
     return 0
 
@@ -154,15 +154,15 @@ def _load_policy(spec: str) -> filters.DenoisePolicy:
 
 def _cmd_denoise(args) -> int:
     policy = _load_policy(args.policy)
-    synced = sync.load_synced(args.input)
+    synced = sess.load_synced(args.input)
     denoised = filters.denoise_session(synced, policy, strict=not args.lenient)
-    sync.save_synced(denoised, args.out)
+    sess.save_synced(denoised, args.out)
     print(f"denoised {len(denoised.numeric)} streams -> {args.out}")
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    synced = sync.load_synced(args.input)
+    synced = sess.load_synced(args.input)
     tm = metrics.compute_trial_metrics(synced)
     payload = tm.to_json_dict()
     payload["wheelchair_comfort_band"] = metrics.comfort_check(
@@ -197,14 +197,12 @@ def _cmd_curate(args) -> int:
             print(f"total,{stats.total_raw},{stats.total_successful}")
             print(f"percentage,,{stats.success_percentage}")
         return 0
-    if args.curate_cmd == "filter":
-        trials = curation.filter_successful(root, strict=not args.lenient)
-        text = "\n".join(trials) + ("\n" if trials else "")
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        print(text, end="")
-        return 0
-    raise SessionForgeError(f"unknown curate subcommand {args.curate_cmd}")
+    trials = curation.filter_successful(root, strict=not args.lenient)
+    text = "\n".join(trials) + ("\n" if trials else "")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    print(text, end="")
+    return 0
 
 
 def _collect_dialogues(root: Path) -> list[dlg.AnnotatedDialogue]:
@@ -242,22 +240,22 @@ def _cmd_dialogue(args) -> int:
         else:
             sys.stdout.buffer.write(data)
         return 0
-    if args.dialogue_cmd == "stats":
-        dialogues = _collect_dialogues(_dataset_root(args))
-        dist = dlg.ambiguity_distribution(dialogues)
-        if args.by == "type":
-            print(json.dumps(dist["type_shares"], indent=2, sort_keys=True))
-        else:
-            print(json.dumps(
-                {"matrix": dist["matrix"], "utterances": dist["utterances"]},
-                indent=2,
-                sort_keys=True,
-            ))
-        return 0
-    raise SessionForgeError(f"unknown dialogue subcommand {args.dialogue_cmd}")
+    dialogues = _collect_dialogues(_dataset_root(args))
+    dist = dlg.ambiguity_distribution(dialogues)
+    if args.by == "type":
+        print(json.dumps(dist["type_shares"], indent=2, sort_keys=True))
+    else:
+        print(json.dumps(
+            {"matrix": dist["matrix"], "utterances": dist["utterances"]},
+            indent=2,
+            sort_keys=True,
+        ))
+    return 0
 
 
-def _run_pipeline(args) -> dict:
+def _cmd_pipeline(args) -> int:
+    """Run the batch pipeline; ``pipeline`` writes the report to ``--report``,
+    ``report`` prints it."""
     root = _dataset_root(args)
     policy = _load_policy(args.policy)
     trial_dirs = sess.trial_dirs(root)
@@ -268,7 +266,6 @@ def _run_pipeline(args) -> dict:
         tm, synced, raw = process_trial(trial_dir, args.tau, policy)
         return tm, list(raw.dialogues), raw.manifest
 
-    results = []
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(run_one, trial_dirs))
@@ -278,24 +275,14 @@ def _run_pipeline(args) -> dict:
     trials = [tm for tm, _, _ in results]
     dialogues = [d for _, ds, _ in results for d in ds]
     manifests = [m for _, _, m in results]
-    return build_report(trials, dialogues, manifests)
-
-
-def _cmd_pipeline(args) -> int:
-    report = _run_pipeline(args)
-    out = Path(args.report)
-    if args.format == "csv":
-        out.write_text(_report_csv(report), encoding="utf-8")
-    else:
-        out.write_text(_report_json(report), encoding="utf-8")
-    print(f"report -> {out}")
-    return 0
-
-
-def _cmd_report(args) -> int:
-    report = _run_pipeline(args)
+    report = build_report(trials, dialogues, manifests)
     text = _report_csv(report) if args.format == "csv" else _report_json(report)
-    print(text, end="")
+    if args.cmd == "report":
+        print(text, end="")
+        return 0
+    out = Path(args.report)
+    out.write_text(text, encoding="utf-8")
+    print(f"report -> {out}")
     return 0
 
 
@@ -375,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--root")
     p.set_defaults(func=_cmd_dialogue)
 
-    for name, handler in (("pipeline", _cmd_pipeline), ("report", _cmd_report)):
+    for name in ("pipeline", "report"):
         p = sub.add_parser(name, help="run the full batch pipeline over a dataset")
         p.add_argument("--root")
         p.add_argument("--tau", type=float, default=None)
@@ -384,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int, default=1)
         if name == "pipeline":
             p.add_argument("--report", default="report.json")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=_cmd_pipeline)
 
     return parser
 

@@ -165,8 +165,21 @@ class DenoisePolicy:
 
 
 def filter_series(series, spec: FilterSpec):
-    """Apply zero-phase filtering to every channel of a TimedSeries."""
-    return replace(series, timestamps=series.timestamps.copy(), values=filtfilt(spec, series.values))
+    """Apply zero-phase filtering to every channel of a TimedSeries.
+
+    Non-finite samples are interpolated over for the pass, so one NaN does not
+    smear over its channel, and kept in the result.
+    """
+    t, values = series.timestamps, series.values
+    bad = ~np.isfinite(values)
+    if bad.any():
+        values = values.copy()
+        for c, gap in enumerate(bad.T):
+            if not gap.all():
+                values[gap, c] = np.interp(t[gap], t[~gap], values[~gap, c])
+    out = filtfilt(spec, values)
+    out[bad] = series.values[bad]
+    return replace(series, timestamps=series.timestamps.copy(), values=out)
 
 
 def _policy_class(name: str, policy: DenoisePolicy, strict: bool) -> ChannelClass | None:

@@ -1,8 +1,8 @@
 """Session data model and on-disk container.
 
 This module is the one owner of the container layout: every other module
-reads and writes a trial directory, and the synced container's JSON files,
-through the functions here. A session lives in a directory:
+reads and writes a trial directory and a synced container through the
+functions here. A session lives in a directory:
 
     manifest.json
     streams/<name>.csv            header ``t,<ch1>,<ch2>,...``, floats as %.17g
@@ -13,7 +13,9 @@ through the functions here. A session lives in a directory:
 and a dataset is a directory of such trial directories. A stream's path is
 fixed by its kind and name, ``describe_stream`` derives its manifest entry,
 and a manifest naming another path fails to load. Conformance flags, such as
-audio not at 48 kHz, fail neither save nor load. Floats are written
+audio not at 48 kHz, fail neither save nor load. A synced container
+(``save_synced``) is read by its manifest too (``load_synced``), and a file
+the manifest does not list is ignored. Floats are written
 with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
 the container, the synced container's included, goes through
 ``_read_table``/``_write_table``: numpy ``loadtxt`` parses them, and the writer
@@ -115,12 +117,6 @@ class SessionManifest:
         object.__setattr__(self, "streams", tuple(self.streams))
         object.__setattr__(self, "violation_flags", tuple(self.violation_flags))
 
-    def descriptor(self, name: str) -> StreamDescriptor | None:
-        for s in self.streams:
-            if s.name == name:
-                return s
-        return None
-
 
 @dataclass(frozen=True)
 class TimedSeries:
@@ -190,6 +186,49 @@ class RawSession:
 
     def __post_init__(self):
         object.__setattr__(self, "dialogues", tuple(self.dialogues))
+
+
+@dataclass(frozen=True)
+class ReferenceGrid:
+    timestamps: np.ndarray
+    rate: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
+
+    @property
+    def k(self) -> int:
+        return len(self.timestamps)
+
+
+@dataclass(frozen=True)
+class FrameSelection:
+    stream: str
+    selected_indices: np.ndarray  # (K,) int
+    accepted_flags: np.ndarray  # (K,) bool
+
+    @property
+    def acceptance_rate(self) -> float:
+        return float(np.mean(self.accepted_flags))
+
+
+@dataclass(frozen=True)
+class SyncedSession:
+    manifest: SessionManifest
+    grid: ReferenceGrid
+    frame_selections: dict[str, FrameSelection]
+    numeric: dict[str, TimedSeries]
+    tau: float
+
+    def report(self) -> dict:
+        return {
+            "grid_rate": self.grid.rate,
+            "grid_points": self.grid.k,
+            "tau": self.tau,
+            "acceptance_rate": {
+                name: sel.acceptance_rate for name, sel in self.frame_selections.items()
+            },
+        }
 
 
 # -- validation -------------------------------------------------------------
@@ -425,7 +464,7 @@ def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
 
     A token that does not parse as ``dtype``, a ragged row or rows whose width
     differs from the header raise MalformedManifest naming the file and the
-    line of the first bad row.
+    line of the first bad row, and a missing file raises MissingFile.
 
     The body is memoized in a hidden sidecar keyed on the sha256 of the CSV's
     bytes (see ``_sidecar_name``), like a hash-checked ``.pyc``: the CSV stays
@@ -440,6 +479,8 @@ def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
     the file still holds the hashed bytes (see ``_write_sidecar``), so no
     sidecar is named after bytes other than the ones parsed.
     """
+    if not path.is_file():
+        raise MissingFile(str(path))
     raw = path.read_bytes()
     try:
         names = _text(raw).readline().strip().split(",")
@@ -571,12 +612,9 @@ def _write_series_csv(path: Path, series: TimedSeries) -> None:
     _write_table(path, header, [series.timestamps, series.values])
 
 
-def _read_series_csv(path: Path, channels: tuple[Channel, ...] | None = None) -> TimedSeries:
-    """Read a numeric stream; without ``channels`` they come unitless from the header."""
+def _read_series_csv(path: Path, channels: tuple[Channel, ...]) -> TimedSeries:
     names, data = _read_table(path)
-    if channels is None:
-        channels = tuple(Channel(n, "") for n in names[1:])
-    elif [c.name for c in channels] != names[1:]:
+    if [c.name for c in channels] != names[1:]:
         raise MalformedManifest(
             f"{path.name}: header channels {names[1:]} do not match manifest"
         )
@@ -592,6 +630,8 @@ def _write_wav(path: Path, track: AudioTrack) -> None:
 
 
 def _read_wav(path: Path) -> AudioTrack:
+    if not path.is_file():
+        raise MissingFile(str(path))
     try:
         with wave.open(str(path), "rb") as w:
             meta = AudioMeta(
@@ -619,7 +659,7 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
             (session.audio, _write_wav),
         ):
             for name, data in streams.items():
-                path = root / session.manifest.descriptor(name).file
+                path = root / describe_stream(name, data).file
                 path.parent.mkdir(parents=True, exist_ok=True)
                 write(path, data)
         (root / DIALOGUE).write_bytes(dlg.export_jsonl(list(session.dialogues)))
@@ -627,22 +667,25 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
         raise IoError(f"writing session to {root}: {exc}") from exc
 
 
-def load_session(root_path: str | Path) -> RawSession:
-    """Load and validate a session directory; raises on any broken invariant."""
-    root = Path(root_path)
+def _read_checked_manifest(root: Path) -> SessionManifest:
+    """The manifest of the container at ``root``, checked before any stream
+    file is opened, so that no stream path leaves the container."""
     manifest = read_manifest(root)
-    # before any stream file is opened: a path may not leave the trial directory
     broken = [v for s in manifest.streams for v in descriptor_violations(s)]
     if broken:
         raise MalformedManifest(f"{root / MANIFEST}: {'; '.join(broken)}")
+    return manifest
 
+
+def load_session(root_path: str | Path) -> RawSession:
+    """Load and validate a session directory; raises on any broken invariant."""
+    root = Path(root_path)
+    manifest = _read_checked_manifest(root)
     numeric: dict[str, TimedSeries] = {}
     frame_logs: dict[str, FrameTimestampLog] = {}
     audio: dict[str, AudioTrack] = {}
     for desc in manifest.streams:
         path = root / desc.file
-        if not path.is_file():
-            raise MissingFile(str(path))
         if desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(path, desc.channels)
         elif desc.kind is StreamKind.VIDEO_FRAMES:
@@ -661,8 +704,65 @@ def load_session(root_path: str | Path) -> RawSession:
     return session
 
 
+_SELECTION_PATH = "selections/{}.csv"
+
+
+def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
+    """Persist a synced session: grid, selections, resampled streams, report."""
+    root = Path(root_path)
+    try:
+        for sub in ("selections", "streams"):
+            (root / sub).mkdir(parents=True, exist_ok=True)
+        write_manifest(root, synced.manifest)
+        write_json(root / "grid.json", {"rate": synced.grid.rate, "tau": synced.tau})
+        _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
+        for name, sel in synced.frame_selections.items():
+            _write_table(
+                root / _SELECTION_PATH.format(name),
+                "index,accepted",
+                [sel.selected_indices, sel.accepted_flags],
+            )
+        for name, series in synced.numeric.items():
+            _write_series_csv(root / _STREAM_PATHS[StreamKind.NUMERIC].format(name), series)
+        write_json(root / "sync_report.json", synced.report(), sort_keys=True)
+    except OSError as exc:
+        raise IoError(f"writing synced session to {root}: {exc}") from exc
+
+
+def load_synced(root_path: str | Path) -> SyncedSession:
+    """Load a synced container by its manifest: the selections of each video
+    stream and the resampled series of each numeric one. A listed file that is
+    absent raises ``MissingFile``; a file the manifest does not list is not read."""
+    root = Path(root_path)
+    manifest = _read_checked_manifest(root)
+    meta_path = root / "grid.json"
+    meta = read_json(meta_path)
+    try:
+        rate, tau = float(meta["rate"]), float(meta["tau"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{meta_path}: bad rate or tau: {exc!r}") from exc
+    grid = ReferenceGrid(timestamps=_read_table(root / "grid.csv")[1][:, 0], rate=rate)
+
+    selections: dict[str, FrameSelection] = {}
+    numeric: dict[str, TimedSeries] = {}
+    for desc in manifest.streams:
+        if desc.kind is StreamKind.VIDEO_FRAMES:
+            _, sel = _read_table(root / _SELECTION_PATH.format(desc.name), dtype=int)
+            selections[desc.name] = FrameSelection(desc.name, sel[:, 0], sel[:, 1].astype(bool))
+        elif desc.kind is StreamKind.NUMERIC:
+            numeric[desc.name] = _read_series_csv(root / desc.file, desc.channels)
+    return SyncedSession(manifest, grid, selections, numeric, tau)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The bit patterns of float array ``x``, each NaN as the one NaN ``nan`` parses to."""
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
 def sessions_equal(a: RawSession, b: RawSession) -> bool:
-    """Structural value equality, float bit patterns included."""
+    """Structural value equality, float bit patterns included, so ``-0.0``
+    differs from ``0.0``. Any NaN equals any NaN: the CSV writes every NaN as
+    ``nan``, which keeps neither its sign nor its payload."""
     if _manifest_to_dict(a.manifest) != _manifest_to_dict(b.manifest):
         return False
     if set(a.numeric) != set(b.numeric) or set(a.frame_logs) != set(b.frame_logs):
@@ -673,13 +773,13 @@ def sessions_equal(a: RawSession, b: RawSession) -> bool:
         sa, sb = a.numeric[name], b.numeric[name]
         if sa.channels != sb.channels:
             return False
-        if not np.array_equal(sa.timestamps, sb.timestamps):
+        if not np.array_equal(_bits(sa.timestamps), _bits(sb.timestamps)):
             return False
-        if not np.array_equal(sa.values, sb.values, equal_nan=True):
+        if not np.array_equal(_bits(sa.values), _bits(sb.values)):
             return False
     for name in a.frame_logs:
         if not np.array_equal(
-            a.frame_logs[name].frame_timestamps, b.frame_logs[name].frame_timestamps
+            _bits(a.frame_logs[name].frame_timestamps), _bits(b.frame_logs[name].frame_timestamps)
         ):
             return False
     for name in a.audio:

@@ -10,34 +10,26 @@ grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     EmptyFrameLog,
     GridOutsideSeries,
-    IoError,
-    MalformedManifest,
-    MissingFile,
     MissingStream,
     NoOverlap,
     UnbridgeableGap,
 )
 from .session import (
+    FrameSelection,
     FrameTimestampLog,
     RawSession,
-    SessionManifest,
+    ReferenceGrid,
     StreamKind,
+    SyncedSession,
     TimedSeries,
-    _read_series_csv,
-    _read_table,
-    _write_series_csv,
-    _write_table,
-    read_json,
-    read_manifest,
-    write_json,
-    write_manifest,
+    load_synced,  # noqa: F401  re-exported: session.py owns the synced container
+    save_synced,  # noqa: F401
 )
 
 DEFAULT_MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
@@ -51,49 +43,6 @@ class OverlapWindow:
     def __post_init__(self):
         if not self.t_start < self.t_end:
             raise NoOverlap(f"window [{self.t_start}, {self.t_end}] is empty")
-
-
-@dataclass(frozen=True)
-class ReferenceGrid:
-    timestamps: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "timestamps", np.asarray(self.timestamps, dtype=np.float64))
-
-    @property
-    def k(self) -> int:
-        return len(self.timestamps)
-
-
-@dataclass(frozen=True)
-class FrameSelection:
-    stream: str
-    selected_indices: np.ndarray  # (K,) int
-    accepted_flags: np.ndarray  # (K,) bool
-
-    @property
-    def acceptance_rate(self) -> float:
-        return float(np.mean(self.accepted_flags))
-
-
-@dataclass(frozen=True)
-class SyncedSession:
-    manifest: SessionManifest
-    grid: ReferenceGrid
-    frame_selections: dict[str, FrameSelection]
-    numeric: dict[str, TimedSeries]
-    tau: float
-
-    def report(self) -> dict:
-        return {
-            "grid_rate": self.grid.rate,
-            "grid_points": self.grid.k,
-            "tau": self.tau,
-            "acceptance_rate": {
-                name: sel.acceptance_rate for name, sel in self.frame_selections.items()
-            },
-        }
 
 
 def _span(stream: TimedSeries | FrameTimestampLog) -> tuple[float, float]:
@@ -236,68 +185,6 @@ def sync_session(session: RawSession, tau: float | None = None) -> SyncedSession
     }
     return SyncedSession(
         manifest=session.manifest,
-        grid=grid,
-        frame_selections=selections,
-        numeric=numeric,
-        tau=tau,
-    )
-
-
-# -- synced-session container ----------------------------------------------
-
-def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
-    """Persist a synced session: grid, selections, resampled streams, report."""
-    root = Path(root_path)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        write_manifest(root, synced.manifest)
-        write_json(root / "grid.json", {"rate": synced.grid.rate, "tau": synced.tau})
-        _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
-        sel_dir = root / "selections"
-        sel_dir.mkdir(exist_ok=True)
-        for name, sel in synced.frame_selections.items():
-            _write_table(
-                sel_dir / f"{name}.csv", "index,accepted", [sel.selected_indices, sel.accepted_flags]
-            )
-        streams_dir = root / "streams"
-        streams_dir.mkdir(exist_ok=True)
-        for name, series in synced.numeric.items():
-            _write_series_csv(streams_dir / f"{name}.csv", series)
-        write_json(root / "sync_report.json", synced.report(), sort_keys=True)
-    except OSError as exc:
-        raise IoError(f"writing synced session to {root}: {exc}") from exc
-
-
-def load_synced(root_path: str | Path) -> SyncedSession:
-    root = Path(root_path)
-    manifest = read_manifest(root)
-    meta_path = root / "grid.json"
-    meta = read_json(meta_path)
-    try:
-        rate, tau = float(meta["rate"]), float(meta["tau"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{meta_path}: bad rate or tau: {exc!r}") from exc
-    if not (root / "grid.csv").is_file():
-        raise MissingFile(str(root / "grid.csv"))
-    _, grid_ts = _read_table(root / "grid.csv")
-    grid = ReferenceGrid(timestamps=grid_ts[:, 0], rate=rate)
-
-    selections: dict[str, FrameSelection] = {}
-    sel_dir = root / "selections"
-    if sel_dir.is_dir():
-        for path in sorted(sel_dir.glob("*.csv")):
-            _, sel = _read_table(path, dtype=int)
-            selections[path.stem] = FrameSelection(
-                stream=path.stem,
-                selected_indices=sel[:, 0],
-                accepted_flags=sel[:, 1].astype(bool),
-            )
-    numeric: dict[str, TimedSeries] = {}
-    for path in sorted((root / "streams").glob("*.csv")):
-        desc = manifest.descriptor(path.stem)
-        numeric[path.stem] = _read_series_csv(path, desc.channels if desc else None)
-    return SyncedSession(
-        manifest=manifest,
         grid=grid,
         frame_selections=selections,
         numeric=numeric,

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BindError, MalformedFrame, NeedMoreBytes
+from .errors import BindError, InvariantViolation, MalformedFrame, NeedMoreBytes
 from .session import (
     AudioMeta,
     AudioTrack,
@@ -248,6 +248,11 @@ class RecordingHandle:
     """Live TCP/UDP recording session; ``stop()`` flushes a valid RawSession."""
 
     def __init__(self, config: RecorderConfig):
+        # checked before binding, as stop() could not save this audio stream
+        audio = AudioTrack(AudioMeta(config.audio_rate, 16, 1), ())
+        broken = descriptor_violations(describe_stream(config.audio_stream, audio))
+        if broken:
+            raise InvariantViolation(f"RecorderConfig.audio_stream: {'; '.join(broken)}")
         self.config = config
         # written only by the recording thread
         self._topics: dict[str, tuple[list[float], list[tuple[float, ...]]]] = {}

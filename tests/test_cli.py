@@ -1,11 +1,14 @@
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sessionforge.cli import main
+from sessionforge.cli import main, process_trial
 from sessionforge.curation import label_trial
+from sessionforge.filters import DenoisePolicy
 from sessionforge.session import Task, save_session
 from sessionforge.synth import Scenario, gen_session
 
@@ -146,6 +149,19 @@ def test_unreadable_container_file_is_json_error(capsys, tmp_path, dataset, case
     payload = json.loads(err)
     assert payload["code"] == "malformed-manifest"
     assert target in payload["message"]
+
+
+@pytest.mark.parametrize("name", ["streams/ee_pose.csv", "selections/ego_cam.csv"])
+def test_synced_file_the_manifest_lists_is_required(capsys, tmp_path, dataset, name):
+    root, trial_ids = dataset
+    synced = tmp_path / "synced"
+    assert run(capsys, "sync", "--in", str(root / trial_ids[0]), "--out", str(synced))[0] == 0
+    (synced / name).unlink()
+    code, _, err = run(capsys, "--errors", "json", "analyze", "--in", str(synced))
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["code"] == "missing-file"
+    assert str(synced / name) in payload["message"]
 
 
 # Files the user passes that fail with a typed error naming the file, never a
@@ -348,6 +364,18 @@ class TestDialogueCommands:
 
 
 class TestPipeline:
+    def test_one_nan_sample_is_not_smeared(self, tmp_path):
+        """One NaN in a raw stream stays one sample through the native-rate
+        prefilter, so sync bridges it and the trial is scored."""
+        session, truth = gen_session(Scenario(seed=5, duration=4.0, noise_sd=0.01))
+        ee = session.numeric["ee_pose"]
+        values = ee.values.copy()
+        values[200, ee.channel_index("y")] = np.nan
+        numeric = {**session.numeric, "ee_pose": replace(ee, values=values)}
+        save_session(replace(session, numeric=numeric), tmp_path / "trial")
+        tm, _, _ = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+        assert tm.ee_path_length == pytest.approx(truth.ee_path_length, rel=0.01)
+
     def test_report_deterministic(self, capsys, dataset, tmp_path):
         root, _ = dataset
         outputs = []

@@ -13,6 +13,7 @@ from sessionforge.filters import (
     filter_series,
     filtfilt,
 )
+from sessionforge.session import Channel, TimedSeries
 from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
 
@@ -168,6 +169,23 @@ class TestClassification:
 
 
 class TestDenoiseSession:
+    def test_non_finite_samples_stay_where_they_were(self):
+        """Each non-finite sample stays one sample; a channel with no finite
+        sample passes as it is, and a clean one is filtered as before."""
+        spec = design_butterworth_lowpass(4, 5.0, 100.0)
+        t = np.arange(300) / 100.0
+        clean = np.column_stack([np.sin(t), np.cos(t), np.sin(2 * t)])
+        values = clean.copy()
+        values[100, 0] = np.nan
+        values[150, 1] = np.inf
+        values[:, 2] = np.nan
+        channels = tuple(Channel(c, "m") for c in "xyz")
+        out = filter_series(TimedSeries(t, values, channels), spec).values
+        assert np.array_equal(np.isfinite(out), np.isfinite(values))
+        assert np.isinf(out[150, 1]) and np.isnan(out[:, 2]).all()
+        plain = filter_series(TimedSeries(t, clean, channels), spec).values
+        assert np.array_equal(plain.view(np.uint64), filtfilt(spec, clean).view(np.uint64))
+
     def test_noise_suppression_rms(self):
         # 30 Hz disturbance on a smooth trajectory; filtering at the native
         # rate must cut the RMS error at least 10x

@@ -1,8 +1,10 @@
 """The session container layout has one owner: only ``session.py`` names the
-container's files, the ``.npy`` sidecars that cache its CSVs included, or
-calls the manifest codec. Every other module goes through ``read_manifest``,
-``trial_dirs``, ``read_dialogues`` and friends."""
+files of the trial and synced containers, the ``.npy`` sidecars that cache
+their CSVs included, calls the manifest codec or imports the private helpers
+of ``session.py``. Every other module goes through ``read_manifest``,
+``trial_dirs``, ``read_dialogues``, ``load_synced`` and friends."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,10 @@ OWNED = (
     "_sidecar",
     "_manifest_from_dict",
     "_manifest_to_dict",
+    "grid.json",
+    "grid.csv",
+    "selections/",
+    "sync_report.json",
 )
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != OWNER)
 
@@ -32,3 +38,16 @@ def test_owner_exists():
 def test_layout_named_only_in_session(module):
     text = module.read_text(encoding="utf-8")
     assert [name for name in OWNED if name in text] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_session_import(module):
+    tree = ast.parse(module.read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("session", "sessionforge.session")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -60,6 +60,21 @@ class TestRoundTrip:
             b = loaded.numeric[name].values
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    def test_equality_compares_float_bits(self, synthetic_session):
+        """``-0.0`` differs from ``0.0``, and any NaN equals any NaN."""
+        ee = synthetic_session.numeric["ee_pose"]
+
+        def with_ee(t0, v0):
+            t, v = ee.timestamps.copy(), ee.values.copy()
+            t[0], v[1, 0] = t0, v0
+            numeric = {**synthetic_session.numeric, "ee_pose": replace(ee, timestamps=t, values=v)}
+            return replace(synthetic_session, numeric=numeric)
+
+        nan = np.float64(np.nan)
+        assert np.signbit(-nan) != np.signbit(nan)
+        assert sessions_equal(with_ee(0.0, nan), with_ee(0.0, -nan))
+        assert not sessions_equal(with_ee(0.0, nan), with_ee(-0.0, nan))
+
     def test_expected_stream_count(self, synthetic_session):
         # two cameras + three numeric + one audio
         assert len(synthetic_session.manifest.streams) == 6

@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -284,3 +287,39 @@ class TestSyncedContainer:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(MalformedManifest, match="ego_cam.csv"):
             load_synced(tmp_path / "synced")
+
+    def test_unlisted_file_is_not_read(self, tmp_path):
+        session, _ = gen_session(Scenario(seed=7, duration=3.0))
+        synced = sync_session(session)
+        root = tmp_path / "synced"
+        save_synced(synced, root)
+        shutil.copy(root / "streams" / "imu.csv", root / "streams" / "extra.csv")
+        loaded = load_synced(root)
+        assert set(loaded.numeric) == set(synced.numeric)
+        assert sorted(p.name for p in (root / "streams").glob(".extra*")) == []
+
+    @pytest.mark.parametrize(
+        "stream,source,file",
+        [
+            ("imu", "streams/imu.csv", "streams/../../outside.csv"),
+            ("ego_cam", "selections/ego_cam.csv", "video/../../outside.timestamps.csv"),
+        ],
+        ids=["numeric", "video"],
+    )
+    def test_entry_outside_the_container_is_never_opened(self, tmp_path, stream, source, file):
+        """A manifest entry named to reach outside the container fails before
+        any file is read, so nothing is read or created outside it."""
+        session, _ = gen_session(Scenario(seed=7, duration=3.0))
+        root = tmp_path / "synced"
+        save_synced(sync_session(session), root)
+        # <dir>/../../outside.csv is tmp_path/outside.csv for either directory
+        shutil.copy(root / source, tmp_path / "outside.csv")
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        next(s for s in manifest["streams"] if s["name"] == stream).update(
+            name="../../outside", file=file
+        )
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(MalformedManifest, match=r"manifest\.json: .*plain file name"):
+            load_synced(root)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outside.csv", "synced"]

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from sessionforge import transport
-from sessionforge.errors import BindError, IoError, MalformedFrame, NeedMoreBytes
+from sessionforge.errors import (
+    BindError,
+    InvariantViolation,
+    IoError,
+    MalformedFrame,
+    NeedMoreBytes,
+)
 from sessionforge.session import Task, load_session, validate_session
 from sessionforge.transport import (
     AudioDatagram,
@@ -378,6 +384,26 @@ class TestRecording:
                 del error
                 gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_bad_audio_stream_is_rejected_before_binding(self, tmp_path):
+        def start(config):
+            # returns rather than holds the error, as in the test above
+            try:
+                start_recording(config)
+            except InvariantViolation as exc:
+                return exc
+            return None
+
+        config = RecorderConfig(session_root=tmp_path / "rec", audio_stream="../mic")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error = start(config)
+            assert isinstance(error, InvariantViolation)
+            assert "audio_stream" in str(error)
+            del error
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStopCutOff:

@@ -33,13 +33,20 @@ def _aggregate_to_dict(agg: metrics.TaskAggregate) -> dict:
     return {"mean": agg.mean, "sd": agg.sd, "n": agg.n_trial}
 
 
+def _comfort_entry(wheelchair_mean_jerk: float) -> dict:
+    """The comfort band field that ``analyze`` and the report give a mean jerk."""
+    return {"wheelchair_comfort_band": metrics.comfort_check(wheelchair_mean_jerk).wheelchair_band}
+
+
 # -- per-trial processing ---------------------------------------------------
 
 def process_trial(
     trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
 ) -> tuple[metrics.TrialMetrics, sess.SyncedSession, sess.RawSession]:
-    """raw -> native-rate denoise -> sync -> grid-rate denoise -> metrics."""
-    raw = sess.load_session(trial_dir)
+    """raw -> native-rate denoise -> sync -> grid-rate denoise -> metrics.
+    No stage reads audio, so each WAV's header is checked and its samples
+    are left unread."""
+    raw = sess.load_session(trial_dir, audio=False)
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
     rest = {name: series for name, series in synced.numeric.items() if name not in done}
@@ -61,9 +68,7 @@ def build_report(
         tasks[task] = {
             "n": row["n"],
             **{m: _aggregate_to_dict(row[m]) for m in metrics.REPORTED_METRICS},
-            "wheelchair_comfort_band": metrics.comfort_check(
-                row["wheelchair_mean_jerk"].mean
-            ).wheelchair_band,
+            **_comfort_entry(row["wheelchair_mean_jerk"].mean),
         }
     report: dict = {
         "tasks": tasks,
@@ -134,7 +139,7 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_sync(args) -> int:
-    raw = sess.load_session(args.input)
+    raw = sess.load_session(args.input, audio=False)  # sync reads no audio
     synced = sync.sync_session(raw, tau=args.tau)
     sess.save_synced(synced, args.out)
     print(json.dumps(synced.report(), indent=2, sort_keys=True))
@@ -164,10 +169,7 @@ def _cmd_denoise(args) -> int:
 def _cmd_analyze(args) -> int:
     synced = sess.load_synced(args.input)
     tm = metrics.compute_trial_metrics(synced)
-    payload = tm.to_json_dict()
-    payload["wheelchair_comfort_band"] = metrics.comfort_check(
-        tm.wheelchair_mean_jerk
-    ).wheelchair_band
+    payload = {**tm.to_json_dict(), **_comfort_entry(tm.wheelchair_mean_jerk)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")

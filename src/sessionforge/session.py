@@ -13,15 +13,17 @@ functions here. A session lives in a directory:
 and a dataset is a directory of such trial directories. A stream's path is
 fixed by its kind and name, ``describe_stream`` derives its manifest entry,
 and a manifest naming another path fails to load. Conformance flags, such as
-audio not at 48 kHz, fail neither save nor load. A synced container
+audio not at 48 kHz, fail neither save nor load. ``load_session(...,
+audio=False)``, the load of the batch pipeline and ``sync``, checks each WAV's
+header as a full load does and leaves its samples unread. A synced container
 (``save_synced``) is read by its manifest too (``load_synced``), and a file
-the manifest does not list is ignored. Floats are written
-with 17 significant digits so save/load round-trips bit-exactly. Every CSV in
-the container, the synced container's included, goes through
-``_read_table``/``_write_table``: numpy ``loadtxt`` parses them, and the writer
-formats blocks of rows with one ``%`` each. Every JSON file goes through
-``read_json``/``write_json``. A file that cannot be read raises
-``MissingFile`` or ``MalformedManifest`` naming it.
+the manifest does not list is ignored; each of its selections and streams has
+one row per grid point. Floats are written with 17 significant digits so
+save/load round-trips bit-exactly. Every CSV in the container, the synced
+container's included, goes through ``_read_table``/``_write_table``: numpy
+``loadtxt`` parses them, and the writer formats blocks of rows with one ``%``
+each. Every JSON file goes through ``read_json``/``write_json``. A file that
+cannot be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
@@ -629,21 +631,32 @@ def _write_wav(path: Path, track: AudioTrack) -> None:
         w.writeframes(track.samples.astype("<i2").tobytes())
 
 
-def _read_wav(path: Path) -> AudioTrack:
+def _read_wav(path: Path, samples: bool = True) -> AudioTrack:
+    """The track in WAV ``path``; with ``samples=False`` its header only, and
+    no samples. Both check that the data chunk holds whole 16-bit samples, so
+    a file cut mid-sample fails either way without its samples being read."""
     if not path.is_file():
         raise MissingFile(str(path))
     try:
-        with wave.open(str(path), "rb") as w:
+        with path.open("rb") as f, wave.open(f) as w:
             meta = AudioMeta(
                 sample_rate=w.getframerate(),
                 bit_depth=w.getsampwidth() * 8,
                 channels=w.getnchannels(),
             )
-            samples = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+            # The byte count readframes would return: the chunk's whole
+            # frames, or what the file holds of them. wave.open leaves f at
+            # the first byte of the data chunk.
+            nbytes = min(
+                w.getnframes() * w.getsampwidth() * w.getnchannels(),
+                os.fstat(f.fileno()).st_size - f.tell(),
+            )
+            if nbytes % 2:
+                raise ValueError(f"data chunk cut mid-sample ({nbytes} bytes)")
+            pcm = np.frombuffer(w.readframes(w.getnframes()) if samples else b"", dtype="<i2")
     except (wave.Error, EOFError, OSError, ValueError) as exc:
-        # ValueError: a data chunk cut mid-sample leaves an odd byte count.
         raise MalformedManifest(f"{path}: not a readable PCM WAV: {exc}") from exc
-    return AudioTrack(meta=meta, samples=samples)
+    return AudioTrack(meta=meta, samples=pcm)
 
 
 def save_session(session: RawSession, root_path: str | Path) -> None:
@@ -677,13 +690,19 @@ def _read_checked_manifest(root: Path) -> SessionManifest:
     return manifest
 
 
-def load_session(root_path: str | Path) -> RawSession:
-    """Load and validate a session directory; raises on any broken invariant."""
+def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
+    """Load and validate a session directory; raises on any broken invariant.
+
+    With ``audio=False`` each WAV's header is read and checked as a full load
+    checks it, but its samples are left unread, and the session returned holds
+    no audio: ``audio`` is ``{}``, though the manifest keeps its audio entries.
+    Such a session cannot be saved, since an entry without data is a broken
+    invariant; the batch pipeline and ``sync`` load this way."""
     root = Path(root_path)
     manifest = _read_checked_manifest(root)
     numeric: dict[str, TimedSeries] = {}
     frame_logs: dict[str, FrameTimestampLog] = {}
-    audio: dict[str, AudioTrack] = {}
+    tracks: dict[str, AudioTrack] = {}
     for desc in manifest.streams:
         path = root / desc.file
         if desc.kind is StreamKind.NUMERIC:
@@ -691,24 +710,40 @@ def load_session(root_path: str | Path) -> RawSession:
         elif desc.kind is StreamKind.VIDEO_FRAMES:
             frame_logs[desc.name] = FrameTimestampLog(desc.name, _read_table(path)[1][:, 0])
         elif desc.kind is StreamKind.AUDIO:
-            audio[desc.name] = _read_wav(path)
+            tracks[desc.name] = _read_wav(path, samples=audio)
 
     session = RawSession(
         manifest=manifest,
         numeric=numeric,
         frame_logs=frame_logs,
-        audio=audio,
+        audio=tracks,
         dialogues=read_dialogues(root),
     )
     _require_valid(session)
-    return session
+    return session if audio else replace(session, audio={})
 
 
 _SELECTION_PATH = "selections/{}.csv"
+_SELECTION_HEADER = ["index", "accepted"]
+
+
+def _synced_checks(synced: SyncedSession) -> None:
+    """``save_synced``'s and ``load_synced``'s one rule: each selection and
+    each stream has one row per grid point."""
+    k, broken = synced.grid.k, []
+    for name, sel in synced.frame_selections.items():
+        if not np.shape(sel.selected_indices) == np.shape(sel.accepted_flags) == (k,):
+            broken.append(f"selections[{name}]: {k} index,accepted rows needed, one per grid point")
+    for name, series in synced.numeric.items():
+        if not series.n_samples == len(series.values) == k:
+            broken.append(f"streams[{name}]: {k} rows needed, one per grid point")
+    if broken:
+        raise InvariantViolation("; ".join(broken))
 
 
 def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
     """Persist a synced session: grid, selections, resampled streams, report."""
+    _synced_checks(synced)
     root = Path(root_path)
     try:
         for sub in ("selections", "streams"):
@@ -719,7 +754,7 @@ def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
         for name, sel in synced.frame_selections.items():
             _write_table(
                 root / _SELECTION_PATH.format(name),
-                "index,accepted",
+                ",".join(_SELECTION_HEADER),
                 [sel.selected_indices, sel.accepted_flags],
             )
         for name, series in synced.numeric.items():
@@ -747,11 +782,16 @@ def load_synced(root_path: str | Path) -> SyncedSession:
     numeric: dict[str, TimedSeries] = {}
     for desc in manifest.streams:
         if desc.kind is StreamKind.VIDEO_FRAMES:
-            _, sel = _read_table(root / _SELECTION_PATH.format(desc.name), dtype=int)
+            path = root / _SELECTION_PATH.format(desc.name)
+            names, sel = _read_table(path, dtype=int)
+            if names != _SELECTION_HEADER:
+                raise MalformedManifest(f"{path}: header {names} is not {_SELECTION_HEADER}")
             selections[desc.name] = FrameSelection(desc.name, sel[:, 0], sel[:, 1].astype(bool))
         elif desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(root / desc.file, desc.channels)
-    return SyncedSession(manifest, grid, selections, numeric, tau)
+    synced = SyncedSession(manifest, grid, selections, numeric, tau)
+    _synced_checks(synced)
+    return synced
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

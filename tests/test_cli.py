@@ -1,5 +1,6 @@
 import json
 import warnings
+import wave
 from dataclasses import replace
 from pathlib import Path
 
@@ -105,15 +106,25 @@ def _drop_grid_rate(path):
 
 # Every unreadable container file fails with a typed error naming it, never
 # a traceback: case -> (command, file to corrupt, corruption).
-UNREADABLE_CONTAINER_CASES = {
-    "wav-not-riff": (
-        "sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _replace_bytes(b"RIFX" * 16)
-    ),
+WAV_CORRUPTIONS = {
+    "wav-not-riff": _replace_bytes(b"RIFX" * 16),
     # Cut inside the 44-byte header, then one byte into the first 16-bit sample.
-    "wav-truncated": ("sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _truncate(30)),
-    "wav-cut-mid-sample": (
-        "sync --in {trial} --out {out}", "{trial}/audio/mic.wav", _truncate(45)
-    ),
+    "wav-truncated": _truncate(30),
+    "wav-cut-mid-sample": _truncate(45),
+}
+
+UNREADABLE_CONTAINER_CASES = {
+    # sync and pipeline read each WAV's header only, and fail as a full load does.
+    **{
+        case: ("sync --in {trial} --out {out}", "{trial}/audio/mic.wav", corrupt)
+        for case, corrupt in WAV_CORRUPTIONS.items()
+    },
+    **{
+        f"pipeline-{case}": (
+            "pipeline --root {root} --report {out}", "{trial}/audio/mic.wav", corrupt
+        )
+        for case, corrupt in WAV_CORRUPTIONS.items()
+    },
     "dialogue-not-utf8": (
         "sync --in {trial} --out {out}", "{trial}/dialogue.jsonl", _replace_bytes(b"\xff{}\n")
     ),
@@ -162,6 +173,79 @@ def test_synced_file_the_manifest_lists_is_required(capsys, tmp_path, dataset, n
     payload = json.loads(err)
     assert payload["code"] == "missing-file"
     assert str(synced / name) in payload["message"]
+
+
+def _write_8bit_wav(path):
+    with wave.open(str(path), "wb") as w:
+        w.setnchannels(1)
+        w.setsampwidth(1)
+        w.setframerate(48000)
+        w.writeframes(bytes(100))  # an even byte count, so whole int16 samples
+
+
+@pytest.mark.parametrize(
+    "command", ["sync --in {trial} --out {out}", "pipeline --root {root} --report {out}"]
+)
+def test_8bit_wav_is_the_same_invariant_violation(capsys, tmp_path, dataset, command):
+    """The header-only load of sync and pipeline refuses an 8-bit WAV as the
+    full load does."""
+    root, trial_ids = dataset
+    trial = root / trial_ids[0]
+    _write_8bit_wav(trial / "audio" / "mic.wav")
+    argv = command.format(root=root, trial=trial, out=tmp_path / "out").split()
+    code, _, err = run(capsys, "--errors", "json", *argv)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "invariant-violation"
+
+
+def test_pipeline_and_sync_read_no_audio_samples(capsys, tmp_path, dataset, monkeypatch):
+    root, trial_ids = dataset
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, before, _ = run(capsys, "report", "--root", str(root))
+
+        def no_samples(self, nframes):
+            raise AssertionError("WAV samples were read")
+
+        monkeypatch.setattr(wave.Wave_read, "readframes", no_samples)
+        code, after, _ = run(capsys, "report", "--root", str(root))
+    assert code == 0
+    assert after == before
+    sync_argv = ["sync", "--in", str(root / trial_ids[0]), "--out", str(tmp_path / "synced")]
+    assert run(capsys, *sync_argv)[0] == 0
+
+
+# A synced container whose selection or stream does not have one row per grid
+# point: case -> (cut, error code).
+def _selection_header_only(synced):
+    (synced / "selections" / "ego_cam.csv").write_text("index\n", encoding="utf-8")
+
+
+def _rows_cut(synced):
+    for name, rows in (("streams/ee_pose.csv", 9), ("selections/ego_cam.csv", 4)):
+        lines = (synced / name).read_text(encoding="utf-8").splitlines()
+        (synced / name).write_text("\n".join(lines[: rows + 1]) + "\n", encoding="utf-8")
+
+
+SYNCED_CUTS = {
+    "selection-header-only": (_selection_header_only, "malformed-manifest"),
+    "rows-cut": (_rows_cut, "invariant-violation"),
+}
+
+
+@pytest.mark.parametrize("case", SYNCED_CUTS)
+def test_synced_rows_not_on_the_grid_are_json_error(capsys, tmp_path, dataset, case):
+    cut, error = SYNCED_CUTS[case]
+    root, trial_ids = dataset
+    synced = tmp_path / "synced"
+    assert run(capsys, "sync", "--in", str(root / trial_ids[0]), "--out", str(synced))[0] == 0
+    cut(synced)
+    code, out, err = run(capsys, "--errors", "json", "analyze", "--in", str(synced))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == error
 
 
 # Files the user passes that fail with a typed error naming the file, never a

@@ -6,6 +6,7 @@ import stat
 import sys
 import threading
 import warnings
+import wave
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -179,6 +180,67 @@ class TestLoadErrors:
             assert series.values.shape == (0, len(channels))
             with pytest.raises(InvariantViolation, match="N >= 2"):
                 load_session(tmp_path / "trial")
+
+
+def _wav(sampwidth: int, nframes: int):
+    def write(path):
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(sampwidth)
+            w.setframerate(48000)
+            w.writeframes(bytes(sampwidth * nframes))
+
+    return write
+
+
+def _cut(n: int):
+    return lambda path: path.write_bytes(path.read_bytes()[:n])
+
+
+# WAV files that a full and a header-only load both accept (None) or both
+# refuse with the same error.
+WAV_CASES = {
+    "intact": (lambda path: None, None),
+    "not-riff": (lambda path: path.write_bytes(b"RIFX" * 16), MalformedManifest),
+    "cut-in-header": (_cut(30), MalformedManifest),
+    "cut-mid-sample": (_cut(45), MalformedManifest),
+    "cut-on-a-sample": (_cut(1000), None),
+    "byte-after-data": (lambda path: path.write_bytes(path.read_bytes() + b"\0"), None),
+    "8-bit-odd-bytes": (_wav(1, 101), MalformedManifest),
+    "8-bit": (_wav(1, 100), InvariantViolation),
+}
+
+
+class TestHeaderOnlyAudio:
+    """``load_session(audio=False)`` checks each WAV's header as a full load
+    does and reads none of its samples."""
+
+    @pytest.mark.parametrize("case", WAV_CASES)
+    def test_same_outcome_as_a_full_load(self, synthetic_session, tmp_path, monkeypatch, case):
+        corrupt, error = WAV_CASES[case]
+        save_session(synthetic_session, tmp_path / "trial")
+        corrupt(tmp_path / "trial" / "audio" / "mic.wav")
+        if error is not None:
+            for audio in (True, False):
+                with pytest.raises(error, match="mic"):
+                    load_session(tmp_path / "trial", audio=audio)
+            return
+        full = load_session(tmp_path / "trial")
+
+        def no_samples(self, nframes):
+            raise AssertionError("WAV samples were read")
+
+        monkeypatch.setattr(wave.Wave_read, "readframes", no_samples)
+        lean = load_session(tmp_path / "trial", audio=False)
+        assert lean.audio == {} and full.audio
+        assert sessions_equal(replace(full, audio={}), lean)
+
+    def test_cannot_be_saved(self, synthetic_session, tmp_path):
+        save_session(synthetic_session, tmp_path / "trial")
+        lean = load_session(tmp_path / "trial", audio=False)
+        with pytest.raises(InvariantViolation, match=r"streams\[mic\]: manifest entry"):
+            save_session(lean, tmp_path / "copy")
+        assert not (tmp_path / "copy").exists()
 
 
 class TestFormat:

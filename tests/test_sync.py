@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from sessionforge.errors import (
     EmptyFrameLog,
     GridOutsideSeries,
+    InvariantViolation,
     MalformedManifest,
     NoOverlap,
     UnbridgeableGap,
@@ -240,7 +242,6 @@ class TestSyncSession:
         shifted["ego_cam"] = FrameTimestampLog(
             stream="ego_cam", frame_timestamps=log.frame_timestamps + 100.0
         )
-        from dataclasses import replace
 
         with pytest.raises(NoOverlap):
             sync_session(replace(session, frame_logs=shifted))
@@ -287,6 +288,21 @@ class TestSyncedContainer:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(MalformedManifest, match="ego_cam.csv"):
             load_synced(tmp_path / "synced")
+
+    @pytest.mark.parametrize("part", ["selection", "stream"])
+    def test_rows_off_the_grid_are_not_saved(self, tmp_path, part):
+        synced = sync_session(gen_session(Scenario(seed=7, duration=3.0))[0])
+        if part == "selection":
+            sel = synced.frame_selections["ego_cam"]
+            cut = replace(sel, accepted_flags=sel.accepted_flags[:-1])
+            synced = replace(synced, frame_selections={**synced.frame_selections, "ego_cam": cut})
+        else:
+            ee = synced.numeric["ee_pose"]
+            cut = replace(ee, timestamps=ee.timestamps[:9], values=ee.values[:9])
+            synced = replace(synced, numeric={**synced.numeric, "ee_pose": cut})
+        with pytest.raises(InvariantViolation, match="one per grid point"):
+            save_synced(synced, tmp_path / "synced")
+        assert not (tmp_path / "synced").exists()
 
     def test_unlisted_file_is_not_read(self, tmp_path):
         session, _ = gen_session(Scenario(seed=7, duration=3.0))

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
-from .errors import MalformedManifest, MissingFile, SessionForgeError
+from .errors import MissingFile, SessionForgeError
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -84,12 +84,21 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+# The prefix of each reported metric's mean and sd columns in the CSV report.
+CSV_PREFIXES = {
+    "duration": "duration",
+    "ee_path_length": "path",
+    "ee_mean_jerk": "ee_jerk",
+    "wheelchair_mean_jerk": "wc_jerk",
+}
+
+
 def _report_csv(report: dict) -> str:
     def fmt(v):
         return "" if v is None else repr(v)
 
     stats = [(m, stat) for m in metrics.REPORTED_METRICS for stat in ("mean", "sd")]
-    lines = [",".join(["task", "n"] + [f"{metrics.CSV_PREFIXES[m]}_{stat}" for m, stat in stats])]
+    lines = [",".join(["task", "n"] + [f"{CSV_PREFIXES[m]}_{stat}" for m, stat in stats])]
     for task, row in sorted(report["tasks"].items()):
         lines.append(",".join([task, str(row["n"])] + [fmt(row[m][stat]) for m, stat in stats]))
     return "\n".join(lines) + "\n"
@@ -149,12 +158,7 @@ def _cmd_sync(args) -> int:
 def _load_policy(spec: str) -> filters.DenoisePolicy:
     if spec == "default":
         return filters.DenoisePolicy.default()
-    path = Path(spec)
-    d = sess.read_json(path)
-    try:
-        return filters.DenoisePolicy.from_json_dict(d)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedManifest(f"{path}: not a denoise policy: {exc}") from exc
+    return sess.read_user_json(Path(spec), filters.DenoisePolicy.from_json_dict, "denoise policy")
 
 
 def _cmd_denoise(args) -> int:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import statistics
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
@@ -17,7 +18,7 @@ from .errors import (
     UnknownTrial,
     UnlabeledTrial,
 )
-from .session import SessionManifest, Task, read_manifest, trial_dirs, write_manifest
+from .session import SessionManifest, read_manifest, task_label, trial_dirs, write_manifest
 
 
 class Violation(str, Enum):
@@ -63,12 +64,7 @@ class DatasetStats:
     success_percentage: str  # 2 decimals, half-up, e.g. "80.30"
 
     def to_json_dict(self) -> dict:
-        return {
-            "per_task": self.per_task,
-            "total_raw": self.total_raw,
-            "total_successful": self.total_successful,
-            "success_percentage": self.success_percentage,
-        }
+        return asdict(self)
 
 
 def _percentage(successful: int, raw: int) -> str:
@@ -84,8 +80,7 @@ def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
         raise EmptyInput("no manifests")
     per_task: dict[str, dict[str, int]] = {}
     for m in manifests:
-        task = m.task.value if isinstance(m.task, Task) else str(m.task)
-        row = per_task.setdefault(task, {"raw": 0, "successful": 0})
+        row = per_task.setdefault(task_label(m.task), {"raw": 0, "successful": 0})
         row["raw"] += 1
         if m.success:
             row["successful"] += 1
@@ -118,8 +113,7 @@ def filter_successful(dataset_root: str | Path, strict: bool = True) -> list[str
             warnings.warn(f"trial {m.session_id} unlabeled; excluded")
             continue
         if m.success:
-            task = m.task.value if isinstance(m.task, Task) else str(m.task)
-            selected.append((task, m.session_id))
+            selected.append((task_label(m.task), m.session_id))
     return [trial_id for _, trial_id in sorted(selected)]
 
 
@@ -140,12 +134,8 @@ def survey_stats(responses: dict[str, list[int]]) -> SurveySummary:
         for r in ratings:
             if r not in (1, 2, 3, 4, 5):
                 raise OutOfRangeRating(f"{qid}: rating {r}")
-        ordered = sorted(ratings)
-        n = len(ordered)
-        if n % 2 == 1:
-            median = float(ordered[n // 2])
-        else:
-            median = (ordered[n // 2 - 1] + ordered[n // 2]) / 2.0
+        n = len(ratings)
+        median = float(statistics.median(ratings))
         top_box = 100.0 * sum(1 for r in ratings if r >= 4) / n
         per_question[qid] = {"median": median, "top_box_percent": top_box, "n": n}
     return SurveySummary(per_question=per_question)

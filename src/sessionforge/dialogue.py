@@ -86,15 +86,11 @@ class AnnotatedDialogue:
 def annotate_utterance(
     dialogue: AnnotatedDialogue, turn_index: int, label: AmbiguityLabel
 ) -> AnnotatedDialogue:
-    """Return a new dialogue with ``label`` attached to the given user turn."""
-    by_index = {u.turn_index: u for u in dialogue.turns}
-    if turn_index not in by_index:
+    """Return a new dialogue with ``label`` attached to the given user turn;
+    the new dialogue's own checks refuse a turn that is not the user's."""
+    if not 0 <= turn_index < len(dialogue.turns):
         raise NotUserTurn(f"no turn with index {turn_index}")
-    if by_index[turn_index].speaker is not Speaker.USER:
-        raise NotUserTurn(f"turn {turn_index} is not a user turn")
-    labels = dict(dialogue.labels)
-    labels[turn_index] = label
-    return replace(dialogue, labels=labels)
+    return replace(dialogue, labels={**dialogue.labels, turn_index: label})
 
 
 def _dialogue_to_record(d: AnnotatedDialogue) -> dict:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import AmbiguousStream, EmptyInput, MissingChannel, TooFewSamples
 from .filters import ChannelClass, classify_stream
+from .session import task_label
 
 # Published wheelchair ride comfort band for mean jerk, m/s^3.
 COMFORT_BAND_LOW = 0.3
@@ -21,15 +22,8 @@ COMFORT_BAND_HIGH = 0.9
 # context only and never compared against jerk values.
 ISO_WHOLE_BODY_COMFORT_ACCEL = 0.315
 
-# The TrialMetrics fields the report aggregates per task, in CSV column order,
-# and the prefix of each one's mean/sd columns in the CSV report.
+# The TrialMetrics fields the report aggregates per task, in CSV column order.
 REPORTED_METRICS = ("duration", "ee_path_length", "ee_mean_jerk", "wheelchair_mean_jerk")
-CSV_PREFIXES = {
-    "duration": "duration",
-    "ee_path_length": "path",
-    "ee_mean_jerk": "ee_jerk",
-    "wheelchair_mean_jerk": "wc_jerk",
-}
 
 
 def jerk_series(positions: np.ndarray, dt: float) -> np.ndarray:
@@ -72,11 +66,6 @@ class TaskAggregate:
     n_trial: int
     mean: float
     sd: float | None  # absent for a single trial
-
-    def __str__(self) -> str:
-        if self.sd is None:
-            return f"{self.mean:.4g} (n=1)"
-        return f"{self.mean:.4g} ± {self.sd:.4g} (n={self.n_trial})"
 
 
 def task_aggregate(values: list[float], task: str = "") -> TaskAggregate:
@@ -156,9 +145,7 @@ def compute_trial_metrics(synced) -> TrialMetrics:
     duration = float(grid.timestamps[-1] - grid.timestamps[0])
     return TrialMetrics(
         trial_id=synced.manifest.session_id,
-        task=synced.manifest.task.value
-        if hasattr(synced.manifest.task, "value")
-        else str(synced.manifest.task),
+        task=task_label(synced.manifest.task),
         duration=duration,
         ee_path_length=path_length(ee),
         ee_mean_jerk=trial_mean_jerk(jerk_series(ee, dt)),

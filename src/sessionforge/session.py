@@ -15,15 +15,18 @@ fixed by its kind and name, ``describe_stream`` derives its manifest entry,
 and a manifest naming another path fails to load. Conformance flags, such as
 audio not at 48 kHz, fail neither save nor load. ``load_session(...,
 audio=False)``, the load of the batch pipeline and ``sync``, checks each WAV's
-header as a full load does and leaves its samples unread. A synced container
-(``save_synced``) is read by its manifest too (``load_synced``), and a file
-the manifest does not list is ignored; each of its selections and streams has
-one row per grid point. Floats are written with 17 significant digits so
-save/load round-trips bit-exactly. Every CSV in the container, the synced
-container's included, goes through ``_read_table``/``_write_table``: numpy
-``loadtxt`` parses them, and the writer formats blocks of rows with one ``%``
-each. Every JSON file goes through ``read_json``/``write_json``. A file that
-cannot be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
+header as a full load does and leaves its samples unread. Every timestamp
+array, of a stream, a frame log or a synced grid, keeps one time rule
+(``_time_violations``): enough samples, finite, strictly increasing. A synced
+container (``save_synced``) is read by its manifest too (``load_synced``),
+and a file the manifest does not list is ignored. Save refuses, before
+writing anything, what load rejects: ``_synced_checks`` is the one rule of
+both. Floats are written with 17 significant digits so save/load round-trips
+bit-exactly. Every CSV in the container, the synced container's included,
+goes through ``_read_table``/``_write_table``: numpy ``loadtxt`` parses them,
+and the writer formats blocks of rows with one ``%`` each. Every JSON file
+goes through ``read_json``/``write_json``. A file that cannot be read raises
+``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
@@ -45,11 +48,12 @@ import glob
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import tempfile
 import wave
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -78,6 +82,11 @@ class Task(str, Enum):
     DRAWER_OPENING = "drawer_opening"
     DRINKING = "drinking"
     FEEDING = "feeding"
+
+
+def task_label(task: Task | str) -> str:
+    """The text a report and the dataset tables give ``task``."""
+    return task.value if isinstance(task, Task) else str(task)
 
 
 class StreamKind(str, Enum):
@@ -143,12 +152,6 @@ class TimedSeries:
             if ch.name == name:
                 return i
         return None
-
-    def column(self, name: str) -> np.ndarray:
-        idx = self.channel_index(name)
-        if idx is None:
-            raise KeyError(name)
-        return self.values[:, idx]
 
 
 @dataclass(frozen=True)
@@ -294,16 +297,24 @@ def validate_manifest(manifest: SessionManifest) -> list[str]:
     return broken + flags
 
 
+def _time_violations(where: str, t: np.ndarray, n_min: int) -> list[str]:
+    """The time rule of every timestamp array: at least ``n_min`` samples,
+    finite, strictly increasing. Strictly increasing with finite ends implies
+    finite, so a valid array costs one ``diff`` and no ``isfinite`` pass over
+    the array."""
+    violations = [f"{where}: N >= {n_min} required"] if len(t) < n_min else []
+    if len(t) and not (math.isfinite(t[0]) and math.isfinite(t[-1]) and np.all(np.diff(t) > 0)):
+        if np.all(np.isfinite(t)):
+            violations.append(f"{where}: timestamps strictly increasing")
+        else:
+            violations.append(f"{where}: timestamps must be finite")
+    return violations
+
+
 def series_violations(name: str, series: TimedSeries) -> list[str]:
     """The invariants numeric stream ``name`` breaks; one string per rule."""
-    violations = []
     t = series.timestamps
-    if len(t) < 2:
-        violations.append(f"streams[{name}]: N >= 2 required")
-    if not np.all(np.isfinite(t)):
-        violations.append(f"streams[{name}]: timestamps must be finite")
-    elif len(t) > 1 and not np.all(np.diff(t) > 0):
-        violations.append(f"streams[{name}]: timestamps strictly increasing")
+    violations = _time_violations(f"streams[{name}]", t, 2)
     if len(series.values) != len(t):
         violations.append(f"streams[{name}]: values length must match timestamps")
     if series.values.shape[1] != len(series.channels):
@@ -325,11 +336,7 @@ def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     for name, series in session.numeric.items():
         broken += series_violations(name, series)
     for name, log in session.frame_logs.items():
-        t = log.frame_timestamps
-        if len(t) < 1:
-            broken.append(f"streams[{name}]: frame log must be non-empty")
-        elif len(t) > 1 and not np.all(np.diff(t) > 0):
-            broken.append(f"streams[{name}]: timestamps strictly increasing")
+        broken += _time_violations(f"streams[{name}]", log.frame_timestamps, 1)
     for name, track in session.audio.items():
         if track.meta.sample_rate != PAPER_AUDIO_RATE:
             flags.append(f"streams[{name}]: audio-rate-nonconformant ({track.meta.sample_rate} Hz)")
@@ -354,25 +361,8 @@ def _require_valid(session: RawSession) -> None:
 # -- serialization ----------------------------------------------------------
 
 def _manifest_to_dict(m: SessionManifest) -> dict:
-    return {
-        "session_id": m.session_id,
-        "participant_id": m.participant_id,
-        "task": m.task.value if isinstance(m.task, Task) else m.task,
-        "success": m.success,
-        "created_at": m.created_at.isoformat(),
-        "notes": m.notes,
-        "violation_flags": list(m.violation_flags),
-        "streams": [
-            {
-                "name": s.name,
-                "kind": s.kind.value,
-                "nominal_rate": s.nominal_rate,
-                "channels": [{"name": c.name, "unit": c.unit} for c in s.channels],
-                "file": s.file,
-            }
-            for s in m.streams
-        ],
-    }
+    # The str enums Task and StreamKind encode as their values.
+    return {**asdict(m), "created_at": m.created_at.isoformat()}
 
 
 def _manifest_from_dict(d: dict, path: Path) -> SessionManifest:
@@ -414,6 +404,16 @@ def read_json(path: Path):
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # bad UTF-8 and bad JSON are ValueErrors
         raise MalformedManifest(f"{path}: {exc}") from exc
+
+
+def read_user_json(path: Path, parse, what: str):
+    """``parse`` of JSON file ``path`` that the user passed; a file that is
+    not ``what`` raises MalformedManifest naming it."""
+    d = read_json(path)
+    try:
+        return parse(d)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedManifest(f"{path}: not a {what}: {exc}") from exc
 
 
 def write_json(path: Path, obj, sort_keys: bool = False) -> None:
@@ -728,15 +728,36 @@ _SELECTION_HEADER = ["index", "accepted"]
 
 
 def _synced_checks(synced: SyncedSession) -> None:
-    """``save_synced``'s and ``load_synced``'s one rule: each selection and
-    each stream has one row per grid point."""
-    k, broken = synced.grid.k, []
+    """``save_synced``'s and ``load_synced``'s one rule. The grid rate is
+    finite and > 0, tau finite and >= 0, and the grid keeps the time rule.
+    Video and numeric entries match the selections and streams one to one.
+    Each selection has one row per grid point, indices >= 0 and flags 0 or 1;
+    each stream has one row per grid point, at the grid's timestamps bit for
+    bit."""
+    grid, k = synced.grid, synced.grid.k
+    broken = _time_violations("grid", grid.timestamps, 1)
+    if not (math.isfinite(grid.rate) and grid.rate > 0):
+        broken.append(f"grid.rate: {grid.rate} must be finite and > 0")
+    if not (math.isfinite(synced.tau) and synced.tau >= 0):
+        broken.append(f"tau: {synced.tau} must be finite and >= 0")
+    for kind, held in (
+        (StreamKind.VIDEO_FRAMES, synced.frame_selections),
+        (StreamKind.NUMERIC, synced.numeric),
+    ):
+        entries = [s.name for s in synced.manifest.streams if s.kind is kind]
+        if sorted(entries) != sorted(held):
+            broken.append(f"{kind.value} entries {entries} do not match data {list(held)}")
     for name, sel in synced.frame_selections.items():
-        if not np.shape(sel.selected_indices) == np.shape(sel.accepted_flags) == (k,):
+        index, flags = sel.selected_indices, sel.accepted_flags
+        if not np.shape(index) == np.shape(flags) == (k,):
             broken.append(f"selections[{name}]: {k} index,accepted rows needed, one per grid point")
+        elif not (np.all(index >= 0) and np.all((flags == 0) | (flags == 1))):
+            broken.append(f"selections[{name}]: indices must be >= 0 and flags 0 or 1")
     for name, series in synced.numeric.items():
         if not series.n_samples == len(series.values) == k:
             broken.append(f"streams[{name}]: {k} rows needed, one per grid point")
+        elif not np.array_equal(series.timestamps.view(np.uint64), grid.timestamps.view(np.uint64)):
+            broken.append(f"streams[{name}]: timestamps must equal the grid's bit for bit")
     if broken:
         raise InvariantViolation("; ".join(broken))
 
@@ -786,12 +807,14 @@ def load_synced(root_path: str | Path) -> SyncedSession:
             names, sel = _read_table(path, dtype=int)
             if names != _SELECTION_HEADER:
                 raise MalformedManifest(f"{path}: header {names} is not {_SELECTION_HEADER}")
-            selections[desc.name] = FrameSelection(desc.name, sel[:, 0], sel[:, 1].astype(bool))
+            selections[desc.name] = FrameSelection(desc.name, sel[:, 0], sel[:, 1])
         elif desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(root / desc.file, desc.channels)
-    synced = SyncedSession(manifest, grid, selections, numeric, tau)
-    _synced_checks(synced)
-    return synced
+    # Checked before the flags become bool, which would read a 2 as True.
+    _synced_checks(SyncedSession(manifest, grid, selections, numeric, tau))
+    flags = {name: replace(sel, accepted_flags=sel.accepted_flags.astype(bool))
+             for name, sel in selections.items()}
+    return SyncedSession(manifest, grid, flags, numeric, tau)
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

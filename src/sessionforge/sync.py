@@ -2,9 +2,10 @@
 
 The pipeline: compute the overlap window across all streams, lay a uniform
 reference grid at the lowest video frame rate over it, pick the nearest frame
-per camera per grid step under a tolerance (falling back to the previously
-selected frame on a miss), and linearly resample numeric channels onto the
-grid.
+per camera per grid step under a tolerance (falling back to the last accepted
+frame on a miss), and linearly resample numeric channels onto the grid,
+bridging NaN runs of up to ``MAX_GAP`` seconds. The synced container is
+``session.py``'s; ``load_synced`` and ``save_synced`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .session import (
     save_synced,  # noqa: F401
 )
 
-DEFAULT_MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
+MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,7 @@ def compute_overlap(streams: list[TimedSeries | FrameTimestampLog]) -> OverlapWi
     if len(streams) < 2:
         raise ValueError("need at least two streams to overlap")
     spans = [_span(s) for s in streams]
-    start = max(s for s, _ in spans)
-    end = min(e for _, e in spans)
-    if start >= end:
-        raise NoOverlap(f"latest start {start} >= earliest end {end}")
-    return OverlapWindow(t_start=start, t_end=end)
+    return OverlapWindow(t_start=max(s for s, _ in spans), t_end=min(e for _, e in spans))
 
 
 def build_reference_grid(window: OverlapWindow, rate: float) -> ReferenceGrid:
@@ -115,13 +112,11 @@ def match_frames(
     )
 
 
-def interpolate_numeric(
-    series: TimedSeries, grid: ReferenceGrid, max_gap: float = DEFAULT_MAX_GAP
-) -> TimedSeries:
+def interpolate_numeric(series: TimedSeries, grid: ReferenceGrid) -> TimedSeries:
     """Linear interpolation of every channel onto the grid.
 
     NaN runs in a channel are bridged by interpolating across them, unless the
-    surrounding valid samples are more than ``max_gap`` seconds apart.
+    surrounding valid samples are more than ``MAX_GAP`` seconds apart.
     """
     t = series.timestamps
     g = grid.timestamps
@@ -143,10 +138,10 @@ def interpolate_numeric(
                 )
             gaps = np.diff(tv)
             worst = np.max(gaps)
-            if worst > max_gap:
+            if worst > MAX_GAP:
                 raise UnbridgeableGap(
                     f"channel {series.channels[c].name}: {worst:.3f} s gap exceeds "
-                    f"max_gap {max_gap:.3f} s"
+                    f"max_gap {MAX_GAP:.3f} s"
                 )
             out[:, c] = np.interp(g, tv, col[valid])
         else:

@@ -3,8 +3,8 @@
 Every scenario is generated from a counter-based Philox PRNG keyed by the
 seed, so the same seed yields bit-identical sessions on any platform. Motion
 profiles are chosen so path length and mean jerk have closed forms; sensor
-noise defaults to a narrowband high-frequency disturbance that a low-pass
-denoiser can actually remove.
+noise is a narrowband high-frequency disturbance that a low-pass denoiser can
+actually remove.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .dialogue import (
     Speaker,
     Utterance,
 )
-from .errors import MalformedManifest
 from .session import (
     AudioMeta,
     AudioTrack,
@@ -35,10 +34,10 @@ from .session import (
     Task,
     TimedSeries,
     describe_stream,
-    read_json,
+    read_user_json,
 )
 
-DEFAULT_NOISE_FREQ = 30.0  # Hz, narrowband sensor disturbance
+NOISE_FREQ = 30.0  # Hz, narrowband sensor disturbance
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -176,10 +175,7 @@ class Scenario:
     numeric_rate: float = 100.0
     timestamp_jitter_sd: float = 0.0
     noise_sd: float = 0.0  # RMS of the narrowband disturbance, per channel
-    noise_freq: float = DEFAULT_NOISE_FREQ
     noise_ramp: float = 0.25  # seconds of raised-cosine on/off ramp
-    white_noise_sd: float = 0.0
-    udp_loss_rate: float = 0.0
     audio_rate: int = 48000
     participant_id: str = "P00"
 
@@ -188,8 +184,6 @@ class Scenario:
             raise ValueError("duration must be > 0")
         if any(r <= 0 for r in self.video_rates) or self.numeric_rate <= 0:
             raise ValueError("rates must be > 0")
-        if not 0.0 <= self.udp_loss_rate < 1.0:
-            raise ValueError("udp_loss_rate must be in [0, 1)")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
@@ -210,12 +204,7 @@ class Scenario:
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "Scenario":
-        path = Path(path)
-        d = read_json(path)
-        try:
-            return cls.from_json_dict(d)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise MalformedManifest(f"{path}: not a scenario: {exc}") from exc
+        return read_user_json(Path(path), cls.from_json_dict, "scenario")
 
 
 def _camera_name(i: int, n: int) -> str:
@@ -249,9 +238,7 @@ def _disturbance(rng, scenario: Scenario, t: np.ndarray, n_channels: int) -> np.
         amp = scenario.noise_sd * np.sqrt(2.0)
         for c in range(n_channels):
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            out[:, c] += env * amp * np.sin(2.0 * np.pi * scenario.noise_freq * t + phase)
-    if scenario.white_noise_sd > 0:
-        out += rng.normal(0.0, scenario.white_noise_sd, out.shape)
+            out[:, c] += env * amp * np.sin(2.0 * np.pi * NOISE_FREQ * t + phase)
     return out
 
 

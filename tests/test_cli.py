@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sessionforge import filters
 from sessionforge.cli import main, process_trial
 from sessionforge.curation import label_trial
 from sessionforge.filters import DenoisePolicy
-from sessionforge.session import Task, save_session
+from sessionforge.session import Task, load_session, load_synced, save_session, save_synced
+from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
 
 
@@ -216,8 +218,9 @@ def test_pipeline_and_sync_read_no_audio_samples(capsys, tmp_path, dataset, monk
     assert run(capsys, *sync_argv)[0] == 0
 
 
-# A synced container whose selection or stream does not have one row per grid
-# point: case -> (cut, error code).
+# A synced container that breaks the synced rule: a selection or stream
+# without one row per grid point, a bad grid rate, tau or timestamp, a bad
+# selection row, or a stream off the grid's timestamps: case -> (cut, error code).
 def _selection_header_only(synced):
     (synced / "selections" / "ego_cam.csv").write_text("index\n", encoding="utf-8")
 
@@ -228,9 +231,48 @@ def _rows_cut(synced):
         (synced / name).write_text("\n".join(lines[: rows + 1]) + "\n", encoding="utf-8")
 
 
+def _grid_json(key, value):
+    def cut(synced):
+        meta = json.loads((synced / "grid.json").read_text(encoding="utf-8"))
+        meta[key] = value
+        (synced / "grid.json").write_text(json.dumps(meta), encoding="utf-8")
+
+    return cut
+
+
+def _csv_row(name, line_no, edit):
+    """Replace line ``line_no`` of CSV ``name`` by ``edit`` of it."""
+    def cut(synced):
+        lines = (synced / name).read_text(encoding="utf-8").splitlines()
+        lines[line_no] = edit(lines[line_no])
+        (synced / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return cut
+
+
+def _next_float(row):
+    t, *rest = row.split(",")
+    return ",".join([repr(float(np.nextafter(float(t), np.inf))), *rest])
+
+
 SYNCED_CUTS = {
     "selection-header-only": (_selection_header_only, "malformed-manifest"),
     "rows-cut": (_rows_cut, "invariant-violation"),
+    "rate-zero": (_grid_json("rate", 0), "invariant-violation"),
+    "rate-negative": (_grid_json("rate", -12), "invariant-violation"),
+    "rate-nan": (_grid_json("rate", float("nan")), "invariant-violation"),
+    "tau-negative": (_grid_json("tau", -0.01), "invariant-violation"),
+    "tau-inf": (_grid_json("tau", float("inf")), "invariant-violation"),
+    "grid-last-row-nan": (_csv_row("grid.csv", -1, lambda row: "nan"), "invariant-violation"),
+    "grid-not-increasing": (_csv_row("grid.csv", 2, lambda row: "0"), "invariant-violation"),
+    "selection-index-negative": (
+        _csv_row("selections/ego_cam.csv", 1, lambda row: "-1,1"), "invariant-violation"
+    ),
+    "selection-flag-two": (
+        _csv_row("selections/ego_cam.csv", 1, lambda row: row.split(",")[0] + ",2"),
+        "invariant-violation",
+    ),
+    "stream-off-the-grid": (_csv_row("streams/ee_pose.csv", 3, _next_float), "invariant-violation"),
 }
 
 
@@ -459,6 +501,26 @@ class TestPipeline:
         save_session(replace(session, numeric=numeric), tmp_path / "trial")
         tm, _, _ = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
         assert tm.ee_path_length == pytest.approx(truth.ee_path_length, rel=0.01)
+
+    def test_streams_the_native_rate_cannot_filter_are_filtered_on_the_grid(self, tmp_path):
+        """At 10 Hz no stream can be filtered at its native rate, so each is
+        filtered on the 12 Hz grid, where the 10 Hz IMU cutoff is clamped; the
+        result is saved and loaded back unchanged."""
+        session, _ = gen_session(Scenario(seed=3, duration=3.0, numeric_rate=10.0, noise_sd=0.01))
+        save_session(session, tmp_path / "trial")
+        raw = load_session(tmp_path / "trial")
+        assert filters.denoise_raw(raw, strict=False)[1] == set()
+        with pytest.warns(UserWarning, match="imu: cutoff 10.0 Hz >= Nyquist"):
+            _, synced, _ = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+        with pytest.warns(UserWarning, match="imu: cutoff 10.0 Hz >= Nyquist"):
+            want = filters.denoise_session(sync_session(raw), strict=False)
+        save_synced(synced, tmp_path / "synced")
+        loaded = load_synced(tmp_path / "synced")
+        for got in (synced, loaded):
+            assert list(got.numeric) == list(want.numeric)
+            for name, series in want.numeric.items():
+                assert got.numeric[name].timestamps.tobytes() == series.timestamps.tobytes()
+                assert got.numeric[name].values.tobytes() == series.values.tobytes()
 
     def test_report_deterministic(self, capsys, dataset, tmp_path):
         root, _ = dataset

@@ -114,6 +114,23 @@ class TestLoadErrors:
         with pytest.raises(InvariantViolation, match="strictly increasing"):
             load_session(tmp_path / "trial")
 
+    @pytest.mark.parametrize("path", ["streams/ee_pose.csv", "video/ego_cam.timestamps.csv"])
+    @pytest.mark.parametrize(
+        "line,t,broken",
+        [(1, "-inf", "must be finite"), (-1, "inf", "must be finite"), (4, "nan", "must be finite"),
+         (3, "0", "strictly increasing")],
+        ids=["first-minus-inf", "last-inf", "nan", "repeated"],
+    )
+    def test_streams_and_frame_logs_keep_one_time_rule(
+        self, synthetic_session, tmp_path, path, line, t, broken
+    ):
+        save_session(synthetic_session, tmp_path / "trial")
+        csv = tmp_path / "trial" / path
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        lines[line] = ",".join([t, *lines[line].split(",")[1:]])
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(InvariantViolation, match=f"timestamps {broken}"):
+            load_session(tmp_path / "trial")
 
     @pytest.mark.parametrize(
         "corrupt",

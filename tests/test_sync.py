@@ -250,6 +250,64 @@ class TestSyncSession:
         assert default_tau(12.0) == pytest.approx(1.0 / 24.0)
 
 
+def _grid_time(synced, i, value):
+    t = synced.grid.timestamps.copy()
+    t[i] = value
+    return replace(synced, grid=replace(synced.grid, timestamps=t))
+
+
+def _ego_cam(synced, **changes):
+    sel = replace(synced.frame_selections["ego_cam"], **changes)
+    return replace(synced, frame_selections={**synced.frame_selections, "ego_cam": sel})
+
+
+def _imu(synced, **changes):
+    imu = replace(synced.numeric["imu"], **changes)
+    return replace(synced, numeric={**synced.numeric, "imu": imu})
+
+
+# A synced session that breaks the synced rule other than by its row counts:
+# case -> (break, message).
+SYNCED_BREAKS = {
+    "rate-zero": (lambda s: replace(s, grid=replace(s.grid, rate=0.0)), "grid.rate"),
+    "rate-negative": (lambda s: replace(s, grid=replace(s.grid, rate=-12.0)), "grid.rate"),
+    "rate-nan": (lambda s: replace(s, grid=replace(s.grid, rate=np.nan)), "grid.rate"),
+    "tau-negative": (lambda s: replace(s, tau=-0.01), "tau"),
+    "tau-nan": (lambda s: replace(s, tau=np.nan), "tau"),
+    "grid-last-nan": (lambda s: _grid_time(s, -1, np.nan), "grid: .*finite"),
+    "grid-not-increasing": (
+        lambda s: _grid_time(s, 2, s.grid.timestamps[1]), "grid: .*strictly increasing"
+    ),
+    "selection-index-negative": (
+        lambda s: _ego_cam(s, selected_indices=s.frame_selections["ego_cam"].selected_indices - 1),
+        "indices must be >= 0",
+    ),
+    "selection-flag-two": (
+        lambda s: _ego_cam(s, accepted_flags=s.frame_selections["ego_cam"].accepted_flags * 2),
+        "flags 0 or 1",
+    ),
+    "stream-off-the-grid": (
+        lambda s: _imu(s, timestamps=np.nextafter(s.grid.timestamps, 1)), "bit for bit"
+    ),
+    "numeric-entry-without-stream": (
+        lambda s: replace(s, numeric={k: v for k, v in s.numeric.items() if k != "imu"}),
+        "numeric entries",
+    ),
+    "stream-without-entry": (
+        lambda s: replace(s, numeric={**s.numeric, "extra": s.numeric["imu"]}), "numeric entries"
+    ),
+    "video-entry-without-selection": (
+        lambda s: replace(s, frame_selections={}), "video_frames entries"
+    ),
+    "selection-without-entry": (
+        lambda s: replace(
+            s, frame_selections={**s.frame_selections, "extra": s.frame_selections["ego_cam"]}
+        ),
+        "video_frames entries",
+    ),
+}
+
+
 class TestSyncedContainer:
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
         session, _ = gen_session(Scenario(seed=7, duration=3.0, timestamp_jitter_sd=0.03))
@@ -301,6 +359,14 @@ class TestSyncedContainer:
             cut = replace(ee, timestamps=ee.timestamps[:9], values=ee.values[:9])
             synced = replace(synced, numeric={**synced.numeric, "ee_pose": cut})
         with pytest.raises(InvariantViolation, match="one per grid point"):
+            save_synced(synced, tmp_path / "synced")
+        assert not (tmp_path / "synced").exists()
+
+    @pytest.mark.parametrize("case", SYNCED_BREAKS)
+    def test_what_load_rejects_is_not_saved(self, tmp_path, case):
+        edit, match = SYNCED_BREAKS[case]
+        synced = edit(sync_session(gen_session(Scenario(seed=7, duration=3.0))[0]))
+        with pytest.raises(InvariantViolation, match=match):
             save_synced(synced, tmp_path / "synced")
         assert not (tmp_path / "synced").exists()
 

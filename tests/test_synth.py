@@ -150,8 +150,6 @@ class TestSessionShape:
     def test_invalid_scenario(self):
         with pytest.raises(ValueError):
             Scenario(seed=0, duration=-1.0)
-        with pytest.raises(ValueError):
-            Scenario(seed=0, udp_loss_rate=1.0)
 
 
 class TestAudioDatagrams:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -80,8 +81,9 @@ def build_report(
     return report
 
 
-def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _json_text(obj) -> str:
+    """The CLI's JSON output: indented, keys sorted, ending in a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # The prefix of each reported metric's mean and sd columns in the CSV report.
@@ -151,7 +153,7 @@ def _cmd_sync(args) -> int:
     raw = sess.load_session(args.input, audio=False)  # sync reads no audio
     synced = sync.sync_session(raw, tau=args.tau)
     sess.save_synced(synced, args.out)
-    print(json.dumps(synced.report(), indent=2, sort_keys=True))
+    print(_json_text(synced.report()), end="")
     return 0
 
 
@@ -174,7 +176,7 @@ def _cmd_analyze(args) -> int:
     synced = sess.load_synced(args.input)
     tm = metrics.compute_trial_metrics(synced)
     payload = {**tm.to_json_dict(), **_comfort_entry(tm.wheelchair_mean_jerk)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload)
     if args.report:
         Path(args.report).write_text(text, encoding="utf-8")
     print(text, end="")
@@ -184,7 +186,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_curate(args) -> int:
     if args.curate_cmd == "survey":
         summary = curation.survey_stats(curation.load_survey_csv(args.csv))
-        print(json.dumps(summary.per_question, indent=2, sort_keys=True))
+        print(_json_text(summary.per_question), end="")
         return 0
     root = _dataset_root(args)
     if args.curate_cmd == "label":
@@ -195,7 +197,7 @@ def _cmd_curate(args) -> int:
     if args.curate_cmd == "stats":
         stats = curation.dataset_stats(curation.load_manifests(root))
         if args.format == "json":
-            print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))
+            print(_json_text(stats.to_json_dict()), end="")
         else:
             print("task,raw,successful")
             for task, row in stats.per_task.items():
@@ -249,13 +251,9 @@ def _cmd_dialogue(args) -> int:
     dialogues = _collect_dialogues(_dataset_root(args))
     dist = dlg.ambiguity_distribution(dialogues)
     if args.by == "type":
-        print(json.dumps(dist["type_shares"], indent=2, sort_keys=True))
+        print(_json_text(dist["type_shares"]), end="")
     else:
-        print(json.dumps(
-            {"matrix": dist["matrix"], "utterances": dist["utterances"]},
-            indent=2,
-            sort_keys=True,
-        ))
+        print(_json_text({"matrix": dist["matrix"], "utterances": dist["utterances"]}), end="")
     return 0
 
 
@@ -282,7 +280,7 @@ def _cmd_pipeline(args) -> int:
     dialogues = [d for _, ds, _ in results for d in ds]
     manifests = [m for _, _, m in results]
     report = build_report(trials, dialogues, manifests)
-    text = _report_csv(report) if args.format == "csv" else _report_json(report)
+    text = _report_csv(report) if args.format == "csv" else _json_text(report)
     if args.cmd == "report":
         print(text, end="")
         return 0
@@ -293,6 +291,17 @@ def _cmd_pipeline(args) -> int:
 
 
 # -- argument parsing -------------------------------------------------------
+
+def _tau(text: str) -> float:
+    """``--tau``: a match tolerance in seconds, finite and >= 0."""
+    try:
+        tau = float(text)
+    except ValueError:
+        tau = math.nan
+    if not (math.isfinite(tau) and tau >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tau
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_record)
 
     p = sub.add_parser("sync", help="align a raw session onto the reference grid")
-    p.add_argument("--tau", type=float, default=None, help="match tolerance, seconds")
+    p.add_argument("--tau", type=_tau, default=None, help="match tolerance, seconds")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sync)
@@ -371,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("pipeline", "report"):
         p = sub.add_parser(name, help="run the full batch pipeline over a dataset")
         p.add_argument("--root")
-        p.add_argument("--tau", type=float, default=None)
+        p.add_argument("--tau", type=_tau, default=None)
         p.add_argument("--policy", default="default")
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--jobs", type=int, default=1)

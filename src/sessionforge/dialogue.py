@@ -50,7 +50,6 @@ class Utterance:
     text: str
     t_start: float
     t_end: float
-    trial_id: str
     turn_index: int
 
     def __post_init__(self):
@@ -127,7 +126,6 @@ def _dialogue_from_record(rec: dict, line_no: int = 0) -> AnnotatedDialogue:
                 text=t["text"],
                 t_start=float(t["t_start"]),
                 t_end=float(t["t_end"]),
-                trial_id=rec["trial_id"],
                 turn_index=int(t["turn_index"]),
             )
             for t in rec["turns"]

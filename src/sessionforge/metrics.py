@@ -62,19 +62,18 @@ def path_length(positions: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class TaskAggregate:
-    task: str
     n_trial: int
     mean: float
     sd: float | None  # absent for a single trial
 
 
-def task_aggregate(values: list[float], task: str = "") -> TaskAggregate:
+def task_aggregate(values: list[float]) -> TaskAggregate:
     """Mean and sample SD (n-1 denominator) over per-trial metric values."""
     if len(values) == 0:
         raise EmptyInput("no trial values")
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if len(values) > 1 else None
-    return TaskAggregate(task=task, n_trial=len(values), mean=mean, sd=sd)
+    return TaskAggregate(n_trial=len(values), mean=mean, sd=sd)
 
 
 @dataclass(frozen=True)
@@ -162,6 +161,6 @@ def aggregate_by_task(trials: list[TrialMetrics]) -> dict:
     for task, tms in sorted(by_task.items()):
         out[task] = {
             "n": len(tms),
-            **{m: task_aggregate([getattr(t, m) for t in tms], task) for m in REPORTED_METRICS},
+            **{m: task_aggregate([getattr(t, m) for t in tms]) for m in REPORTED_METRICS},
         }
     return out

@@ -208,7 +208,6 @@ class ReferenceGrid:
 
 @dataclass(frozen=True)
 class FrameSelection:
-    stream: str
     selected_indices: np.ndarray  # (K,) int
     accepted_flags: np.ndarray  # (K,) bool
 
@@ -266,8 +265,8 @@ def descriptor_violations(desc: StreamDescriptor) -> list[str]:
         violations.append(f"streams[{s.name}].name: must be a plain file name")
     elif s.file != (path := _STREAM_PATHS[s.kind].format(s.name)):
         violations.append(f"streams[{s.name}].file: must be '{path}'")
-    if s.nominal_rate <= 0:
-        violations.append(f"streams[{s.name}].nominal_rate: must be > 0")
+    if not (math.isfinite(s.nominal_rate) and s.nominal_rate > 0):
+        violations.append(f"streams[{s.name}].nominal_rate: must be finite and > 0")
     if s.kind is StreamKind.VIDEO_FRAMES and len(s.channels) != 1:
         violations.append(
             f"streams[{s.name}].channels: video streams have exactly one channel"
@@ -508,12 +507,6 @@ def _sidecar_name(csv_name: str, digest: str) -> str:
     return f".{csv_name}.{digest}.npy"
 
 
-_NPY_HEADERS = {
-    (1, 0): np.lib.format.read_array_header_1_0,
-    (2, 0): np.lib.format.read_array_header_2_0,
-}
-
-
 def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
     """The sidecar's array, or None when it is missing, unreadable, or not a
     2-D C-order ``dtype`` array ``width`` columns wide.
@@ -524,10 +517,10 @@ def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
     """
     try:
         with sidecar.open("rb") as f:
-            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(f))
-            if read_header is None:
+            # np.save writes format 1.0 for every table a sidecar holds
+            if np.lib.format.read_magic(f) != (1, 0):
                 return None
-            shape, fortran_order, stored = read_header(f)
+            shape, fortran_order, stored = np.lib.format.read_array_header_1_0(f)
             if stored != dtype or fortran_order or len(shape) != 2 or shape[1] != width:
                 return None
             count = shape[0] * width
@@ -807,7 +800,7 @@ def load_synced(root_path: str | Path) -> SyncedSession:
             names, sel = _read_table(path, dtype=int)
             if names != _SELECTION_HEADER:
                 raise MalformedManifest(f"{path}: header {names} is not {_SELECTION_HEADER}")
-            selections[desc.name] = FrameSelection(desc.name, sel[:, 0], sel[:, 1])
+            selections[desc.name] = FrameSelection(sel[:, 0], sel[:, 1])
         elif desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(root / desc.file, desc.channels)
     # Checked before the flags become bool, which would read a 2 as True.

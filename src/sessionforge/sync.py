@@ -107,9 +107,7 @@ def match_frames(
     source = np.maximum.accumulate(source)
     source[source == -1] = 0
     selected = nearest[source]
-    return FrameSelection(
-        stream=frames.stream, selected_indices=selected, accepted_flags=accepted
-    )
+    return FrameSelection(selected_indices=selected, accepted_flags=accepted)
 
 
 def interpolate_numeric(series: TimedSeries, grid: ReferenceGrid) -> TimedSeries:

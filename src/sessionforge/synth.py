@@ -117,7 +117,6 @@ class MotionProfile:
 class GroundTruth:
     ee: MotionProfile
     wheelchair: MotionProfile
-    duration: float
 
     @property
     def ee_path_length(self) -> float:
@@ -140,6 +139,11 @@ class GroundTruth:
         return profile.mean_jerk(float(grid_ts[0]) + h, float(grid_ts[0]) + (k - 2) * h)
 
 
+def _sample_times(duration: float, rate: float) -> np.ndarray:
+    """Times k / rate for every k with k / rate <= duration."""
+    return np.arange(int(np.floor(duration * rate + 1e-9)) + 1) / rate
+
+
 def gen_min_jerk_trajectory(
     p0, pf, duration: float, sample_rate: float
 ) -> tuple[np.ndarray, np.ndarray, MotionProfile]:
@@ -151,7 +155,7 @@ def gen_min_jerk_trajectory(
     if duration <= 0 or sample_rate <= 0:
         raise ValueError("duration and sample_rate must be > 0")
     profile = MotionProfile(kind="min_jerk", p0=p0, pf=pf, duration=duration)
-    t = np.arange(int(np.floor(duration * sample_rate + 1e-9)) + 1) / sample_rate
+    t = _sample_times(duration, sample_rate)
     return t, profile.position(t), profile
 
 
@@ -177,7 +181,6 @@ class Scenario:
     noise_sd: float = 0.0  # RMS of the narrowband disturbance, per channel
     noise_ramp: float = 0.25  # seconds of raised-cosine on/off ramp
     audio_rate: int = 48000
-    participant_id: str = "P00"
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -214,7 +217,7 @@ def _camera_name(i: int, n: int) -> str:
 
 
 def _frame_log_timestamps(rng, rate: float, duration: float, jitter_sd: float) -> np.ndarray:
-    base = np.arange(int(np.floor(duration * rate + 1e-9)) + 1) / rate
+    base = _sample_times(duration, rate)
     if jitter_sd > 0:
         base = np.sort(base + rng.normal(0.0, jitter_sd, len(base)))
         # enforce strictly increasing after sorting
@@ -283,7 +286,6 @@ def _gen_dialogue(trial_id: str, task: Task, duration: float) -> AnnotatedDialog
                 text=text,
                 t_start=round(i * step, 6),
                 t_end=round(i * step + 0.8 * step, 6),
-                trial_id=trial_id,
                 turn_index=i,
             )
         )
@@ -321,7 +323,7 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
         ts = _frame_log_timestamps(rng, rate, duration, scenario.timestamp_jitter_sd)
         frame_logs[name] = FrameTimestampLog(stream=name, frame_timestamps=ts)
 
-    t_num = np.arange(int(np.floor(duration * scenario.numeric_rate + 1e-9)) + 1) / scenario.numeric_rate
+    t_num = _sample_times(duration, scenario.numeric_rate)
     ee_axes = ("x", "y", "z")[: len(ee.p0)]
     wc_axes = ("x", "y")[: len(wheelchair.p0)]
     numeric = {
@@ -361,7 +363,7 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
 
     manifest = SessionManifest(
         session_id=trial_id,
-        participant_id=scenario.participant_id,
+        participant_id="P00",
         task=scenario.task,
         success=True,
         # fixed timestamp keeps same-seed output byte-identical across runs
@@ -376,7 +378,7 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
         audio=audio,
         dialogues=(_gen_dialogue(trial_id, scenario.task, duration),),
     )
-    return session, GroundTruth(ee=ee, wheelchair=wheelchair, duration=duration)
+    return session, GroundTruth(ee=ee, wheelchair=wheelchair)
 
 
 def gen_audio_datagrams(

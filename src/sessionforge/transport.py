@@ -144,7 +144,6 @@ def datagram_decode(data: bytes) -> AudioDatagram:
 
 @dataclass(frozen=True)
 class GapReport:
-    stream: str
     missing_sequences: tuple[tuple[int, int], ...]  # inclusive ranges
     received: int
     expected: int
@@ -170,16 +169,14 @@ def _ranges(sorted_seqs: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def audio_reassemble(
-    datagrams: list[AudioDatagram], stream: str = "audio"
-) -> tuple[bytes, GapReport]:
+def audio_reassemble(datagrams: list[AudioDatagram]) -> tuple[bytes, GapReport]:
     """Order datagrams by sequence, drop duplicates, zero-fill gaps.
 
     Gaps are filled at the nominal chunk size (the most common received pcm
     length); sequences are assumed to start at 0.
     """
     if not datagrams:
-        return b"", GapReport(stream=stream, missing_sequences=(), received=0, expected=0)
+        return b"", GapReport(missing_sequences=(), received=0, expected=0)
     by_seq: dict[int, bytes] = {}
     for d in datagrams:
         if d.sequence not in by_seq:  # keep first, drop later duplicates
@@ -196,7 +193,6 @@ def audio_reassemble(
             parts.append(b"\x00" * chunk)
             missing.append(seq)
     report = GapReport(
-        stream=stream,
         missing_sequences=_ranges(missing),
         received=len(by_seq),
         expected=expected,
@@ -236,7 +232,6 @@ class RecorderConfig:
     udp_port: int = 0
     host: str = "127.0.0.1"
     session_id: str = "recording"
-    participant_id: str = ""
     task: Task = Task.FEEDING
     # topic -> (nominal rate, channel descriptors)
     stream_map: dict[str, tuple[float, tuple[Channel, ...]]] = field(default_factory=dict)
@@ -249,7 +244,8 @@ class RecordingHandle:
 
     def __init__(self, config: RecorderConfig):
         # checked before binding, as stop() could not save this audio stream
-        audio = AudioTrack(AudioMeta(config.audio_rate, 16, 1), ())
+        self._audio_meta = AudioMeta(sample_rate=config.audio_rate, bit_depth=16, channels=1)
+        audio = AudioTrack(self._audio_meta, ())
         broken = descriptor_violations(describe_stream(config.audio_stream, audio))
         if broken:
             raise InvariantViolation(f"RecorderConfig.audio_stream: {'; '.join(broken)}")
@@ -410,11 +406,8 @@ class RecordingHandle:
         cfg = self.config
         audio: dict[str, AudioTrack] = {}
         if self._datagrams:
-            pcm, self.gap_report = audio_reassemble(self._datagrams, stream=cfg.audio_stream)
-            audio[cfg.audio_stream] = AudioTrack(
-                AudioMeta(sample_rate=cfg.audio_rate, bit_depth=16, channels=1),
-                np.frombuffer(pcm, dtype="<i2"),
-            )
+            pcm, self.gap_report = audio_reassemble(self._datagrams)
+            audio[cfg.audio_stream] = AudioTrack(self._audio_meta, np.frombuffer(pcm, dtype="<i2"))
 
         # one bad topic must not cost the recording its other topics
         numeric: dict[str, TimedSeries] = {}
@@ -445,7 +438,7 @@ class RecordingHandle:
 
         manifest = SessionManifest(
             session_id=cfg.session_id,
-            participant_id=cfg.participant_id,
+            participant_id="",
             task=cfg.task,
             success=None,
             created_at=utc_now(),

@@ -270,7 +270,6 @@ def test_criterion_8_dialogue_round_trip():
                     text=texts[int(rng.integers(len(texts)))],
                     t_start=float(i),
                     t_end=i + float(rng.uniform(0.1, 0.9)),
-                    trial_id=f"fz-{trial}",
                     turn_index=i,
                 )
             )

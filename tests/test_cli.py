@@ -92,6 +92,42 @@ class TestExitCodes:
         assert json.loads(err)["code"] == "missing-stream"
 
 
+def _sync_or_report(command, tmp_path, root, trial_id):
+    if command == "sync":
+        return ["sync", "--in", str(root / trial_id), "--out", str(tmp_path / "synced")]
+    return ["report", "--root", str(root)]
+
+
+@pytest.mark.parametrize("command", ["sync", "report"])
+@pytest.mark.parametrize("tau", ["-1", "nan", "inf", "abc"])
+def test_tau_not_finite_and_nonnegative_is_usage_error(capsys, tmp_path, dataset, command, tau):
+    root, trial_ids = dataset
+    argv = _sync_or_report(command, tmp_path, root, trial_ids[0])
+    code, out, err = run(capsys, "--errors", "json", *argv, "--tau", tau)
+    assert code == 2
+    assert out == ""
+    assert "argument --tau: must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("command", ["sync", "report"])
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1, 0])
+def test_video_rate_not_finite_and_positive_is_json_error(capsys, tmp_path, dataset, command, rate):
+    root, trial_ids = dataset
+    path = root / trial_ids[0] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    video = next(s for s in manifest["streams"] if s["kind"] == "video_frames")
+    video["nominal_rate"] = rate
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    argv = _sync_or_report(command, tmp_path, root, trial_ids[0])
+    code, out, err = run(capsys, "--errors", "json", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "malformed-manifest"
+    assert "nominal_rate: must be finite and > 0" in payload["message"]
+
+
 def _replace_bytes(data: bytes):
     return lambda path: path.write_bytes(data)
 

@@ -19,11 +19,8 @@ from sessionforge.dialogue import (
 from sessionforge.errors import LabelSchemaViolation, NotUserTurn, SerializationError
 
 
-def utterance(i, speaker=Speaker.USER, text="pass me the cup", trial="t-1"):
-    return Utterance(
-        speaker=speaker, text=text, t_start=float(i), t_end=i + 0.9, trial_id=trial,
-        turn_index=i,
-    )
+def utterance(i, speaker=Speaker.USER, text="pass me the cup"):
+    return Utterance(speaker=speaker, text=text, t_start=float(i), t_end=i + 0.9, turn_index=i)
 
 
 def simple_dialogue():
@@ -74,7 +71,7 @@ class TestSchema:
 
     def test_backwards_time_rejected(self):
         with pytest.raises(LabelSchemaViolation):
-            Utterance(Speaker.USER, "x", t_start=2.0, t_end=1.0, trial_id="t", turn_index=0)
+            Utterance(Speaker.USER, "x", t_start=2.0, t_end=1.0, turn_index=0)
 
 
 class TestAnnotate:
@@ -114,7 +111,7 @@ class TestJsonl:
     def test_verbatim_text_preserved(self):
         text = "uh, c-can you, um… bring the ‘blue’ one?\tplease\\now"
         turns = (
-            Utterance(Speaker.USER, text, 0.0, 1.0, "t-π", 0),
+            Utterance(Speaker.USER, text, 0.0, 1.0, 0),
         )
         d = AnnotatedDialogue(trial_id="t-π", task="feeding", turns=turns)
         back = import_jsonl(export_jsonl([d]))[0]
@@ -122,7 +119,7 @@ class TestJsonl:
         assert back.trial_id == "t-π"
 
     def test_embedded_newline_in_text_survives(self):
-        turns = (Utterance(Speaker.USER, "line one\nline two", 0.0, 1.0, "t", 0),)
+        turns = (Utterance(Speaker.USER, "line one\nline two", 0.0, 1.0, 0),)
         d = AnnotatedDialogue(trial_id="t", task="feeding", turns=turns)
         data = export_jsonl([d])
         assert len(data.decode().splitlines()) == 1  # JSON escapes the newline
@@ -145,7 +142,7 @@ class TestJsonl:
     def test_fuzzed_round_trip(self, spec):
         turns, labels = [], {}
         for i, (speaker, text, lab) in enumerate(spec):
-            turns.append(Utterance(speaker, text, float(i), i + 0.5, "fz", i))
+            turns.append(Utterance(speaker, text, float(i), i + 0.5, i))
             if lab is not None and speaker is Speaker.USER:
                 if lab is Clarity.SPECIFIC:
                     labels[i] = AmbiguityLabel(Clarity.SPECIFIC)
@@ -189,7 +186,7 @@ class TestDistribution:
         ]
         for n, (task, labs) in enumerate(plan):
             turns = tuple(
-                Utterance(Speaker.USER, f"u{i}", float(i), i + 0.5, f"d{n}", i)
+                Utterance(Speaker.USER, f"u{i}", float(i), i + 0.5, i)
                 for i in range(len(labs))
             )
             labels = {

@@ -224,8 +224,9 @@ class TestDenoiseSession:
         from dataclasses import replace
 
         broken = replace(synced, numeric=renamed)
-        with pytest.raises(UnclassifiedChannel):
-            denoise_session(broken, strict=True)
+        with pytest.warns(UserWarning, match="clamped"):
+            with pytest.raises(UnclassifiedChannel):
+                denoise_session(broken, strict=True)
 
     def test_imu_cutoff_clamped_at_low_grid_rate(self):
         session, _ = gen_session(Scenario(seed=2))

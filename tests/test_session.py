@@ -368,6 +368,13 @@ class TestSaveErrors:
         with pytest.raises(IoError):
             save_session(synthetic_session, target / "trial")
 
+    def test_dir_under_a_file(self, synthetic_session, tmp_path):
+        # ENOTDIR, which root cannot override as it can a read-only mode
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        with pytest.raises(IoError):
+            save_session(synthetic_session, blocker / "trial")
+
 
 class TestValidateManifest:
     def test_paper_conformant_manifest(self, synthetic_session):
@@ -516,6 +523,12 @@ def huge_header(path, data):
         f.write(data.tobytes())
 
 
+def format_2_0(path, data):
+    """The same table in ``.npy`` format 2.0, which ``np.save`` does not write for it."""
+    with path.open("wb") as f:
+        np.lib.format.write_array(f, data, version=(2, 0))
+
+
 class TestSidecar:
     """``_read_table`` memoizes its parse in a hash-checked sidecar."""
 
@@ -563,6 +576,7 @@ class TestSidecar:
             lambda path, data: np.save(path, data.astype(object), allow_pickle=True),
             lambda path, data: np.save(path, np.asfortranarray(data)),
             huge_header,
+            format_2_0,
         ],
         ids=[
             "corrupt",
@@ -574,6 +588,7 @@ class TestSidecar:
             "pickled",
             "fortran-order",
             "huge-header",
+            "format-2.0",
         ],
     )
     def test_bad_sidecar_falls_back_and_is_replaced(self, csv, spoil):

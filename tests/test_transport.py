@@ -229,7 +229,8 @@ class TestRecording:
             sock.sendto(dg.encode(), ("127.0.0.1", handle.udp_port))
         sock.close()
         time.sleep(0.5)
-        session = handle.stop()
+        with pytest.warns(UserWarning, match="zero frames"):
+            session = handle.stop()
         assert len(session.audio["mic"].samples) == 96000
         np.testing.assert_array_equal(session.audio["mic"].samples, pcm16)
         loaded = load_session(tmp_path / "rec")

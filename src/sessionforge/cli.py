@@ -45,12 +45,18 @@ def process_trial(
     trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
 ) -> tuple[metrics.TrialMetrics, sess.SyncedSession, sess.RawSession]:
     """raw -> native-rate denoise -> sync -> grid-rate denoise -> metrics.
-    No stage reads audio, so each WAV's header is checked and its samples
-    are left unread."""
+    The grid-rate stage takes the classified streams the native stage left;
+    a stream of no policy class passes through with one warning. No stage
+    reads audio, so each WAV's header is checked and its samples are left
+    unread."""
     raw = sess.load_session(trial_dir, audio=False)
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
-    rest = {name: series for name, series in synced.numeric.items() if name not in done}
+    rest = {
+        name: series
+        for name, series in synced.numeric.items()
+        if name not in done and filters.classify_stream(name) in policy.cutoffs
+    }
     if rest:
         grid = filters.denoise_session(replace(synced, numeric=rest), policy, strict=False)
         synced = replace(synced, numeric={**synced.numeric, **grid.numeric})
@@ -303,6 +309,14 @@ def _tau(text: str) -> float:
     return tau
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a scenario seed, under the scenario's own rule."""
+    try:
+        return synth.Scenario(seed=int(text)).seed
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sessionforge",
@@ -312,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic session")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--scenario", help="scenario JSON file")
     p.add_argument("--out", required=True)
     p.add_argument("--as-trial", action="store_true", help="write under <out>/<session_id>")

@@ -14,19 +14,22 @@ and a dataset is a directory of such trial directories. A stream's path is
 fixed by its kind and name, ``describe_stream`` derives its manifest entry,
 and a manifest naming another path fails to load. Conformance flags, such as
 audio not at 48 kHz, fail neither save nor load. ``load_session(...,
-audio=False)``, the load of the batch pipeline and ``sync``, checks each WAV's
-header as a full load does and leaves its samples unread. Every timestamp
-array, of a stream, a frame log or a synced grid, keeps one time rule
-(``_time_violations``): enough samples, finite, strictly increasing. A synced
-container (``save_synced``) is read by its manifest too (``load_synced``),
-and a file the manifest does not list is ignored. Save refuses, before
-writing anything, what load rejects: ``_synced_checks`` is the one rule of
-both. Floats are written with 17 significant digits so save/load round-trips
-bit-exactly. Every CSV in the container, the synced container's included,
-goes through ``_read_table``/``_write_table``: numpy ``loadtxt`` parses them,
-and the writer formats blocks of rows with one ``%`` each. Every JSON file
-goes through ``read_json``/``write_json``. A file that cannot be read raises
-``MissingFile`` or ``MalformedManifest`` naming it.
+audio=False)``, the load of the batch pipeline and ``sync``, checks each
+WAV's header as a full load does and leaves its samples unread. Every
+timestamp array, of a stream, a frame log or a synced grid, keeps one time
+rule (``_time_violations``): enough samples, finite, strictly increasing. A
+synced container (``save_synced``) is read by its manifest too
+(``load_synced``), and a file the manifest does not list is ignored. For
+either container, save refuses, before writing anything, what load rejects:
+``_require_valid`` is the one rule of the raw container and
+``_synced_checks`` of the synced one, and both apply the one manifest rule
+(``_manifest_checks``). Floats are written with 17 significant digits so
+save/load round-trips bit-exactly. Every CSV in the container, the synced
+container's included, goes through ``_read_table``/``_write_table``: numpy
+``loadtxt`` parses them, and the writer formats blocks of rows with one
+``%`` each. Every JSON file goes through ``read_json``/``write_json``. A
+file that cannot be read raises ``MissingFile`` or ``MalformedManifest``
+naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
@@ -721,14 +724,16 @@ _SELECTION_HEADER = ["index", "accepted"]
 
 
 def _synced_checks(synced: SyncedSession) -> None:
-    """``save_synced``'s and ``load_synced``'s one rule. The grid rate is
-    finite and > 0, tau finite and >= 0, and the grid keeps the time rule.
-    Video and numeric entries match the selections and streams one to one.
-    Each selection has one row per grid point, indices >= 0 and flags 0 or 1;
-    each stream has one row per grid point, at the grid's timestamps bit for
-    bit."""
+    """``save_synced``'s and ``load_synced``'s one rule. The manifest keeps
+    the raw container's manifest rule. The grid rate is finite and > 0, tau
+    finite and >= 0, and the grid keeps the time rule. Video and numeric
+    entries match the selections and streams one to one. Each selection has
+    one row per grid point, indices >= 0 and flags 0 or 1; each stream has one
+    row per grid point, at the grid's timestamps bit for bit, and finite
+    values: sync bridges or refuses every non-finite sample."""
     grid, k = synced.grid, synced.grid.k
-    broken = _time_violations("grid", grid.timestamps, 1)
+    broken, _ = _manifest_checks(synced.manifest)
+    broken += _time_violations("grid", grid.timestamps, 1)
     if not (math.isfinite(grid.rate) and grid.rate > 0):
         broken.append(f"grid.rate: {grid.rate} must be finite and > 0")
     if not (math.isfinite(synced.tau) and synced.tau >= 0):
@@ -751,6 +756,8 @@ def _synced_checks(synced: SyncedSession) -> None:
             broken.append(f"streams[{name}]: {k} rows needed, one per grid point")
         elif not np.array_equal(series.timestamps.view(np.uint64), grid.timestamps.view(np.uint64)):
             broken.append(f"streams[{name}]: timestamps must equal the grid's bit for bit")
+        elif not np.all(np.isfinite(series.values)):
+            broken.append(f"streams[{name}]: values must be finite")
     if broken:
         raise InvariantViolation("; ".join(broken))
 

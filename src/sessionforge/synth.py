@@ -2,13 +2,17 @@
 
 Every scenario is generated from a counter-based Philox PRNG keyed by the
 seed, so the same seed yields bit-identical sessions on any platform. Motion
-profiles are chosen so path length and mean jerk have closed forms; sensor
-noise is a narrowband high-frequency disturbance that a low-pass denoiser can
-actually remove.
+profiles are chosen so path length and mean jerk have closed forms; each kind
+is one ``_KINDS`` entry. Sensor noise is a narrowband high-frequency
+disturbance that a low-pass denoiser can actually remove. A ``Scenario`` needs
+a finite duration and rates > 0, and each ``ProfileSpec`` a known kind and
+numeric ``p0`` and ``pf`` of one length >= 1; ``from_json_file`` reports a file
+that breaks this as ``MalformedManifest``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,11 +51,23 @@ def _rng(seed: int) -> np.random.Generator:
 
 # -- motion profiles --------------------------------------------------------
 
+# Each kind's q(s), q''(s) and q'''(s) over normalized time s = t/T in [0, 1].
+_KINDS = {
+    "min_jerk": (
+        lambda s: 10 * s**3 - 15 * s**4 + 6 * s**5,
+        lambda s: 60 * s - 180 * s**2 + 120 * s**3,
+        lambda s: 60 - 360 * s + 360 * s**2,
+    ),
+    "cubic": (lambda s: s**3, lambda s: 6 * s, lambda s: 6.0 * np.ones_like(s)),
+    "stationary": (np.zeros_like, np.zeros_like, np.zeros_like),
+}
+
+
 @dataclass(frozen=True)
 class MotionProfile:
     """Point-to-point profile p(t) = p0 + (pf - p0) * q(t/T) over [0, T]."""
 
-    kind: str  # min_jerk | cubic | stationary
+    kind: str  # a key of _KINDS
     p0: np.ndarray
     pf: np.ndarray
     duration: float
@@ -59,41 +75,23 @@ class MotionProfile:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.atleast_1d(np.asarray(self.p0, dtype=np.float64)))
         object.__setattr__(self, "pf", np.atleast_1d(np.asarray(self.pf, dtype=np.float64)))
-        if self.kind not in ("min_jerk", "cubic", "stationary"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown profile kind '{self.kind}'")
 
-    def _q(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "min_jerk":
-            return 10 * s**3 - 15 * s**4 + 6 * s**5
-        if self.kind == "cubic":
-            return s**3
-        return np.zeros_like(s)
-
-    def _q_ddd(self, s: np.ndarray) -> np.ndarray:
-        if self.kind == "min_jerk":
-            return 60 - 360 * s + 360 * s**2
-        if self.kind == "cubic":
-            return 6.0 * np.ones_like(s)
-        return np.zeros_like(s)
+    def _s(self, t: np.ndarray) -> np.ndarray:
+        return np.clip(np.asarray(t, dtype=np.float64) / self.duration, 0.0, 1.0)
 
     def position(self, t: np.ndarray) -> np.ndarray:
-        s = np.clip(np.asarray(t, dtype=np.float64) / self.duration, 0.0, 1.0)
-        return self.p0 + np.outer(self._q(s), self.pf - self.p0)
+        q, _, _ = _KINDS[self.kind]
+        return self.p0 + np.outer(q(self._s(t)), self.pf - self.p0)
 
     def acceleration(self, t: np.ndarray) -> np.ndarray:
-        s = np.clip(np.asarray(t, dtype=np.float64) / self.duration, 0.0, 1.0)
-        if self.kind == "min_jerk":
-            qdd = (60 * s - 180 * s**2 + 120 * s**3) / self.duration**2
-        elif self.kind == "cubic":
-            qdd = 6 * s / self.duration**2
-        else:
-            qdd = np.zeros_like(s)
-        return np.outer(qdd, self.pf - self.p0)
+        _, q_dd, _ = _KINDS[self.kind]
+        return np.outer(q_dd(self._s(t)) / self.duration**2, self.pf - self.p0)
 
     def jerk_magnitude(self, t: np.ndarray) -> np.ndarray:
-        s = np.clip(np.asarray(t, dtype=np.float64) / self.duration, 0.0, 1.0)
-        dp = float(np.linalg.norm(self.pf - self.p0))
-        return dp * np.abs(self._q_ddd(s)) / self.duration**3
+        _, _, q_ddd = _KINDS[self.kind]
+        return self.displacement * np.abs(q_ddd(self._s(t))) / self.duration**3
 
     @property
     def displacement(self) -> float:
@@ -167,6 +165,11 @@ class ProfileSpec:
     p0: tuple[float, ...] = (0.0, 0.0, 0.0)
     pf: tuple[float, ...] = (1.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        profile = MotionProfile(self.kind, self.p0, self.pf, 1.0)  # checks kind and values
+        if not len(profile.p0) == len(profile.pf) >= 1:
+            raise ValueError("p0 and pf must have the same length, at least 1")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -183,10 +186,12 @@ class Scenario:
     audio_rate: int = 48000
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
-        if any(r <= 0 for r in self.video_rates) or self.numeric_rate <= 0:
-            raise ValueError("rates must be > 0")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**128):  # a Philox key
+            raise ValueError(f"seed: {self.seed!r} must be an integer in [0, 2**128)")
+        for what, x in (("duration", self.duration), ("numeric_rate", self.numeric_rate),
+                        *(("video_rates", r) for r in self.video_rates)):
+            if not (math.isfinite(x) and x > 0):
+                raise ValueError(f"{what}: {x} must be finite and > 0")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
@@ -304,17 +309,9 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     trial_id = f"synth-{scenario.task.value}-{scenario.seed:08d}"
     duration = scenario.duration
 
-    ee = MotionProfile(
-        kind=scenario.ee_profile.kind,
-        p0=np.array(scenario.ee_profile.p0),
-        pf=np.array(scenario.ee_profile.pf),
-        duration=duration,
-    )
-    wheelchair = MotionProfile(
-        kind=scenario.wheelchair_profile.kind,
-        p0=np.array(scenario.wheelchair_profile.p0),
-        pf=np.array(scenario.wheelchair_profile.pf),
-        duration=duration,
+    ee, wheelchair = (
+        MotionProfile(spec.kind, spec.p0, spec.pf, duration)
+        for spec in (scenario.ee_profile, scenario.wheelchair_profile)
     )
 
     frame_logs = {}
@@ -326,23 +323,17 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     t_num = _sample_times(duration, scenario.numeric_rate)
     ee_axes = ("x", "y", "z")[: len(ee.p0)]
     wc_axes = ("x", "y")[: len(wheelchair.p0)]
+    # The disturbances are drawn from rng in this order: ee_pose, wheelchair_pose, imu.
     numeric = {
-        "ee_pose": TimedSeries(
-            timestamps=t_num,
-            values=ee.position(t_num) + _disturbance(rng, scenario, t_num, len(ee.p0)),
-            channels=tuple(Channel(axis, "m") for axis in ee_axes),
-        ),
-        "wheelchair_pose": TimedSeries(
-            timestamps=t_num,
-            values=wheelchair.position(t_num)
-            + _disturbance(rng, scenario, t_num, len(wheelchair.p0)),
-            channels=tuple(Channel(axis, "m") for axis in wc_axes),
-        ),
-        "imu": TimedSeries(
-            timestamps=t_num,
-            values=ee.acceleration(t_num) + _disturbance(rng, scenario, t_num, len(ee.p0)),
-            channels=tuple(Channel(f"a{axis}", "m/s^2") for axis in ee_axes),
-        ),
+        name: TimedSeries(
+            t_num, clean + _disturbance(rng, scenario, t_num, clean.shape[1]), channels
+        )
+        for name, clean, channels in (
+            ("ee_pose", ee.position(t_num), tuple(Channel(a, "m") for a in ee_axes)),
+            ("wheelchair_pose", wheelchair.position(t_num),
+             tuple(Channel(a, "m") for a in wc_axes)),
+            ("imu", ee.acceleration(t_num), tuple(Channel(f"a{a}", "m/s^2") for a in ee_axes)),
+        )
     }
 
     n_audio = int(round(duration * scenario.audio_rate))

@@ -11,7 +11,14 @@ from sessionforge import filters
 from sessionforge.cli import main, process_trial
 from sessionforge.curation import label_trial
 from sessionforge.filters import DenoisePolicy
-from sessionforge.session import Task, load_session, load_synced, save_session, save_synced
+from sessionforge.session import (
+    Task,
+    describe_stream,
+    load_session,
+    load_synced,
+    save_session,
+    save_synced,
+)
 from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
 
@@ -309,6 +316,10 @@ SYNCED_CUTS = {
         "invariant-violation",
     ),
     "stream-off-the-grid": (_csv_row("streams/ee_pose.csv", 3, _next_float), "invariant-violation"),
+    "stream-value-nan": (
+        _csv_row("streams/wheelchair_pose.csv", 3, lambda row: row.split(",")[0] + ",nan,0"),
+        "invariant-violation",
+    ),
 }
 
 
@@ -362,6 +373,48 @@ BAD_USER_FILE_CASES = {
     "scenario-unknown-field": (
         "synth --scenario {file} --out {out}", '{"bogus": 1}', "malformed-manifest", "bogus"
     ),
+    "scenario-duration-nan": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "duration": NaN}',
+        "malformed-manifest",
+        "duration",
+    ),
+    "scenario-video-rate-nan": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "video_rates": [NaN]}',
+        "malformed-manifest",
+        "video_rates",
+    ),
+    "scenario-numeric-rate-inf": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "numeric_rate": Infinity}',
+        "malformed-manifest",
+        "numeric_rate",
+    ),
+    "scenario-unknown-kind": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "ee_profile": {"kind": "spline", "p0": [0], "pf": [1]}}',
+        "malformed-manifest",
+        "spline",
+    ),
+    "scenario-profile-lengths-differ": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "ee_profile": {"p0": [0, 0], "pf": [1, 0, 0]}}',
+        "malformed-manifest",
+        "same length",
+    ),
+    "scenario-profile-not-numeric": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "ee_profile": {"p0": ["a"], "pf": [1]}}',
+        "malformed-manifest",
+        "float",
+    ),
+    "scenario-seed-negative": (
+        "synth --scenario {file} --out {out}", '{"seed": -1}', "malformed-manifest", "seed"
+    ),
+    "scenario-seed-fractional": (
+        "synth --scenario {file} --out {out}", '{"seed": 1.5}', "malformed-manifest", "seed"
+    ),
     "survey-missing": ("curate survey {file}", None, "missing-file", ""),
     "survey-bad-rating": (
         "curate survey {file}",
@@ -407,6 +460,13 @@ class TestSynthCommand:
         code, _, _ = run(capsys, "synth", "--seed", "3", "--out", str(tmp_path), "--as-trial")
         assert code == 0
         assert (tmp_path / "synth-feeding-00000003" / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", str(2**128)])
+    def test_bad_seed_is_usage_error(self, capsys, tmp_path, seed):
+        code, _, err = run(capsys, "synth", f"--seed={seed}", "--out", str(tmp_path / "s"))
+        assert code == 2
+        assert "--seed" in err
+        assert not (tmp_path / "s").exists()
 
     def test_scenario_file(self, capsys, tmp_path):
         scenario = tmp_path / "sc.json"
@@ -557,6 +617,30 @@ class TestPipeline:
             for name, series in want.numeric.items():
                 assert got.numeric[name].timestamps.tobytes() == series.timestamps.tobytes()
                 assert got.numeric[name].values.tobytes() == series.values.tobytes()
+
+    def test_unclassified_stream_warns_once_and_passes_through(self, tmp_path):
+        """A stream of no policy class is warned about once, skips both filter
+        stages, and reaches the synced session as sync left it, bit for bit."""
+        session, _ = gen_session(Scenario(seed=5, duration=4.0, noise_sd=0.01))
+        misc = session.numeric["ee_pose"]
+        entry = describe_stream("misc", misc, 100.0)
+        save_session(
+            replace(
+                session,
+                manifest=replace(session.manifest, streams=(*session.manifest.streams, entry)),
+                numeric={**session.numeric, "misc": misc},
+            ),
+            tmp_path / "trial",
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, synced, raw = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+        assert [str(w.message) for w in caught] == [
+            "stream 'misc' unclassified; passing through unfiltered"
+        ]
+        want = sync_session(raw).numeric["misc"]
+        assert synced.numeric["misc"].values.tobytes() == want.values.tobytes()
+        assert synced.numeric["misc"].timestamps.tobytes() == want.timestamps.tobytes()
 
     def test_report_deterministic(self, capsys, dataset, tmp_path):
         root, _ = dataset

@@ -266,6 +266,21 @@ def _imu(synced, **changes):
     return replace(synced, numeric={**synced.numeric, "imu": imu})
 
 
+def _manifest(synced, **changes):
+    return replace(synced, manifest=replace(synced.manifest, **changes))
+
+
+def _imu_entry(synced, **changes):
+    streams = [replace(s, **changes) if s.name == "imu" else s for s in synced.manifest.streams]
+    return _manifest(synced, streams=streams)
+
+
+def _imu_value(synced, value):
+    values = synced.numeric["imu"].values.copy()
+    values[3, 0] = value
+    return _imu(synced, values=values)
+
+
 # A synced session that breaks the synced rule other than by its row counts:
 # case -> (break, message).
 SYNCED_BREAKS = {
@@ -289,6 +304,12 @@ SYNCED_BREAKS = {
     "stream-off-the-grid": (
         lambda s: _imu(s, timestamps=np.nextafter(s.grid.timestamps, 1)), "bit for bit"
     ),
+    "stream-value-nan": (lambda s: _imu_value(s, np.nan), r"streams\[imu\]: values must be finite"),
+    "stream-value-inf": (lambda s: _imu_value(s, -np.inf), r"streams\[imu\]: values must be finite"),
+    "entry-rate-nan": (
+        lambda s: _imu_entry(s, nominal_rate=np.nan), r"streams\[imu\]\.nominal_rate"
+    ),
+    "session-id-empty": (lambda s: _manifest(s, session_id=""), "session_id: must be non-empty"),
     "numeric-entry-without-stream": (
         lambda s: replace(s, numeric={k: v for k, v in s.numeric.items() if k != "imu"}),
         "numeric entries",

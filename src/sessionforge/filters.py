@@ -78,22 +78,20 @@ def design_butterworth_lowpass(order: int, cutoff: float, sample_rate: float) ->
     return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, b=b, a=a)
 
 
-def filtfilt(spec: FilterSpec, signal: np.ndarray, method: str = "pad") -> np.ndarray:
+def filtfilt(spec: FilterSpec, signal: np.ndarray) -> np.ndarray:
     """Zero-phase filtering along axis 0: forward pass, backward pass.
 
     The pass is ``scipy.signal.filtfilt`` with the first-principles ``spec``
     coefficients, so every column of a 2-D ``signal`` is filtered at once.
-    With ``method="pad"`` transients are suppressed by odd-reflection padding
-    of ``spec.padlen`` samples and by seeding the filter state at the padded
-    signal's first value; edge transients decay with the slowest pole, so the
-    result is only approximately time-reversal symmetric. ``method="gust"``
-    chooses the two initial states by least squares (Gustafsson 1996), which
-    makes the operator exactly symmetric under time reversal.
+    Transients are suppressed by odd-reflection padding of ``spec.padlen``
+    samples and by seeding the filter state at the padded signal's first
+    value; edge transients decay with the slowest pole, so the result is only
+    approximately time-reversal symmetric.
     """
     x = np.asarray(signal, dtype=np.float64)
     if len(x) <= spec.padlen:
         raise SignalTooShort(f"need > {spec.padlen} samples, got {len(x)}")
-    return scipy.signal.filtfilt(spec.b, spec.a, x, axis=0, method=method, padlen=spec.padlen)
+    return scipy.signal.filtfilt(spec.b, spec.a, x, axis=0, padlen=spec.padlen)
 
 
 class ChannelClass(str, Enum):

@@ -11,8 +11,9 @@ functions here. A session lives in a directory:
     dialogue.jsonl                one record per trial
 
 and a dataset is a directory of such trial directories. A stream's path is
-fixed by its kind and name, ``describe_stream`` derives its manifest entry,
-and a manifest naming another path fails to load. Conformance flags, such as
+fixed by its kind and name, and its manifest entry must be ``describe_stream``
+of its data at the entry's rate, so an audio entry states its WAV's integer
+rate; a manifest naming another path fails to load. Conformance flags, such as
 audio not at 48 kHz, fail neither save nor load. ``load_session(...,
 audio=False)``, the load of the batch pipeline and ``sync``, checks each
 WAV's header as a full load does and leaves its samples unread. Every
@@ -34,11 +35,14 @@ naming it.
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
 after the digest of the CSV's bytes. Later reads of the same bytes load the
-sidecar instead of parsing the text. The CSV stays canonical:
-an edited CSV no longer matches its sidecar's digest and is parsed again, and
-a sidecar that is unreadable or of the wrong dtype or shape is ignored and
-replaced. Sidecars add about 40 % of the CSV bytes on disk and are safe to
-delete; a dataset that cannot be written, read-only say, is simply not cached.
+sidecar instead of parsing the text. An edited CSV no longer matches its
+sidecar's digest and is parsed again, and a sidecar that is unreadable or whose
+``.npy`` header, dtype, width or size is wrong is ignored and replaced. The
+sidecar's data bytes are trusted, not checked: a byte flipped in them changes
+what a load returns, and deleting the sidecars recovers the CSV's values,
+which stay canonical. Sidecars add about 40 % of the CSV bytes on disk and are
+safe to delete; a dataset that cannot be written, read-only say, is simply not
+cached.
 The cache pays only when the same bytes are read again: a first read costs
 a hash and a file write more than the parse, and a read of a dataset that
 cannot be written a hash more.
@@ -159,7 +163,6 @@ class TimedSeries:
 
 @dataclass(frozen=True)
 class FrameTimestampLog:
-    stream: str
     frame_timestamps: np.ndarray  # (N_c,) seconds, strictly increasing
 
     def __post_init__(self):
@@ -326,12 +329,16 @@ def series_violations(name: str, series: TimedSeries) -> list[str]:
 
 def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     """The session's broken invariants, and its conformance flags. Each stream
-    needs one manifest entry, ``describe_stream``'s of its data but for the
-    rate, and each entry data, or a saved session loads back different."""
+    needs one manifest entry, ``describe_stream`` of its data at the entry's
+    rate, and each entry data, or a saved session loads back different. An
+    audio entry's rate is its track's, an integer > 0 as in a WAV header."""
     broken, flags = _manifest_checks(session.manifest)
-    held = [*session.numeric.items(), *session.frame_logs.items(), *session.audio.items()]
-    wanted = [replace(describe_stream(name, data), nominal_rate=0.0) for name, data in held]
-    entries = [replace(s, nominal_rate=0.0) for s in session.manifest.streams]
+    entries = list(session.manifest.streams)
+    rates = {(s.name, s.kind): s.nominal_rate for s in entries}
+    held = {StreamKind.NUMERIC: session.numeric, StreamKind.VIDEO_FRAMES: session.frame_logs,
+            StreamKind.AUDIO: session.audio}
+    wanted = [describe_stream(name, data, rates.get((name, kind)))
+              for kind, streams in held.items() for name, data in streams.items()]
     for name in dict.fromkeys(s.name for s in entries + wanted):
         if [s for s in entries if s.name == name] != [s for s in wanted if s.name == name]:
             broken.append(f"streams[{name}]: manifest entry does not describe its data")
@@ -340,8 +347,11 @@ def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     for name, log in session.frame_logs.items():
         broken += _time_violations(f"streams[{name}]", log.frame_timestamps, 1)
     for name, track in session.audio.items():
-        if track.meta.sample_rate != PAPER_AUDIO_RATE:
-            flags.append(f"streams[{name}]: audio-rate-nonconformant ({track.meta.sample_rate} Hz)")
+        rate = track.meta.sample_rate
+        if type(rate) is not int or rate <= 0:  # bool is an int subclass
+            broken.append(f"streams[{name}]: audio sample rate {rate!r} must be an integer > 0")
+        elif rate != PAPER_AUDIO_RATE:
+            flags.append(f"streams[{name}]: audio-rate-nonconformant ({rate} Hz)")
         if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:  # the samples are int16
             broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
     return broken, flags
@@ -704,7 +714,7 @@ def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
         if desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(path, desc.channels)
         elif desc.kind is StreamKind.VIDEO_FRAMES:
-            frame_logs[desc.name] = FrameTimestampLog(desc.name, _read_table(path)[1][:, 0])
+            frame_logs[desc.name] = FrameTimestampLog(_read_table(path)[1][:, 0])
         elif desc.kind is StreamKind.AUDIO:
             tracks[desc.name] = _read_wav(path, samples=audio)
 

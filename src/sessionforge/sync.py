@@ -5,7 +5,8 @@ reference grid at the lowest video frame rate over it, pick the nearest frame
 per camera per grid step under a tolerance (falling back to the last accepted
 frame on a miss), and linearly resample numeric channels onto the grid,
 bridging NaN runs of up to ``MAX_GAP`` seconds. The synced container is
-``session.py``'s; ``load_synced`` and ``save_synced`` are re-exported here.
+``session.py``'s: ``session.save_synced`` writes it and ``session.load_synced``
+reads it.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .session import (
     StreamKind,
     SyncedSession,
     TimedSeries,
-    load_synced,  # noqa: F401  re-exported: session.py owns the synced container
-    save_synced,  # noqa: F401
 )
 
 MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
@@ -94,7 +93,7 @@ def match_frames(
     nearest frame is kept but flagged unaccepted.
     """
     if len(frames.frame_timestamps) == 0:
-        raise EmptyFrameLog(frames.stream)
+        raise EmptyFrameLog("frame log has no frames")
     if tau < 0:
         raise ValueError("tau must be >= 0")
     ft = frames.frame_timestamps

@@ -5,7 +5,8 @@ seed, so the same seed yields bit-identical sessions on any platform. Motion
 profiles are chosen so path length and mean jerk have closed forms; each kind
 is one ``_KINDS`` entry. Sensor noise is a narrowband high-frequency
 disturbance that a low-pass denoiser can actually remove. A ``Scenario`` needs
-a finite duration and rates > 0, and each ``ProfileSpec`` a known kind and
+a finite duration and rates > 0, finite noise and jitter figures >= 0, an
+integer audio rate > 0, and each ``ProfileSpec`` a known kind and
 numeric ``p0`` and ``pf`` of one length >= 1; ``from_json_file`` reports a file
 that breaks this as ``MalformedManifest``.
 """
@@ -192,6 +193,12 @@ class Scenario:
                         *(("video_rates", r) for r in self.video_rates)):
             if not (math.isfinite(x) and x > 0):
                 raise ValueError(f"{what}: {x} must be finite and > 0")
+        for what, x in (("timestamp_jitter_sd", self.timestamp_jitter_sd),
+                        ("noise_sd", self.noise_sd), ("noise_ramp", self.noise_ramp)):
+            if not (math.isfinite(x) and x >= 0):
+                raise ValueError(f"{what}: {x} must be finite and >= 0")
+        if type(self.audio_rate) is not int or self.audio_rate <= 0:  # bool is an int subclass
+            raise ValueError(f"audio_rate: {self.audio_rate!r} must be an integer > 0")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Scenario":
@@ -318,7 +325,7 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     for i, rate in enumerate(scenario.video_rates):
         name = _camera_name(i, len(scenario.video_rates))
         ts = _frame_log_timestamps(rng, rate, duration, scenario.timestamp_jitter_sd)
-        frame_logs[name] = FrameTimestampLog(stream=name, frame_timestamps=ts)
+        frame_logs[name] = FrameTimestampLog(ts)
 
     t_num = _sample_times(duration, scenario.numeric_rate)
     ee_axes = ("x", "y", "z")[: len(ee.p0)]

@@ -415,6 +415,36 @@ BAD_USER_FILE_CASES = {
     "scenario-seed-fractional": (
         "synth --scenario {file} --out {out}", '{"seed": 1.5}', "malformed-manifest", "seed"
     ),
+    "scenario-noise-sd-inf": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "noise_sd": Infinity}',
+        "malformed-manifest",
+        "noise_sd",
+    ),
+    "scenario-noise-ramp-nan": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "noise_ramp": NaN, "noise_sd": 0.01}',
+        "malformed-manifest",
+        "noise_ramp",
+    ),
+    "scenario-jitter-negative": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "timestamp_jitter_sd": -0.01}',
+        "malformed-manifest",
+        "timestamp_jitter_sd",
+    ),
+    "scenario-audio-rate-fractional": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "audio_rate": 44100.5}',
+        "malformed-manifest",
+        "audio_rate",
+    ),
+    "scenario-audio-rate-bool": (
+        "synth --scenario {file} --out {out}",
+        '{"seed": 1, "audio_rate": true}',
+        "malformed-manifest",
+        "audio_rate",
+    ),
     "survey-missing": ("curate survey {file}", None, "missing-file", ""),
     "survey-bad-rating": (
         "curate survey {file}",

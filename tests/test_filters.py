@@ -86,23 +86,6 @@ class TestFiltfilt:
         core = slice(len(t) // 4, 3 * len(t) // 4)
         assert np.max(np.abs(y[core])) <= 1e-4
 
-    def test_gust_time_reversal_symmetry(self):
-        # odd-reflection padding leaves O(|pole|^padlen) edge asymmetry;
-        # the Gustafsson initial-condition mode is symmetric to roundoff
-        rng = np.random.default_rng(5)
-        spec = design_butterworth_lowpass(4, 5.0, 100.0)
-        x = rng.normal(size=300)
-        np.testing.assert_allclose(
-            filtfilt(spec, x[::-1], method="gust"),
-            filtfilt(spec, x, method="gust")[::-1],
-            atol=1e-9,
-        )
-
-    def test_unknown_method_rejected(self):
-        spec = design_butterworth_lowpass(4, 5.0, 100.0)
-        with pytest.raises(ValueError):
-            filtfilt(spec, np.zeros(100), method="mirror")
-
     def test_linearity(self):
         rng = np.random.default_rng(6)
         spec = design_butterworth_lowpass(4, 5.0, 100.0)
@@ -118,22 +101,18 @@ class TestFiltfilt:
             x = rng.uniform(-1, 1, 500)
             assert np.max(np.abs(filtfilt(spec, x))) <= 2.0
 
-    @pytest.mark.parametrize("method", ["pad", "gust"])
-    def test_too_short_signal(self, method):
+    def test_too_short_signal(self):
         spec = design_butterworth_lowpass(4, 5.0, 100.0)
         with pytest.raises(SignalTooShort):
-            filtfilt(spec, np.zeros(spec.padlen), method=method)
+            filtfilt(spec, np.zeros(spec.padlen))
 
-    # "pad" filters each column exactly as on its own; "gust" solves the
-    # initial states of all columns in one least-squares call, which rounds
-    # differently (about 1e-14 here).
-    @pytest.mark.parametrize("method, atol", [("pad", 0.0), ("gust", 1e-12)])
-    def test_columns_filtered_as_one_array(self, method, atol):
+    def test_columns_filtered_as_one_array(self):
+        # each column exactly as on its own
         rng = np.random.default_rng(11)
         spec = design_butterworth_lowpass(4, 5.0, 100.0)
         x = rng.normal(size=(600, 3))
-        per_column = np.column_stack([filtfilt(spec, x[:, c], method=method) for c in range(3)])
-        np.testing.assert_allclose(filtfilt(spec, x, method=method), per_column, rtol=0, atol=atol)
+        per_column = np.column_stack([filtfilt(spec, x[:, c]) for c in range(3)])
+        np.testing.assert_array_equal(filtfilt(spec, x), per_column)
 
     def test_agrees_with_scipy_filtfilt(self):
         # same padding convention (odd reflection, padlen 3*(order+1))

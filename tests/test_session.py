@@ -32,12 +32,14 @@ from sessionforge.session import (
     describe_stream,
     descriptor_violations,
     load_session,
+    load_synced,
     save_session,
+    save_synced,
     sessions_equal,
     validate_manifest,
     validate_session,
 )
-from sessionforge.sync import load_synced, save_synced, sync_session
+from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
 
 
@@ -199,12 +201,12 @@ class TestLoadErrors:
                 load_session(tmp_path / "trial")
 
 
-def _wav(sampwidth: int, nframes: int):
+def _wav(sampwidth: int, nframes: int, rate: int = 48000):
     def write(path):
         with wave.open(str(path), "wb") as w:
             w.setnchannels(1)
             w.setsampwidth(sampwidth)
-            w.setframerate(48000)
+            w.setframerate(rate)
             w.writeframes(bytes(sampwidth * nframes))
 
     return write
@@ -225,6 +227,7 @@ WAV_CASES = {
     "byte-after-data": (lambda path: path.write_bytes(path.read_bytes() + b"\0"), None),
     "8-bit-odd-bytes": (_wav(1, 101), MalformedManifest),
     "8-bit": (_wav(1, 100), InvariantViolation),
+    "not-the-entry-rate": (_wav(2, 100, rate=8000), InvariantViolation),
 }
 
 
@@ -273,7 +276,7 @@ class TestFormat:
             ],
             channels=(Channel("x", "m"), Channel("y", "m")),
         )
-        log = FrameTimestampLog("cam", [0.0, 1 / 15, 0.2])
+        log = FrameTimestampLog([0.0, 1 / 15, 0.2])
         manifest = SessionManifest(
             session_id="golden",
             participant_id="p1",
@@ -353,6 +356,27 @@ class TestSaveErrors:
             save_session(bad, tmp_path / "trial")
         assert not (tmp_path / "trial").exists()
 
+    @pytest.mark.parametrize(
+        "entry_rate, track_rate, needle",
+        [
+            (8000.0, 48000, r"streams\[mic\]: manifest entry"),
+            (44100.5, 44100.5, "must be an integer > 0"),  # the WAV header would say 44100
+            (1.0, True, "must be an integer > 0"),
+        ],
+        ids=["not-the-track-rate", "fractional", "bool"],
+    )
+    def test_audio_rate_that_would_not_load_back(
+        self, synthetic_session, tmp_path, entry_rate, track_rate, needle
+    ):
+        track = synthetic_session.audio["mic"]
+        track = replace(track, meta=replace(track.meta, sample_rate=track_rate))
+        m = synthetic_session.manifest
+        streams = [replace(s, nominal_rate=entry_rate) if s.name == "mic" else s for s in m.streams]
+        bad = replace(synthetic_session, manifest=replace(m, streams=streams), audio={"mic": track})
+        with pytest.raises(InvariantViolation, match=needle):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
     def test_entry_without_data(self, synthetic_session, tmp_path):
         numeric = {n: s for n, s in synthetic_session.numeric.items() if n != "imu"}
         with pytest.raises(InvariantViolation, match=r"streams\[imu\]: manifest entry"):
@@ -395,7 +419,7 @@ class TestValidateManifest:
 
     def test_describe_stream(self):
         series = TimedSeries([0.0, 0.1], [[1.0], [2.0]], (Channel("x", "m"),))
-        log = FrameTimestampLog("cam", [0.0, 0.1])
+        log = FrameTimestampLog([0.0, 0.1])
         track = AudioTrack(AudioMeta(48000, 16, 1), np.zeros(4, np.int16))
         assert describe_stream("pose", series, 100) == StreamDescriptor(
             "pose", StreamKind.NUMERIC, 100, series.channels, "streams/pose.csv"

@@ -15,16 +15,20 @@ from sessionforge.errors import (
     NoOverlap,
     UnbridgeableGap,
 )
-from sessionforge.session import Channel, FrameTimestampLog, TimedSeries
+from sessionforge.session import (
+    Channel,
+    FrameTimestampLog,
+    TimedSeries,
+    load_synced,
+    save_synced,
+)
 from sessionforge.sync import (
     OverlapWindow,
     build_reference_grid,
     compute_overlap,
     default_tau,
     interpolate_numeric,
-    load_synced,
     match_frames,
-    save_synced,
     sync_session,
 )
 from sessionforge.synth import Scenario, gen_session
@@ -37,8 +41,8 @@ def series(ts, vals=None):
     return TimedSeries(timestamps=ts, values=vals, channels=(Channel("x", "m"),))
 
 
-def frame_log(ts, name="cam"):
-    return FrameTimestampLog(stream=name, frame_timestamps=np.asarray(ts, dtype=float))
+def frame_log(ts):
+    return FrameTimestampLog(np.asarray(ts, dtype=float))
 
 
 def brute_force_match(frame_ts, grid_ts, tau):
@@ -239,9 +243,7 @@ class TestSyncSession:
         session, _ = gen_session(Scenario(seed=1))
         shifted = dict(session.frame_logs)
         log = shifted["ego_cam"]
-        shifted["ego_cam"] = FrameTimestampLog(
-            stream="ego_cam", frame_timestamps=log.frame_timestamps + 100.0
-        )
+        shifted["ego_cam"] = FrameTimestampLog(log.frame_timestamps + 100.0)
 
         with pytest.raises(NoOverlap):
             sync_session(replace(session, frame_logs=shifted))

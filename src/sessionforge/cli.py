@@ -309,6 +309,17 @@ def _tau(text: str) -> float:
     return tau
 
 
+def _jobs(text: str) -> int:
+    """``--jobs``: a worker count, an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def _seed(text: str) -> int:
     """``--seed``: a scenario seed, under the scenario's own rule."""
     try:
@@ -397,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau", type=_tau, default=None)
         p.add_argument("--policy", default="default")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_jobs, default=1)
         if name == "pipeline":
             p.add_argument("--report", default="report.json")
         p.set_defaults(func=_cmd_pipeline)

@@ -2,13 +2,17 @@
 
 Coefficients come from the analog prototype poles via a prewarped bilinear
 transform, computed here directly rather than taken from a library, so the
-design is reproducible from first principles. The zero-phase pass is
-``scipy.signal.filtfilt`` along axis 0 (time), with odd-reflection padding of
-length 3*(order+1) at both ends.
+design is reproducible from first principles. Each design is made once per
+``(order, cutoff, sample_rate)`` and shared, read-only, by every stream that
+asks for it. The zero-phase pass is scipy's "pad" method written out along
+axis 0 (time): odd-reflection padding of length 3*(order+1) at both ends, and
+the spec's cached steady state to seed each direction. Its output is
+bit-identical to ``scipy.signal.filtfilt``.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -20,6 +24,14 @@ import scipy.signal
 from .errors import InvalidCutoff, SignalTooShort, UnclassifiedChannel
 
 NYQUIST_CLAMP = 0.45  # cutoff clamped to this fraction of fs when infeasible
+DESIGN_CACHE_SIZE = 64  # distinct (order, cutoff, rate) designs kept
+
+
+def _read_only(x) -> np.ndarray:
+    """A read-only float64 copy of ``x``."""
+    arr = np.array(x, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -31,12 +43,18 @@ class FilterSpec:
     a: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
+        # Specs are shared, so their arrays are private copies nobody can write.
+        object.__setattr__(self, "b", _read_only(self.b))
+        object.__setattr__(self, "a", _read_only(self.a))
 
     @property
     def padlen(self) -> int:
         return 3 * (self.order + 1)
+
+    @functools.cached_property
+    def zi(self) -> np.ndarray:
+        """Steady state of the step response, as ``scipy.signal.lfilter_zi``."""
+        return _read_only(scipy.signal.lfilter_zi(self.b, self.a))
 
     def is_stable(self) -> bool:
         return bool(np.all(np.abs(np.roots(self.a)) < 1.0))
@@ -50,11 +68,13 @@ class FilterSpec:
         return float(np.abs(h[0]))
 
 
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design_butterworth_lowpass(order: int, cutoff: float, sample_rate: float) -> FilterSpec:
     """Digital Butterworth low-pass via prewarped bilinear transform.
 
     Analog prototype poles sit on the unit circle in the left half s-plane;
-    prewarping places the -3 dB point exactly at ``cutoff``.
+    prewarping places the -3 dB point exactly at ``cutoff``. Equal arguments
+    return the same (read-only) spec.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -81,17 +101,24 @@ def design_butterworth_lowpass(order: int, cutoff: float, sample_rate: float) ->
 def filtfilt(spec: FilterSpec, signal: np.ndarray) -> np.ndarray:
     """Zero-phase filtering along axis 0: forward pass, backward pass.
 
-    The pass is ``scipy.signal.filtfilt`` with the first-principles ``spec``
-    coefficients, so every column of a 2-D ``signal`` is filtered at once.
-    Transients are suppressed by odd-reflection padding of ``spec.padlen``
-    samples and by seeding the filter state at the padded signal's first
-    value; edge transients decay with the slowest pole, so the result is only
-    approximately time-reversal symmetric.
+    The pass is scipy's "pad" method with the first-principles ``spec``
+    coefficients and its cached steady state ``spec.zi``, so every column of
+    a 2-D ``signal`` is filtered at once. Transients are suppressed by
+    odd-reflection padding of ``spec.padlen`` samples and by seeding each
+    direction's state at its first value; edge transients decay with the
+    slowest pole, so the result is only approximately time-reversal
+    symmetric. The output is bit-identical to
+    ``scipy.signal.filtfilt(spec.b, spec.a, signal, axis=0)``.
     """
     x = np.asarray(signal, dtype=np.float64)
-    if len(x) <= spec.padlen:
-        raise SignalTooShort(f"need > {spec.padlen} samples, got {len(x)}")
-    return scipy.signal.filtfilt(spec.b, spec.a, x, axis=0, padlen=spec.padlen)
+    n = spec.padlen
+    if len(x) <= n:
+        raise SignalTooShort(f"need > {n} samples, got {len(x)}")
+    ext = np.concatenate((2 * x[:1] - x[n:0:-1], x, 2 * x[-1:] - x[-2 : -(n + 2) : -1]))
+    zi = spec.zi.reshape((-1,) + (1,) * (x.ndim - 1))
+    y, _ = scipy.signal.lfilter(spec.b, spec.a, ext, axis=0, zi=zi * ext[:1])
+    y, _ = scipy.signal.lfilter(spec.b, spec.a, y[::-1], axis=0, zi=zi * y[-1:])
+    return y[::-1][n:-n]
 
 
 class ChannelClass(str, Enum):

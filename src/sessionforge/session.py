@@ -327,11 +327,27 @@ def series_violations(name: str, series: TimedSeries) -> list[str]:
     return violations
 
 
+def audio_checks(name: str, meta: AudioMeta) -> tuple[list[str], list[str]]:
+    """The audio track rule: the invariants audio stream ``name`` with ``meta``
+    breaks, and its conformance flags. The rate is an integer > 0, as in a WAV
+    header, and the depth is 16 bits, as the samples are int16."""
+    rate, broken, flags = meta.sample_rate, [], []
+    if type(rate) is not int or rate <= 0:  # bool is an int subclass
+        broken.append(f"streams[{name}]: audio sample rate {rate!r} must be an integer > 0")
+    elif rate != PAPER_AUDIO_RATE:
+        flags.append(f"streams[{name}]: audio-rate-nonconformant ({rate} Hz)")
+    if meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:
+        broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
+    return broken, flags
+
+
 def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     """The session's broken invariants, and its conformance flags. Each stream
     needs one manifest entry, ``describe_stream`` of its data at the entry's
-    rate, and each entry data, or a saved session loads back different. An
-    audio entry's rate is its track's, an integer > 0 as in a WAV header."""
+    rate, and each entry data, or a saved session loads back different. A
+    name belongs to streams of one kind, whatever the manifest's order. An
+    audio entry's rate is its track's, and ``audio_checks`` holds the track's
+    own rule."""
     broken, flags = _manifest_checks(session.manifest)
     entries = list(session.manifest.streams)
     rates = {(s.name, s.kind): s.nominal_rate for s in entries}
@@ -340,20 +356,20 @@ def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     wanted = [describe_stream(name, data, rates.get((name, kind)))
               for kind, streams in held.items() for name, data in streams.items()]
     for name in dict.fromkeys(s.name for s in entries + wanted):
-        if [s for s in entries if s.name == name] != [s for s in wanted if s.name == name]:
+        listed = [s for s in entries if s.name == name]
+        held_as = [s for s in wanted if s.name == name]
+        if any(len({s.kind for s in group}) > 1 for group in (listed, held_as)):
+            broken.append(f"streams[{name}]: one name under two kinds")
+        elif listed != held_as:
             broken.append(f"streams[{name}]: manifest entry does not describe its data")
     for name, series in session.numeric.items():
         broken += series_violations(name, series)
     for name, log in session.frame_logs.items():
         broken += _time_violations(f"streams[{name}]", log.frame_timestamps, 1)
     for name, track in session.audio.items():
-        rate = track.meta.sample_rate
-        if type(rate) is not int or rate <= 0:  # bool is an int subclass
-            broken.append(f"streams[{name}]: audio sample rate {rate!r} must be an integer > 0")
-        elif rate != PAPER_AUDIO_RATE:
-            flags.append(f"streams[{name}]: audio-rate-nonconformant ({rate} Hz)")
-        if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:  # the samples are int16
-            broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
+        track_broken, track_flags = audio_checks(name, track.meta)
+        broken += track_broken
+        flags += track_flags
     return broken, flags
 
 

@@ -52,6 +52,7 @@ from .session import (
     SessionManifest,
     Task,
     TimedSeries,
+    audio_checks,
     describe_stream,
     descriptor_violations,
     save_session,
@@ -247,6 +248,7 @@ class RecordingHandle:
         self._audio_meta = AudioMeta(sample_rate=config.audio_rate, bit_depth=16, channels=1)
         audio = AudioTrack(self._audio_meta, ())
         broken = descriptor_violations(describe_stream(config.audio_stream, audio))
+        broken += audio_checks(config.audio_stream, self._audio_meta)[0]
         if broken:
             raise InvariantViolation(f"RecorderConfig.audio_stream: {'; '.join(broken)}")
         self.config = config

@@ -116,6 +116,19 @@ def test_tau_not_finite_and_nonnegative_is_usage_error(capsys, tmp_path, dataset
     assert "argument --tau: must be finite and >= 0" in err
 
 
+@pytest.mark.parametrize("command", ["pipeline", "report"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "1.5", "abc"])
+def test_jobs_below_one_is_usage_error(capsys, tmp_path, dataset, command, jobs):
+    root, _ = dataset
+    report = tmp_path / "r.json"
+    argv = [command, "--root", str(root)] + (["--report", str(report)] if command == "pipeline" else [])
+    code, out, err = run(capsys, "--errors", "json", *argv, "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "argument --jobs: must be an integer >= 1" in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("command", ["sync", "report"])
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1, 0])
 def test_video_rate_not_finite_and_positive_is_json_error(capsys, tmp_path, dataset, command, rate):

@@ -6,6 +6,7 @@ from sessionforge.errors import InvalidCutoff, SignalTooShort, UnclassifiedChann
 from sessionforge.filters import (
     ChannelClass,
     DenoisePolicy,
+    FilterSpec,
     classify_stream,
     denoise_raw,
     denoise_session,
@@ -51,6 +52,33 @@ class TestDesign:
         freqs = np.linspace(0.01, 49.9, 500)
         mags = np.array([spec.magnitude(f) for f in freqs])
         assert (np.diff(mags) < 1e-12).all()
+
+    def test_equal_arguments_share_one_spec(self):
+        assert design_butterworth_lowpass(4, 5.0, 100.0) is design_butterworth_lowpass(4, 5.0, 100.0)
+        assert design_butterworth_lowpass(4, 5.0, 100.0) is not design_butterworth_lowpass(4, 10.0, 100.0)
+
+    def test_shared_spec_is_read_only(self):
+        spec = design_butterworth_lowpass(4, 5.0, 100.0)
+        np.testing.assert_array_equal(spec.zi, scipy.signal.lfilter_zi(spec.b, spec.a))
+        assert spec.zi is spec.zi  # computed once
+        for arr in (spec.b, spec.a, spec.zi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_callers_arrays_stay_writable(self):
+        b, a = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        spec = FilterSpec(order=1, cutoff=1.0, sample_rate=10.0, b=b, a=a)
+        b[0] = a[1] = 0.25
+        assert b.flags.writeable and a.flags.writeable
+        assert spec.b[0] == 0.5 and spec.a[1] == 0.0
+
+    def test_every_clamp_warns(self):
+        # the design is cached below spec_for, so a repeat still warns
+        policy = DenoisePolicy.default()
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="clamped"):
+                spec = policy.spec_for(ChannelClass.IMU, 15.0)
+        assert spec.cutoff == pytest.approx(0.45 * 15.0)
 
     def test_invalid_cutoff(self):
         with pytest.raises(InvalidCutoff):
@@ -114,13 +142,20 @@ class TestFiltfilt:
         per_column = np.column_stack([filtfilt(spec, x[:, c]) for c in range(3)])
         np.testing.assert_array_equal(filtfilt(spec, x), per_column)
 
-    def test_agrees_with_scipy_filtfilt(self):
-        # same padding convention (odd reflection, padlen 3*(order+1))
+    @pytest.mark.parametrize("order", [1, 2, 4, 6, 8])
+    @pytest.mark.parametrize("columns", [None, 3], ids=["1d", "2d"])
+    @pytest.mark.parametrize("length", ["long", "shortest"])
+    def test_agrees_with_scipy_filtfilt(self, order, columns, length):
+        # bit for bit: same padding (odd reflection, padlen 3*(order+1)) and
+        # the same steady state seeding each direction
         rng = np.random.default_rng(9)
-        spec = design_butterworth_lowpass(4, 5.0, 100.0)
-        x = rng.normal(size=400)
-        ref = scipy.signal.filtfilt(spec.b, spec.a, x)
-        np.testing.assert_allclose(filtfilt(spec, x), ref, atol=1e-9)
+        spec = design_butterworth_lowpass(order, 5.0, 100.0)
+        n = 400 if length == "long" else spec.padlen + 1
+        x = rng.normal(size=(n,) if columns is None else (n, columns))
+        ref = scipy.signal.filtfilt(spec.b, spec.a, x, axis=0)
+        y = filtfilt(spec, x)
+        assert y.shape == ref.shape
+        assert np.array_equal(y.view(np.uint64), ref.view(np.uint64))
 
 
 class TestClassification:

@@ -447,6 +447,27 @@ class TestValidateManifest:
         desc = StreamDescriptor("mic", StreamKind.AUDIO, 48000.0, (Channel("pcm", "1"),), "mic.wav")
         assert descriptor_violations(desc) == ["streams[mic].file: must be 'audio/mic.wav'"]
 
+    @pytest.mark.parametrize("video_first", [False, True], ids=["numeric-first", "video-first"])
+    def test_one_name_under_two_kinds_is_rejected_in_either_order(
+        self, synthetic_session, tmp_path, video_first
+    ):
+        # a video "imu" beside the numeric "imu": the answer must not hang on
+        # which of the two entries the manifest lists first
+        log = FrameTimestampLog([0.0, 0.1, 0.2])
+        video = describe_stream("imu", log, 10.0)
+        streams = list(synthetic_session.manifest.streams)
+        at = next(i for i, s in enumerate(streams) if s.name == "imu") + (0 if video_first else 1)
+        streams.insert(at, video)
+        bad = replace(
+            synthetic_session,
+            manifest=replace(synthetic_session.manifest, streams=tuple(streams)),
+            frame_logs={**synthetic_session.frame_logs, "imu": log},
+        )
+        assert validate_session(bad) == ["streams[imu]: one name under two kinds"]
+        with pytest.raises(InvariantViolation, match=r"streams\[imu\]: one name under two kinds"):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
     def test_task_enum_covers_exactly_the_five_tasks(self):
         assert {t.value for t in Task} == {
             "cleaning",

@@ -406,6 +406,19 @@ class TestRecording:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("rate", [44100.5, 0, True], ids=["fractional", "zero", "bool"])
+    def test_bad_audio_rate_is_rejected_before_any_socket(self, tmp_path, monkeypatch, rate):
+        # stop() could not save such a track; refuse it before opening anything
+        class NoSockets:
+            def __getattr__(self, name):
+                raise AssertionError(f"socket.{name} used before the audio rule was checked")
+
+        monkeypatch.setattr(transport, "socket", NoSockets())
+        config = RecorderConfig(session_root=tmp_path / "rec", audio_rate=rate)
+        with pytest.raises(InvariantViolation, match="audio sample rate .* must be an integer > 0"):
+            start_recording(config)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestStopCutOff:
     """stop() is a cut-off: it wakes every receive loop at once and keeps what

@@ -7,9 +7,11 @@ import warnings
 from pathlib import Path
 
 from sessionforge import Scenario, Task, gen_session, save_session
-from sessionforge.cli import build_report, process_trial
+from sessionforge.cli import build_report, denoise_and_sync
 from sessionforge.curation import load_manifests
 from sessionforge.filters import DenoisePolicy
+from sessionforge.metrics import compute_trial_metrics
+from sessionforge.session import load_session
 from sessionforge.synth import ProfileSpec
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -31,11 +33,13 @@ with tempfile.TemporaryDirectory() as tmp:
         save_session(session, root / session.manifest.session_id)
         truths[session.manifest.session_id] = truth
 
-    # Per-trial processing mirrors the CLI `pipeline` subcommand.
+    # Per-trial processing is the chain the CLI `pipeline` subcommand runs.
     trial_metrics, dialogues = [], []
     policy = DenoisePolicy.default()
     for trial_dir in sorted(root.iterdir()):
-        tm, synced, raw = process_trial(trial_dir, tau=None, policy=policy)
+        raw = load_session(trial_dir, audio=False)
+        synced = denoise_and_sync(raw, tau=None, policy=policy)
+        tm = compute_trial_metrics(synced)
         trial_metrics.append(tm)
         dialogues.extend(raw.dialogues)
 

@@ -15,6 +15,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
@@ -41,15 +42,13 @@ def _comfort_entry(wheelchair_mean_jerk: float) -> dict:
 
 # -- per-trial processing ---------------------------------------------------
 
-def process_trial(
-    trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
-) -> tuple[metrics.TrialMetrics, sess.SyncedSession, sess.RawSession]:
-    """raw -> native-rate denoise -> sync -> grid-rate denoise -> metrics.
+def denoise_and_sync(
+    raw: sess.RawSession, tau: float | None, policy: filters.DenoisePolicy
+) -> sess.SyncedSession:
+    """The per-trial chain: native-rate denoise -> sync -> grid-rate denoise.
     The grid-rate stage takes the classified streams the native stage left;
-    a stream of no policy class passes through with one warning. No stage
-    reads audio, so each WAV's header is checked and its samples are left
-    unread."""
-    raw = sess.load_session(trial_dir, audio=False)
+    a stream of no policy class passes through with one warning. Each stage
+    is called through its module."""
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
     rest = {
@@ -60,7 +59,19 @@ def process_trial(
     if rest:
         grid = filters.denoise_session(replace(synced, numeric=rest), policy, strict=False)
         synced = replace(synced, numeric={**synced.numeric, **grid.numeric})
-    return metrics.compute_trial_metrics(synced), synced, raw
+    return synced
+
+
+def process_trial(
+    trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
+) -> tuple[metrics.TrialMetrics, tuple[dlg.AnnotatedDialogue, ...], sess.SessionManifest]:
+    """What the report needs of one trial: its metrics after
+    ``denoise_and_sync``, its dialogues and its manifest, a small picklable
+    value holding no arrays. No stage reads audio, so each WAV's header is
+    checked and its samples are left unread."""
+    raw = sess.load_session(trial_dir, audio=False)
+    synced = denoise_and_sync(raw, tau, policy)
+    return metrics.compute_trial_metrics(synced), raw.dialogues, raw.manifest
 
 
 def build_report(
@@ -272,20 +283,14 @@ def _cmd_pipeline(args) -> int:
     if not trial_dirs:
         raise SessionForgeError(f"no trials under {root}")
 
-    def run_one(trial_dir: Path):
-        tm, synced, raw = process_trial(trial_dir, args.tau, policy)
-        return tm, list(raw.dialogues), raw.manifest
-
-    if args.jobs > 1:
+    work = (process_trial, trial_dirs, repeat(args.tau), repeat(policy))
+    if args.jobs > 1:  # threads: GIL-bound, no faster than one job
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_one, trial_dirs))
+            results = list(pool.map(*work))
     else:
-        results = [run_one(d) for d in trial_dirs]
-
-    trials = [tm for tm, _, _ in results]
-    dialogues = [d for _, ds, _ in results for d in ds]
-    manifests = [m for _, _, m in results]
-    report = build_report(trials, dialogues, manifests)
+        results = list(map(*work))
+    trials, dialogues, manifests = zip(*results)
+    report = build_report(list(trials), [d for ds in dialogues for d in ds], list(manifests))
     text = _report_csv(report) if args.format == "csv" else _json_text(report)
     if args.cmd == "report":
         print(text, end="")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import statistics
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 
 from .errors import (
+    DuplicateTrial,
     EmptyInput,
     EmptyQuestion,
     MalformedSurvey,
@@ -75,9 +77,15 @@ def _percentage(successful: int, raw: int) -> str:
 
 
 def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
-    """Raw vs successful counts per task, plus the overall percentage."""
+    """Raw vs successful counts per task, plus the overall percentage. A
+    dataset holds each session_id once, or it is refused: no rule can tell
+    which copy of a trial is right."""
     if not manifests:
         raise EmptyInput("no manifests")
+    counts = Counter(m.session_id for m in manifests)
+    repeated = [f"{i!r} ({n} trials)" for i, n in counts.items() if n > 1]
+    if repeated:
+        raise DuplicateTrial(f"session_id held by more than one trial: {', '.join(repeated)}")
     per_task: dict[str, dict[str, int]] = {}
     for m in manifests:
         row = per_task.setdefault(task_label(m.task), {"raw": 0, "successful": 0})

@@ -90,6 +90,11 @@ class MissingStream(SessionForgeError):
     code = "missing-stream"
 
 
+class RateExceedsLog(SessionForgeError):
+    module = "sync_engine"
+    code = "rate-exceeds-log"
+
+
 # -- dsp_filters ------------------------------------------------------------
 
 class InvalidCutoff(SessionForgeError):
@@ -154,6 +159,11 @@ class OutOfRangeRating(SessionForgeError):
 class MalformedSurvey(SessionForgeError):
     module = "curation"
     code = "malformed-survey"
+
+
+class DuplicateTrial(SessionForgeError):
+    module = "curation"
+    code = "duplicate-trial"
 
 
 # -- dialogue_annotations ---------------------------------------------------

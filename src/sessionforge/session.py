@@ -22,9 +22,9 @@ rule (``_time_violations``): enough samples, finite, strictly increasing. A
 synced container (``save_synced``) is read by its manifest too
 (``load_synced``), and a file the manifest does not list is ignored. For
 either container, save refuses, before writing anything, what load rejects:
-``_require_valid`` is the one rule of the raw container and
-``_synced_checks`` of the synced one, and both apply the one manifest rule
-(``_manifest_checks``). Floats are written with 17 significant digits so
+``session_checks`` is the one rule of the raw container, the recorder's
+too, and ``_synced_checks`` of the synced one; both apply the one manifest
+rule (``_manifest_checks``). Floats are written with 17 significant digits so
 save/load round-trips bit-exactly. Every CSV in the container, the synced
 container's included, goes through ``_read_table``/``_write_table``: numpy
 ``loadtxt`` parses them, and the writer formats blocks of rows with one
@@ -316,38 +316,15 @@ def _time_violations(where: str, t: np.ndarray, n_min: int) -> list[str]:
     return violations
 
 
-def series_violations(name: str, series: TimedSeries) -> list[str]:
-    """The invariants numeric stream ``name`` breaks; one string per rule."""
-    t = series.timestamps
-    violations = _time_violations(f"streams[{name}]", t, 2)
-    if len(series.values) != len(t):
-        violations.append(f"streams[{name}]: values length must match timestamps")
-    if series.values.shape[1] != len(series.channels):
-        violations.append(f"streams[{name}]: channel count mismatch")
-    return violations
-
-
-def audio_checks(name: str, meta: AudioMeta) -> tuple[list[str], list[str]]:
-    """The audio track rule: the invariants audio stream ``name`` with ``meta``
-    breaks, and its conformance flags. The rate is an integer > 0, as in a WAV
-    header, and the depth is 16 bits, as the samples are int16."""
-    rate, broken, flags = meta.sample_rate, [], []
-    if type(rate) is not int or rate <= 0:  # bool is an int subclass
-        broken.append(f"streams[{name}]: audio sample rate {rate!r} must be an integer > 0")
-    elif rate != PAPER_AUDIO_RATE:
-        flags.append(f"streams[{name}]: audio-rate-nonconformant ({rate} Hz)")
-    if meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:
-        broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
-    return broken, flags
-
-
-def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
-    """The session's broken invariants, and its conformance flags. Each stream
-    needs one manifest entry, ``describe_stream`` of its data at the entry's
-    rate, and each entry data, or a saved session loads back different. A
-    name belongs to streams of one kind, whatever the manifest's order. An
-    audio entry's rate is its track's, and ``audio_checks`` holds the track's
-    own rule."""
+def session_checks(session: RawSession) -> tuple[list[str], list[str]]:
+    """The session's broken invariants, and its conformance flags: the one
+    rule of the raw container, which save, load and the recorder apply. Each
+    stream needs one manifest entry, ``describe_stream`` of its data at the
+    entry's rate, and each entry data, or a saved session loads back
+    different. A name belongs to streams of one kind, whatever the manifest's
+    order. A numeric stream has as many values as timestamps and channels.
+    An audio track's rate is an integer > 0, as in a WAV header, and its
+    depth 16 bits, as the samples are int16."""
     broken, flags = _manifest_checks(session.manifest)
     entries = list(session.manifest.streams)
     rates = {(s.name, s.kind): s.nominal_rate for s in entries}
@@ -363,25 +340,33 @@ def _session_checks(session: RawSession) -> tuple[list[str], list[str]]:
         elif listed != held_as:
             broken.append(f"streams[{name}]: manifest entry does not describe its data")
     for name, series in session.numeric.items():
-        broken += series_violations(name, series)
+        broken += _time_violations(f"streams[{name}]", series.timestamps, 2)
+        if len(series.values) != series.n_samples:
+            broken.append(f"streams[{name}]: values length must match timestamps")
+        if series.values.shape[1] != len(series.channels):
+            broken.append(f"streams[{name}]: channel count mismatch")
     for name, log in session.frame_logs.items():
         broken += _time_violations(f"streams[{name}]", log.frame_timestamps, 1)
     for name, track in session.audio.items():
-        track_broken, track_flags = audio_checks(name, track.meta)
-        broken += track_broken
-        flags += track_flags
+        rate = track.meta.sample_rate
+        if type(rate) is not int or rate <= 0:  # bool is an int subclass
+            broken.append(f"streams[{name}]: audio sample rate {rate!r} must be an integer > 0")
+        elif rate != PAPER_AUDIO_RATE:
+            flags.append(f"streams[{name}]: audio-rate-nonconformant ({rate} Hz)")
+        if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:
+            broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
     return broken, flags
 
 
 def validate_session(session: RawSession) -> list[str]:
     """Manifest violations plus per-series invariant checks."""
-    broken, flags = _session_checks(session)
+    broken, flags = session_checks(session)
     return broken + flags
 
 
 def _require_valid(session: RawSession) -> None:
     """Save's and load's one rule: a broken invariant is fatal, a flag is not."""
-    broken, _ = _session_checks(session)
+    broken, _ = session_checks(session)
     if broken:
         raise InvariantViolation("; ".join(broken))
 
@@ -395,6 +380,8 @@ def _manifest_to_dict(m: SessionManifest) -> dict:
 
 def _manifest_from_dict(d: dict, path: Path) -> SessionManifest:
     try:
+        if not isinstance(d["session_id"], str):  # a dataset counts trials by it
+            raise TypeError(f"session_id {d['session_id']!r} is not a string")
         task_raw = d["task"]
         try:
             task: Task | str = Task(task_raw)

@@ -20,6 +20,7 @@ from .errors import (
     GridOutsideSeries,
     MissingStream,
     NoOverlap,
+    RateExceedsLog,
     UnbridgeableGap,
 )
 from .session import (
@@ -33,6 +34,9 @@ from .session import (
 )
 
 MAX_GAP = 0.5  # seconds of NaN bridged by interpolation before erroring
+# A video entry's nominal rate may be at most this many times its frame log's
+# observed rate, so a claimed rate cannot size the grid beyond the data.
+MAX_RATE_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,22 @@ def default_tau(grid_rate: float) -> float:
 
 def sync_session(session: RawSession, tau: float | None = None) -> SyncedSession:
     """Align a raw session: grid at the lowest video rate, frame selections
-    per camera, numeric channels interpolated."""
+    per camera, numeric channels interpolated. A video entry whose nominal
+    rate is over ``MAX_RATE_RATIO`` times its frame log's raises
+    ``RateExceedsLog`` before the grid is built."""
     video_descs = [
         s for s in session.manifest.streams if s.kind is StreamKind.VIDEO_FRAMES
     ]
     if not video_descs or not session.numeric:
         raise MissingStream("sync requires >= 1 video stream and >= 1 numeric stream")
+    for s in video_descs:
+        # observed rate (n - 1) / (t[-1] - t[0]); a one-frame log has none
+        t = session.frame_logs[s.name].frame_timestamps if s.name in session.frame_logs else ()
+        if len(t) > 1 and s.nominal_rate * (t[-1] - t[0]) > MAX_RATE_RATIO * (len(t) - 1):
+            raise RateExceedsLog(
+                f"streams[{s.name}]: nominal rate {s.nominal_rate} Hz is over {MAX_RATE_RATIO}x"
+                f" the {(len(t) - 1) / (t[-1] - t[0]):.6g} Hz its frame log holds"
+            )
     grid_rate = min(s.nominal_rate for s in video_descs)
     if tau is None:
         tau = default_tau(grid_rate)

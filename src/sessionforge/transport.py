@@ -52,11 +52,9 @@ from .session import (
     SessionManifest,
     Task,
     TimedSeries,
-    audio_checks,
     describe_stream,
-    descriptor_violations,
     save_session,
-    series_violations,
+    session_checks,
     utc_now,
 )
 
@@ -240,17 +238,40 @@ class RecorderConfig:
     audio_rate: int = 48000
 
 
+def _recording(
+    cfg: RecorderConfig,
+    numeric: dict[str, tuple[TimedSeries, float]],
+    audio: dict[str, AudioTrack],
+) -> RawSession:
+    """The session a recording under ``cfg`` saves: each ``numeric`` topic, a
+    series at its rate, and the ``audio`` track, if any."""
+    streams = [describe_stream(name, series, rate) for name, (series, rate) in numeric.items()]
+    streams += [describe_stream(name, track) for name, track in audio.items()]
+    manifest = SessionManifest(
+        session_id=cfg.session_id,
+        participant_id="",
+        task=cfg.task,
+        success=None,
+        created_at=utc_now(),
+        streams=tuple(streams),
+        notes="recorded by transport gateway",
+    )
+    return RawSession(manifest, {name: s for name, (s, _) in numeric.items()}, audio=audio)
+
+
 class RecordingHandle:
     """Live TCP/UDP recording session; ``stop()`` flushes a valid RawSession."""
 
     def __init__(self, config: RecorderConfig):
-        # checked before binding, as stop() could not save this audio stream
+        # save's rule, on the session this config saves with no frames, is
+        # checked before binding: stop() could not save one that breaks it
         self._audio_meta = AudioMeta(sample_rate=config.audio_rate, bit_depth=16, channels=1)
-        audio = AudioTrack(self._audio_meta, ())
-        broken = descriptor_violations(describe_stream(config.audio_stream, audio))
-        broken += audio_checks(config.audio_stream, self._audio_meta)[0]
+        header_only = {config.audio_stream: AudioTrack(self._audio_meta, ())}
+        broken, _ = session_checks(_recording(config, {}, header_only))
         if broken:
-            raise InvariantViolation(f"RecorderConfig.audio_stream: {'; '.join(broken)}")
+            raise InvariantViolation(
+                f"RecorderConfig (session_id, audio_stream, audio_rate): {'; '.join(broken)}"
+            )
         self.config = config
         # written only by the recording thread
         self._topics: dict[str, tuple[list[float], list[tuple[float, ...]]]] = {}
@@ -412,14 +433,11 @@ class RecordingHandle:
             audio[cfg.audio_stream] = AudioTrack(self._audio_meta, np.frombuffer(pcm, dtype="<i2"))
 
         # one bad topic must not cost the recording its other topics
-        numeric: dict[str, TimedSeries] = {}
-        streams = []
+        numeric: dict[str, tuple[TimedSeries, float]] = {}
         for topic, (ts, vals) in sorted(self._topics.items()):
             widths = sorted(set(map(len, vals)))
-            if len(widths) > 1:
+            if len(widths) > 1:  # np.array cannot hold ragged frames
                 broken = [f"frames carry {widths} values"]
-            elif topic in audio:
-                broken = ["the audio stream has that name"]
             else:
                 if topic in cfg.stream_map:
                     rate, channels = cfg.stream_map[topic]
@@ -427,27 +445,14 @@ class RecordingHandle:
                     rate = max(1.0, (len(ts) - 1) / max(ts[-1] - ts[0], 1e-9))
                     channels = tuple(Channel(f"ch{i}", "1") for i in range(widths[0]))
                 series = TimedSeries(np.array(ts), np.array(vals), channels)
-                desc = describe_stream(topic, series, rate)
-                broken = descriptor_violations(desc) + series_violations(topic, series)
+                broken, _ = session_checks(_recording(cfg, {topic: (series, rate)}, audio))
             if broken:
                 warnings.warn(f"topic '{topic}' left out of the recording: {'; '.join(broken)}")
                 continue
-            numeric[topic] = series
-            streams.append(desc)
+            numeric[topic] = (series, rate)
         if not self._topics:
             warnings.warn("recording stopped with zero frames received")
-        streams += [describe_stream(name, track) for name, track in audio.items()]
-
-        manifest = SessionManifest(
-            session_id=cfg.session_id,
-            participant_id="",
-            task=cfg.task,
-            success=None,
-            created_at=utc_now(),
-            streams=tuple(streams),
-            notes="recorded by transport gateway",
-        )
-        return RawSession(manifest=manifest, numeric=numeric, audio=audio)
+        return _recording(cfg, numeric, audio)
 
 
 def start_recording(config: RecorderConfig) -> RecordingHandle:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from sessionforge.cli import main, process_trial
+from sessionforge.cli import denoise_and_sync, main, process_trial
 from sessionforge.curation import dataset_stats, survey_stats
 from sessionforge.dialogue import (
     AmbiguityLabel,
@@ -36,6 +36,7 @@ from sessionforge.session import (
     StreamDescriptor,
     StreamKind,
     Task,
+    load_session,
     save_session,
 )
 from sessionforge.sync import OverlapWindow, build_reference_grid, match_frames, sync_session
@@ -157,7 +158,9 @@ def test_criterion_5_end_to_end_recovery(tmp_path, capsys):
         truths[session.manifest.session_id] = gt
 
     for trial_id, gt in truths.items():
-        tm, synced, _ = process_trial(root / trial_id, None, DenoisePolicy.default())
+        tm, _, _ = process_trial(root / trial_id, None, DenoisePolicy.default())
+        raw = load_session(root / trial_id, audio=False)
+        synced = denoise_and_sync(raw, None, DenoisePolicy.default())
         assert tm.ee_path_length == pytest.approx(gt.ee_path_length, rel=0.02)
         expected_jerk = gt.expected_mean_jerk(gt.ee, synced.grid.timestamps)
         assert tm.ee_mean_jerk == pytest.approx(expected_jerk, rel=0.05)

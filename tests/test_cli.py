@@ -1,17 +1,22 @@
 import json
+import pickle
+import shutil
 import warnings
 import wave
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sessionforge import filters
-from sessionforge.cli import main, process_trial
+from sessionforge.cli import denoise_and_sync, main, process_trial
 from sessionforge.curation import label_trial
+from sessionforge.dialogue import AnnotatedDialogue
 from sessionforge.filters import DenoisePolicy
+from sessionforge.metrics import TrialMetrics
 from sessionforge.session import (
+    SessionManifest,
     Task,
     describe_stream,
     load_session,
@@ -99,6 +104,29 @@ class TestExitCodes:
         assert json.loads(err)["code"] == "missing-stream"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["report"], ["pipeline", "--report", "r.json"], ["curate", "stats"]],
+    ids=["report", "pipeline", "curate-stats"],
+)
+def test_duplicate_session_id_is_json_error(capsys, tmp_path, dataset, monkeypatch, command):
+    """A copied trial directory holds its session_id twice. No rule can tell
+    which copy is right, so the dataset is refused, and nothing is written."""
+    root, trial_ids = dataset
+    shutil.copytree(root / trial_ids[0], root / "copy")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "--errors", "json", *command, "--root", str(root))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "duplicate-trial"
+    assert f"'{trial_ids[0]}' (2 trials)" in payload["message"]
+    assert not (tmp_path / "r.json").exists()
+
+
 def _sync_or_report(command, tmp_path, root, trial_id):
     if command == "sync":
         return ["sync", "--in", str(root / trial_id), "--out", str(tmp_path / "synced")]
@@ -148,12 +176,39 @@ def test_video_rate_not_finite_and_positive_is_json_error(capsys, tmp_path, data
     assert "nominal_rate: must be finite and > 0" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["sync", "report"])
+def test_video_rate_above_its_frame_log_is_json_error(capsys, tmp_path, dataset, command):
+    """Both cameras claiming 1e4 Hz over their 12 and 15 Hz frame logs would
+    size the grid by the claim; the trial is refused before the grid is built."""
+    root, trial_ids = dataset
+    path = root / trial_ids[0] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for entry in manifest["streams"]:
+        if entry["kind"] == "video_frames":
+            entry["nominal_rate"] = 1e4
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    argv = _sync_or_report(command, tmp_path, root, trial_ids[0])
+    code, out, err = run(capsys, "--errors", "json", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "rate-exceeds-log"
+    assert "nominal rate 10000.0 Hz" in payload["message"]
+
+
 def _replace_bytes(data: bytes):
     return lambda path: path.write_bytes(data)
 
 
 def _truncate(n: int):
     return lambda path: path.write_bytes(path.read_bytes()[:n])
+
+
+def _session_id_not_string(path):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["session_id"] = [manifest["session_id"]]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def _drop_grid_rate(path):
@@ -199,6 +254,13 @@ UNREADABLE_CONTAINER_CASES = {
             f"curate {sub} --root {{root}}", "{trial}/manifest.json", _replace_bytes(b"{not json")
         )
         for sub in ("stats", "label no-such-trial", "filter")
+    },
+    # The duplicate-id check counts trials by session_id, so it must be a string.
+    **{
+        f"{command.split()[0]}-session-id-not-string": (
+            f"{command} --root {{root}}", "{trial}/manifest.json", _session_id_not_string
+        )
+        for command in ("report", "curate stats")
     },
 }
 
@@ -641,6 +703,27 @@ class TestPipeline:
         tm, _, _ = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
         assert tm.ee_path_length == pytest.approx(truth.ee_path_length, rel=0.01)
 
+    def test_trial_value_is_small_and_picklable(self, tmp_path):
+        """``process_trial`` returns what the report needs, and no array."""
+        session, _ = gen_session(Scenario(seed=5, duration=4.0, noise_sd=0.01))
+        save_session(session, tmp_path / "trial")
+        value = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+        tm, dialogues, manifest = value
+        assert isinstance(tm, TrialMetrics) and isinstance(manifest, SessionManifest)
+        assert dialogues and all(isinstance(d, AnnotatedDialogue) for d in dialogues)
+        assert pickle.loads(pickle.dumps(value)) == value
+
+        def arrays(obj):
+            if is_dataclass(obj):
+                return arrays([getattr(obj, f.name) for f in fields(obj)])
+            if isinstance(obj, dict):
+                return arrays(list(obj.values()))
+            if isinstance(obj, (tuple, list)):
+                return sum(arrays(x) for x in obj)
+            return isinstance(obj, np.ndarray)
+
+        assert arrays(value) == 0
+
     def test_streams_the_native_rate_cannot_filter_are_filtered_on_the_grid(self, tmp_path):
         """At 10 Hz no stream can be filtered at its native rate, so each is
         filtered on the 12 Hz grid, where the 10 Hz IMU cutoff is clamped; the
@@ -650,7 +733,7 @@ class TestPipeline:
         raw = load_session(tmp_path / "trial")
         assert filters.denoise_raw(raw, strict=False)[1] == set()
         with pytest.warns(UserWarning, match="imu: cutoff 10.0 Hz >= Nyquist"):
-            _, synced, _ = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+            synced = denoise_and_sync(raw, None, DenoisePolicy.default())
         with pytest.warns(UserWarning, match="imu: cutoff 10.0 Hz >= Nyquist"):
             want = filters.denoise_session(sync_session(raw), strict=False)
         save_synced(synced, tmp_path / "synced")
@@ -675,9 +758,10 @@ class TestPipeline:
             ),
             tmp_path / "trial",
         )
+        raw = load_session(tmp_path / "trial", audio=False)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            _, synced, raw = process_trial(tmp_path / "trial", None, DenoisePolicy.default())
+            synced = denoise_and_sync(raw, None, DenoisePolicy.default())
         assert [str(w.message) for w in caught] == [
             "stream 'misc' unclassified; passing through unfiltered"
         ]

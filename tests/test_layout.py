@@ -51,3 +51,19 @@ def test_no_private_session_import(module):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_recorder_applies_the_whole_session_rule():
+    """``transport.py`` checks what it records with ``session_checks``, the
+    rule save applies, and imports none of its parts, so it cannot keep a
+    subset of the rule of its own."""
+    tree = ast.parse((SRC / "transport.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("session", "sessionforge.session")
+        for alias in node.names
+    }
+    parts = {"descriptor_violations", "series_violations", "audio_checks", "validate_session"}
+    assert "session_checks" in imported
+    assert imported & parts == set()

@@ -13,11 +13,13 @@ from sessionforge.errors import (
     InvariantViolation,
     MalformedManifest,
     NoOverlap,
+    RateExceedsLog,
     UnbridgeableGap,
 )
 from sessionforge.session import (
     Channel,
     FrameTimestampLog,
+    StreamKind,
     TimedSeries,
     load_synced,
     save_synced,
@@ -248,8 +250,35 @@ class TestSyncSession:
         with pytest.raises(NoOverlap):
             sync_session(replace(session, frame_logs=shifted))
 
+    @pytest.mark.parametrize("factor, refused", [(1.5, False), (2.5, True)])
+    def test_nominal_video_rate_is_bounded_by_its_frame_log(self, factor, refused):
+        """A video entry may claim at most MAX_RATE_RATIO times the rate its
+        frame log holds, or the claim alone would size the grid."""
+        session, _ = gen_session(Scenario(seed=3, duration=2.0, video_rates=(12.0,)))
+        claimed = _video_rates(session, 12.0 * factor)
+        if refused:
+            with pytest.raises(RateExceedsLog, match=r"streams\[cam0\]: nominal rate 30.0 Hz"):
+                sync_session(claimed)
+        else:
+            assert sync_session(claimed).grid.rate == 12.0 * factor
+
+    def test_one_frame_log_is_left_to_the_overlap_rule(self):
+        session, _ = gen_session(Scenario(seed=3, duration=2.0))
+        one_frame = {name: frame_log([1.0]) for name in session.frame_logs}
+        with pytest.raises(NoOverlap):
+            sync_session(_video_rates(replace(session, frame_logs=one_frame), 1e4))
+
     def test_default_tau_is_half_period(self):
         assert default_tau(12.0) == pytest.approx(1.0 / 24.0)
+
+
+def _video_rates(session, rate):
+    """``session`` with every video entry claiming ``rate``."""
+    streams = tuple(
+        replace(s, nominal_rate=rate) if s.kind is StreamKind.VIDEO_FRAMES else s
+        for s in session.manifest.streams
+    )
+    return replace(session, manifest=replace(session.manifest, streams=streams))
 
 
 def _grid_time(synced, i, value):

@@ -406,16 +406,26 @@ class TestRecording:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("rate", [44100.5, 0, True], ids=["fractional", "zero", "bool"])
-    def test_bad_audio_rate_is_rejected_before_any_socket(self, tmp_path, monkeypatch, rate):
-        # stop() could not save such a track; refuse it before opening anything
+    @pytest.fixture
+    def no_sockets(self, monkeypatch):
         class NoSockets:
             def __getattr__(self, name):
-                raise AssertionError(f"socket.{name} used before the audio rule was checked")
+                raise AssertionError(f"socket.{name} used before the session rule was checked")
 
         monkeypatch.setattr(transport, "socket", NoSockets())
+
+    @pytest.mark.parametrize("rate", [44100.5, 0, True], ids=["fractional", "zero", "bool"])
+    def test_bad_audio_rate_is_rejected_before_any_socket(self, tmp_path, no_sockets, rate):
+        # stop() could not save such a track; refuse it before opening anything
         config = RecorderConfig(session_root=tmp_path / "rec", audio_rate=rate)
         with pytest.raises(InvariantViolation, match="audio sample rate .* must be an integer > 0"):
+            start_recording(config)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_session_id_is_rejected_before_any_socket(self, tmp_path, no_sockets):
+        # save's rule wants a session id; without one stop() could save nothing
+        config = RecorderConfig(session_root=tmp_path / "rec", session_id="")
+        with pytest.raises(InvariantViolation, match="session_id: must be non-empty"):
             start_recording(config)
         assert list(tmp_path.iterdir()) == []
 

@@ -231,6 +231,7 @@ def _cmd_curate(args) -> int:
 
 
 def _collect_dialogues(root: Path) -> list[dlg.AnnotatedDialogue]:
+    curation.load_manifests(root)  # refuses a dataset that repeats a session_id
     return [d for trial_dir in sess.trial_dirs(root) for d in sess.read_dialogues(trial_dir)]
 
 

@@ -76,16 +76,21 @@ def _percentage(successful: int, raw: int) -> str:
     return str(pct.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
-    """Raw vs successful counts per task, plus the overall percentage. A
-    dataset holds each session_id once, or it is refused: no rule can tell
-    which copy of a trial is right."""
-    if not manifests:
-        raise EmptyInput("no manifests")
+def _one_trial_per_id(manifests: list[SessionManifest]) -> None:
+    """A dataset holds each session_id once, or it is refused: no rule can
+    tell which copy of a trial is right."""
     counts = Counter(m.session_id for m in manifests)
     repeated = [f"{i!r} ({n} trials)" for i, n in counts.items() if n > 1]
     if repeated:
         raise DuplicateTrial(f"session_id held by more than one trial: {', '.join(repeated)}")
+
+
+def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
+    """Raw vs successful counts per task, plus the overall percentage, over
+    manifests holding each session_id once."""
+    if not manifests:
+        raise EmptyInput("no manifests")
+    _one_trial_per_id(manifests)
     per_task: dict[str, dict[str, int]] = {}
     for m in manifests:
         row = per_task.setdefault(task_label(m.task), {"raw": 0, "successful": 0})
@@ -104,7 +109,10 @@ def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
 
 
 def load_manifests(dataset_root: str | Path) -> list[SessionManifest]:
-    return [read_manifest(trial_dir) for trial_dir in trial_dirs(dataset_root)]
+    """The manifests of a dataset's trials, refused if a session_id repeats."""
+    manifests = [read_manifest(trial_dir) for trial_dir in trial_dirs(dataset_root)]
+    _one_trial_per_id(manifests)
+    return manifests
 
 
 def filter_successful(dataset_root: str | Path, strict: bool = True) -> list[str]:

@@ -14,11 +14,19 @@ Audio datagram:
     pcm       16-bit little-endian PCM samples (even byte count)
 
 One thread serves a recording. It waits in one selector on the listening
-socket, the UDP socket, every connection and a wake socket, and reads each
-readable socket once, so nothing polls and, with one writer, nothing locks.
-A read decodes every whole frame of its chunk in place into per-topic lists:
-per-topic arrival order is kept, cross-stream order is unspecified. TCP flow
+socket, the UDP socket, every connection and a wake socket, so nothing polls
+and, with one writer, nothing locks. Each pass over the readable sockets reads
+each connection once, up to 64 KB, and takes the queued datagrams up to a
+fixed per-pass budget, so a TCP flood cannot starve the audio. TCP flow
 control is the backpressure.
+
+A connection's chunk is decoded in one loop over one checked decoder, which
+appends each whole frame's timestamp and values to its topic's lists without
+building a frame object; per-topic arrival order is kept, cross-stream order
+is unspecified. The decoder caches its f64 layouts by payload width and its
+topic names by their bytes, each in a bounded cache; bytes that are not UTF-8
+are never cached. A malformed frame is counted and skipped by its declared
+length, and a partial frame waits for the connection's next chunk.
 
 ``stop()`` is the cut-off: it wakes the thread, which stops after its current
 read and takes, without waiting, what the sockets hold: the connections in
@@ -67,6 +75,13 @@ _BACKLOG = 16
 # queued, and this many datagrams, so a sender that keeps sending cannot hold
 # stop() open.
 _DRAIN_DATAGRAMS = 4096
+# Datagrams taken per select() pass, as a connection takes up to _RECV_BYTES:
+# one per pass would let a TCP flood starve the audio.
+_PASS_DATAGRAMS = 64
+# The decoder's bounded caches: f64 layouts by payload width, topic names by
+# their bytes. A sender that cycles through more only costs cache misses.
+LAYOUT_CACHE_SIZE = 64
+TOPIC_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -86,12 +101,21 @@ class TcpFrame:
         return struct.pack(">I", len(body)) + body
 
 
-def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
-    """Decode one frame starting at ``data[offset]``.
+@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _f64s(count: int) -> struct.Struct:
+    """The layout of ``count`` big-endian f64 values."""
+    return struct.Struct(f">{count}d")
 
-    Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
-    and MalformedFrame for an invalid one.
-    """
+
+@functools.lru_cache(maxsize=TOPIC_CACHE_SIZE)
+def _topic(raw: bytes) -> str:
+    """A topic's name; bytes that are not UTF-8 raise, and so are not cached."""
+    return raw.decode("utf-8")
+
+
+def _decode_fields(data: bytes, offset: int) -> tuple[str, tuple[float, ...], int]:
+    """``frame_decode`` without the frame: (topic, (timestamp, *values),
+    bytes consumed), raising what ``frame_decode`` raises."""
     avail = len(data) - offset
     if avail < 4:
         raise NeedMoreBytes(4 - avail)
@@ -106,7 +130,7 @@ def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
     if nul <= start:  # -1 (no terminator) or an empty topic
         raise MalformedFrame("missing or empty topic before terminator")
     try:
-        topic = data[start:nul].decode("utf-8")
+        topic = _topic(data[start:nul])
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"topic not valid UTF-8: {exc}") from exc
     payload = end - nul - 1 - 8
@@ -114,9 +138,17 @@ def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
         raise MalformedFrame("frame too short for timestamp")
     if payload % 8 != 0:
         raise MalformedFrame(f"payload length {payload} not a multiple of 8")
-    numbers = struct.unpack_from(f">{payload // 8 + 1}d", data, nul + 1)
-    # positional: keyword arguments make the frozen dataclass's __init__ slower
-    return TcpFrame(topic, numbers[0], numbers[1:]), total
+    return topic, _f64s(payload // 8 + 1).unpack_from(data, nul + 1), total
+
+
+def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
+    """Decode one frame starting at ``data[offset]``.
+
+    Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
+    and MalformedFrame for an invalid one.
+    """
+    topic, numbers, consumed = _decode_fields(data, offset)
+    return TcpFrame(topic, numbers[0], numbers[1:]), consumed
 
 
 @dataclass(frozen=True)
@@ -214,14 +246,19 @@ def _take_queued(sock: socket.socket) -> bytes:
         return b""
 
 
-def _drain(step, budget: int) -> None:
-    """At the cut-off: call ``step`` without waiting until it takes nothing
-    or ``budget`` units are taken."""
-    while budget > 0:
-        taken = step()
-        if not taken:
-            return
-        budget -= taken
+def _drain(step, budget: int) -> int | None:
+    """Call ``step`` without waiting until it takes nothing or ``budget``
+    units are taken. Returns the units taken, or None when ``step`` found its
+    socket finished."""
+    taken = 0
+    while taken < budget:
+        units = step()
+        if units is None:
+            return None
+        if not units:
+            break
+        taken += units
+    return taken
 
 
 @dataclass
@@ -309,12 +346,17 @@ class RecordingHandle:
         # stop() sets _stopping, then writes here to wake a waiting select()
         self._wake_r, self._wake_w = socket.socketpair()
 
-        # each key's data is the step that reads its socket once and returns
-        # the units it took, 0 when nothing was pending, or None when the
-        # socket is finished
+        # each key's data is the step that reads its socket, a connection once
+        # and the UDP socket up to _PASS_DATAGRAMS times, and returns the
+        # units it took, 0 when nothing was pending, or None when the socket
+        # is finished
         self._sel = selectors.DefaultSelector()
         self._sel.register(self._tcp_sock, selectors.EVENT_READ, self._accept)
-        self._sel.register(self._udp_sock, selectors.EVENT_READ, self._recv_datagram)
+        self._sel.register(
+            self._udp_sock,
+            selectors.EVENT_READ,
+            functools.partial(_drain, self._recv_datagram, _PASS_DATAGRAMS),
+        )
         self._sel.register(self._wake_r, selectors.EVENT_READ)
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -370,21 +412,28 @@ class RecordingHandle:
 
     def _ingest(self, buf: bytes) -> bytes:
         """Record every whole frame in ``buf``; return the partial frame at its end."""
+        topics = self._topics
         frames = malformed = 0
         off, end = 0, len(buf)
         while off < end:
             try:
-                frame, consumed = frame_decode(buf, off)
+                topic, numbers, consumed = _decode_fields(buf, off)
             except NeedMoreBytes:
                 break
             except MalformedFrame:
-                # resync: drop the declared frame length and move on
+                # resync: drop the declared frame length and move on, once all
+                # of it is here (a length below the minimum body is refused
+                # before its bytes arrive)
+                consumed = 4 + _U32.unpack_from(buf, off)[0]
+                if consumed > end - off:
+                    break
                 malformed += 1
-                consumed = min(4 + _U32.unpack_from(buf, off)[0], end - off)
             else:
-                ts, vals = self._topics.setdefault(frame.topic, ([], []))
-                ts.append(frame.timestamp)
-                vals.append(frame.values)
+                lists = topics.get(topic)
+                if lists is None:
+                    lists = topics[topic] = ([], [])
+                lists[0].append(numbers[0])
+                lists[1].append(numbers[1:])
                 frames += 1
             off += consumed
         self.frames_received += frames

@@ -106,8 +106,15 @@ class TestExitCodes:
 
 @pytest.mark.parametrize(
     "command",
-    [["report"], ["pipeline", "--report", "r.json"], ["curate", "stats"]],
-    ids=["report", "pipeline", "curate-stats"],
+    [
+        ["report"],
+        ["pipeline", "--report", "r.json"],
+        ["curate", "stats"],
+        ["curate", "filter", "--out", "r.json"],
+        ["dialogue", "stats"],
+        ["dialogue", "export", "--out", "r.json"],
+    ],
+    ids=["report", "pipeline", "curate-stats", "curate-filter", "dialogue-stats", "dialogue-export"],
 )
 def test_duplicate_session_id_is_json_error(capsys, tmp_path, dataset, monkeypatch, command):
     """A copied trial directory holds its session_id twice. No rule can tell

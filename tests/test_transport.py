@@ -30,6 +30,22 @@ from sessionforge.transport import (
 )
 
 
+# Encoded bytes and whether they end inside their frame, by case: two good
+# frames, two cut ones and six malformed ones.
+FRAME_CASES = {
+    "good": (TcpFrame(topic="ee_pose", timestamp=1.5, values=(1.0, -2.0, 3.0)).encode(), False),
+    "no-values": (TcpFrame(topic="t", timestamp=0.0, values=()).encode(), False),
+    "partial": (TcpFrame(topic="t", timestamp=1.0, values=(2.0,)).encode()[:-3], True),
+    "partial-length": (b"\x00\x00", True),  # cut inside the length field
+    "tiny-length": (struct.pack(">I", 3) + b"abc", False),  # length below the minimum body
+    "payload-not-8": (struct.pack(">I", 13) + b"t\x00" + struct.pack(">d", 0.0) + b"abc", False),
+    "empty-topic": (struct.pack(">I", 10) + b"\x00t" + struct.pack(">d", 0.0), False),
+    "no-terminator": (struct.pack(">I", 10) + b"tt" + b"\x01" * 8, False),
+    "short-timestamp": (struct.pack(">I", 10) + b"tt\x00" + bytes(7), False),  # no room for timestamp
+    "bad-utf8": (struct.pack(">I", 10) + b"\xff\x00" + struct.pack(">d", 0.0), False),
+}
+
+
 class TestFrameCodec:
     def test_constructed_frame(self):
         frame = TcpFrame(topic="ee_pose", timestamp=0.0, values=tuple(float(i) for i in range(7)))
@@ -70,23 +86,7 @@ class TestFrameCodec:
         with pytest.raises(MalformedFrame):
             frame_decode(struct.pack(">I", len(body)) + body)
 
-    @pytest.mark.parametrize(
-        "frame, partial",
-        [
-            (TcpFrame(topic="ee_pose", timestamp=1.5, values=(1.0, -2.0, 3.0)).encode(), False),
-            (TcpFrame(topic="t", timestamp=0.0, values=()).encode(), False),
-            (TcpFrame(topic="t", timestamp=1.0, values=(2.0,)).encode()[:-3], True),
-            (b"\x00\x00", True),  # cut inside the length field
-            (struct.pack(">I", 3) + b"abc", False),  # length below the minimum body
-            (struct.pack(">I", 13) + b"t\x00" + struct.pack(">d", 0.0) + b"abc", False),
-            (struct.pack(">I", 10) + b"\x00t" + struct.pack(">d", 0.0), False),  # empty topic
-            (struct.pack(">I", 10) + b"tt" + b"\x01" * 8, False),  # no terminator
-            (struct.pack(">I", 10) + b"tt\x00" + bytes(7), False),  # no room for timestamp
-            (struct.pack(">I", 10) + b"\xff\x00" + struct.pack(">d", 0.0), False),  # not UTF-8
-        ],
-        ids=["good", "no-values", "partial", "partial-length", "tiny-length", "payload-not-8",
-             "empty-topic", "no-terminator", "short-timestamp", "bad-utf8"],
-    )
+    @pytest.mark.parametrize("frame, partial", list(FRAME_CASES.values()), ids=list(FRAME_CASES))
     def test_decode_at_offset_equals_decode_of_slice(self, frame, partial):
         """At an offset the decoder gives what it gives on the slice from that
         offset: the same frame and length, or the same error. The prefixes hold
@@ -102,6 +102,100 @@ class TestFrameCodec:
                 assert str(got.value) == str(exc)
             else:
                 assert frame_decode(buf, off) == want
+
+    def test_bad_utf8_topic_is_malformed_every_time_and_never_cached(self):
+        frame = FRAME_CASES["bad-utf8"][0]
+        transport._topic.cache_clear()
+        for _ in range(3):
+            with pytest.raises(MalformedFrame, match="topic not valid UTF-8"):
+                frame_decode(frame)
+        assert transport._topic.cache_info().currsize == 0
+
+    def test_more_topics_and_widths_than_the_caches_hold_still_decode(self):
+        transport._topic.cache_clear()
+        transport._f64s.cache_clear()
+        n_topics = transport.TOPIC_CACHE_SIZE + 10
+        n_widths = transport.LAYOUT_CACHE_SIZE + 10
+        frames = [TcpFrame(f"topic{i}", float(i), (float(i),)) for i in range(n_topics)]
+        frames += [TcpFrame("wide", float(n), tuple(np.arange(n, dtype=float))) for n in range(n_widths)]
+        for _ in range(2):  # the second round decodes what the first evicted
+            for frame in frames:
+                assert frame_decode(frame.encode()) == (frame, len(frame.encode()))
+        assert transport._topic.cache_info().currsize == transport.TOPIC_CACHE_SIZE
+        assert transport._f64s.cache_info().currsize == transport.LAYOUT_CACHE_SIZE
+
+
+def _walk(buf):
+    """One frame_decode walk over ``buf`` under the recorder's resync rule:
+    per-topic (timestamps, values), frames decoded and frames malformed."""
+    topics, frames, malformed, off = {}, 0, 0, 0
+    while off < len(buf):
+        try:
+            frame, consumed = frame_decode(buf, off)
+        except MalformedFrame:
+            malformed += 1
+            consumed = 4 + struct.unpack_from(">I", buf, off)[0]
+        else:
+            ts, vals = topics.setdefault(frame.topic, ([], []))
+            ts.append(frame.timestamp)
+            vals.append(frame.values)
+            frames += 1
+        off += consumed
+    return topics, frames, malformed
+
+
+def _bits(topics):
+    pack = lambda xs: struct.pack(f">{len(xs)}d", *xs)  # noqa: E731
+    return {t: (pack(ts), [pack(v) for v in vals]) for t, (ts, vals) in topics.items()}
+
+
+class TestIngest:
+    """The recorder decodes each chunk where it ends: whatever the cuts, it
+    records what one decode walk over the whole stream gives."""
+
+    @staticmethod
+    def stream():
+        """Good frames of three topics, with every whole case of FRAME_CASES
+        after each step; one frame holds a NaN and a negative zero."""
+        rng = np.random.default_rng(3)
+        whole = [frame for frame, partial in FRAME_CASES.values() if not partial]
+        parts = []
+        for k, case in enumerate(whole):
+            parts += [
+                TcpFrame("arm", float(k), tuple(rng.normal(size=3))).encode(),
+                TcpFrame("imu", k / 3, (float("nan"), -0.0) if k == 2 else (k * 0.1, 1.0)).encode(),
+                TcpFrame("grip", -float(k), (float(rng.normal()),)).encode(),
+                case,
+            ]
+        return b"".join(parts)
+
+    @staticmethod
+    def ingest(buf, cuts):
+        """Feed ``buf`` cut at ``cuts`` to a handle holding only the state
+        ``_ingest`` writes: no sockets, no thread."""
+        handle = transport.RecordingHandle.__new__(transport.RecordingHandle)
+        handle._topics, handle.frames_received, handle.malformed_frames = {}, 0, 0
+        rest = b""
+        for lo, hi in zip((0, *cuts), (*cuts, len(buf))):
+            rest = handle._ingest(rest + buf[lo:hi])
+        assert rest == b""
+        return handle._topics, handle.frames_received, handle.malformed_frames
+
+    def test_any_cuts_record_what_one_walk_decodes(self):
+        buf = self.stream()
+        want_topics, want_frames, want_malformed = _walk(buf)
+        assert (want_frames, want_malformed) == (3 * 8 + 2, 6)
+        rng = np.random.default_rng(11)
+        cut_sets = [(k,) for k in range(len(buf) + 1)]
+        cut_sets.append(tuple(range(1, len(buf))))  # one byte per chunk
+        cut_sets += [
+            tuple(sorted(rng.choice(len(buf), size=int(rng.integers(2, 40)), replace=False)))
+            for _ in range(50)
+        ]
+        for cuts in cut_sets:
+            topics, frames, malformed = self.ingest(buf, cuts)
+            assert (frames, malformed) == (want_frames, want_malformed), cuts
+            assert _bits(topics) == _bits(want_topics), cuts
 
 
 class TestAudioReassembly:
@@ -428,6 +522,59 @@ class TestRecording:
         with pytest.raises(InvariantViolation, match="session_id: must be non-empty"):
             start_recording(config)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestFairness:
+    def test_datagrams_are_taken_while_connections_flood(self, tmp_path):
+        """Four TCP senders flood the recorder while a UDP sender sends a run
+        of datagrams. Each pass takes the queued datagrams up to a budget, so
+        all of them are recorded before stop() is called."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        done = threading.Event()
+        connected = [threading.Event() for _ in range(4)]
+
+        def tcp_sender(i):
+            k = 0
+            try:
+                with socket.create_connection(("127.0.0.1", handle.tcp_port)) as sock:
+                    connected[i].set()
+                    while not done.is_set():
+                        sock.sendall(b"".join(
+                            TcpFrame(f"s{i}", float(k + j), (1.0,)).encode() for j in range(64)
+                        ))
+                        k += 64
+            except OSError:  # the recorder closed the connection at stop()
+                pass
+
+        senders = [threading.Thread(target=tcp_sender, args=(i,)) for i in range(4)]
+        n_datagrams = 300
+        try:
+            for t in senders:
+                t.start()
+            assert all(c.wait(timeout=10.0) for c in connected)
+            deadline = time.monotonic() + 10.0
+            while handle.frames_received < 20000 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert handle.frames_received >= 20000
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as udp:
+                for seq in range(n_datagrams):
+                    udp.sendto(AudioDatagram(seq, seq * 0.02, b"\x01\x00" * 8).encode(),
+                               ("127.0.0.1", handle.udp_port))
+                    if seq % 10 == 9:  # paced, as audio is: the kernel queue stays short
+                        time.sleep(0.005)
+            deadline = time.monotonic() + 5.0
+            while len(handle._datagrams) < n_datagrams and time.monotonic() < deadline:
+                time.sleep(0.01)
+            taken = len(handle._datagrams)
+            handle.stop()
+        finally:
+            done.set()
+            for t in senders:
+                t.join(timeout=10.0)
+        assert not any(t.is_alive() for t in senders)
+        assert taken == n_datagrams
+        assert handle.gap_report.total_missing == 0
+        assert handle.gap_report.received == handle.gap_report.expected == n_datagrams
 
 
 class TestStopCutOff:

@@ -46,16 +46,12 @@ def denoise_and_sync(
     raw: sess.RawSession, tau: float | None, policy: filters.DenoisePolicy
 ) -> sess.SyncedSession:
     """The per-trial chain: native-rate denoise -> sync -> grid-rate denoise.
-    The grid-rate stage takes the classified streams the native stage left;
-    a stream of no policy class passes through with one warning. Each stage
-    is called through its module."""
+    The grid-rate stage takes every stream the native stage left; a stream of
+    no policy class passes through there with one warning. Each stage is
+    called through its module."""
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
-    rest = {
-        name: series
-        for name, series in synced.numeric.items()
-        if name not in done and filters.classify_stream(name) in policy.cutoffs
-    }
+    rest = {name: series for name, series in synced.numeric.items() if name not in done}
     if rest:
         grid = filters.denoise_session(replace(synced, numeric=rest), policy, strict=False)
         synced = replace(synced, numeric={**synced.numeric, **grid.numeric})
@@ -304,26 +300,25 @@ def _cmd_pipeline(args) -> int:
 
 # -- argument parsing -------------------------------------------------------
 
-def _tau(text: str) -> float:
-    """``--tau``: a match tolerance in seconds, finite and >= 0."""
-    try:
-        tau = float(text)
-    except ValueError:
-        tau = math.nan
-    if not (math.isfinite(tau) and tau >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return tau
+def _option(parse, ok, rule: str):
+    """An option type: ``parse`` of the text, a usage error unless ``ok`` of it."""
+
+    def checked(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return checked
 
 
-def _jobs(text: str) -> int:
-    """``--jobs``: a worker count, an integer >= 1."""
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return jobs
+# --tau, a match tolerance in seconds; record --duration; a --jobs worker count
+_tau = _option(float, lambda x: math.isfinite(x) and x >= 0, "finite and >= 0")
+_duration = _option(float, lambda x: math.isfinite(x) and x > 0, "finite and > 0")
+_jobs = _option(int, lambda n: n >= 1, "an integer >= 1")
 
 
 def _seed(text: str) -> int:
@@ -354,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--udp-port", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--session-id", default="recording")
-    p.add_argument("--duration", type=float, default=None, help="stop after N seconds")
+    p.add_argument("--duration", type=_duration, default=None, help="stop after N seconds")
     p.set_defaults(func=_cmd_record)
 
     p = sub.add_parser("sync", help="align a raw session onto the reference grid")

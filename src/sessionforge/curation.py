@@ -45,10 +45,13 @@ def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> Se
     """Set a trial's violation flags; success is exactly 'no flags'.
 
     Relabeling overwrites any previous flags. The updated manifest is written
-    back in place and returned.
+    back in place and returned. A dataset that repeats a session_id is refused
+    before anything is written.
     """
-    for trial_dir in trial_dirs(dataset_root):
-        manifest = read_manifest(trial_dir)
+    dirs = trial_dirs(dataset_root)
+    manifests = [read_manifest(trial_dir) for trial_dir in dirs]
+    _one_trial_per_id(manifests)
+    for trial_dir, manifest in zip(dirs, manifests):
         if manifest.session_id != trial_id:
             continue
         parsed = tuple(Violation.parse(f) for f in flags)

@@ -202,35 +202,41 @@ def filter_series(series, spec: FilterSpec):
     return replace(series, timestamps=series.timestamps.copy(), values=out)
 
 
-def _policy_class(name: str, policy: DenoisePolicy, strict: bool) -> ChannelClass | None:
-    """The policy class of stream ``name``, or None when it has none.
-
-    An unclassified stream raises in strict mode and warns otherwise.
-    """
-    cls_ = classify_stream(name)
-    if cls_ is None or cls_ not in policy.cutoffs:
-        if strict:
-            raise UnclassifiedChannel(f"stream '{name}' matches no policy class")
-        warnings.warn(f"stream '{name}' unclassified; passing through unfiltered")
-        return None
-    return cls_
+def _filtered(numeric, policy: DenoisePolicy, strict: bool, rate_of) -> dict:
+    """The streams of ``numeric`` filtered by their class's spec at
+    ``rate_of(series, cutoff)``, each classified once; a stream whose rate is
+    None, or of no policy class unless ``strict`` raises for it, is left out."""
+    filtered = {}
+    for name, series in numeric.items():
+        cls_ = classify_stream(name)
+        if cls_ not in policy.cutoffs:
+            if strict:
+                raise UnclassifiedChannel(f"stream '{name}' matches no policy class")
+            continue
+        rate = rate_of(series, policy.cutoffs[cls_][1])
+        if rate is not None:
+            filtered[name] = filter_series(series, policy.spec_for(cls_, rate))
+    return filtered
 
 
 def denoise_session(synced, policy: DenoisePolicy | None = None, strict: bool = True):
-    """Filter every numeric channel of a synced session by its class's spec.
-
-    Frame selections and the grid are untouched. Unknown stream classes raise
-    in strict mode and pass through with a warning otherwise.
-    """
+    """Filter every numeric channel of a synced session by its class's spec at
+    the grid rate. Frame selections and the grid are untouched. A stream of no
+    policy class raises in strict mode, and otherwise passes through with one
+    warning, after any clamp warnings."""
     if policy is None:
         policy = DenoisePolicy.default()
-    numeric = {}
-    for name, series in synced.numeric.items():
-        cls_ = _policy_class(name, policy, strict)
-        if cls_ is not None:
-            series = filter_series(series, policy.spec_for(cls_, synced.grid.rate))
-        numeric[name] = series
-    return replace(synced, numeric=numeric)
+    filtered = _filtered(synced.numeric, policy, strict, lambda series, cutoff: synced.grid.rate)
+    for name in synced.numeric:
+        if name not in filtered:
+            warnings.warn(f"stream '{name}' unclassified; passing through unfiltered")
+    return replace(synced, numeric={**synced.numeric, **filtered})
+
+
+def _native_rate(series, cutoff: float) -> float | None:
+    """A stream's rate, ``1 / median(dt)``, or None when it cannot support ``cutoff``."""
+    rate = 1.0 / float(np.median(np.diff(series.timestamps)))
+    return rate if rate > 2.0 * cutoff else None
 
 
 def denoise_raw(session, policy: DenoisePolicy | None = None, strict: bool = True):
@@ -239,21 +245,11 @@ def denoise_raw(session, policy: DenoisePolicy | None = None, strict: bool = Tru
     Denoising after downsampling to the grid cannot remove noise that aliases
     into the grid band, so the batch pipeline filters raw streams first.
     Streams whose native rate cannot support their cutoff are left for the
-    grid-rate stage.
-    Returns a new RawSession and the set of stream names filtered.
+    grid-rate stage, as are, with no warning here, streams of no policy class
+    unless ``strict`` raises. Returns a new RawSession and the set of stream
+    names filtered.
     """
     if policy is None:
         policy = DenoisePolicy.default()
-    numeric = dict(session.numeric)
-    filtered: set[str] = set()
-    for name, series in session.numeric.items():
-        cls_ = _policy_class(name, policy, strict)
-        if cls_ is None:
-            continue
-        native_rate = 1.0 / float(np.median(np.diff(series.timestamps)))
-        _, cutoff = policy.cutoffs[cls_]
-        if native_rate <= 2.0 * cutoff:
-            continue
-        numeric[name] = filter_series(series, policy.spec_for(cls_, native_rate))
-        filtered.add(name)
-    return replace(session, numeric=numeric), filtered
+    filtered = _filtered(session.numeric, policy, strict, _native_rate)
+    return replace(session, numeric={**session.numeric, **filtered}), set(filtered)

@@ -13,8 +13,10 @@ functions here. A session lives in a directory:
 and a dataset is a directory of such trial directories. A stream's path is
 fixed by its kind and name, and its manifest entry must be ``describe_stream``
 of its data at the entry's rate, so an audio entry states its WAV's integer
-rate; a manifest naming another path fails to load. Conformance flags, such as
-audio not at 48 kHz, fail neither save nor load. ``load_session(...,
+rate. ``read_manifest``, the one manifest reader of both loaders and of every
+command, checks each entry whole before it returns, so a manifest naming
+another path is refused wherever it is read. Conformance flags, such as audio
+not at 48 kHz, fail neither save nor load. ``load_session(...,
 audio=False)``, the load of the batch pipeline and ``sync``, checks each
 WAV's header as a full load does and leaves its samples unread. Every
 timestamp array, of a stream, a frame log or a synced grid, keeps one time
@@ -436,8 +438,15 @@ def write_json(path: Path, obj, sort_keys: bool = False) -> None:
 
 
 def read_manifest(trial_dir: str | Path) -> SessionManifest:
+    """The manifest of the container at ``trial_dir``, each entry checked
+    whole, so that no stream path leaves the container before any stream
+    file is opened; a broken entry raises MalformedManifest naming the file."""
     path = Path(trial_dir) / MANIFEST
-    return _manifest_from_dict(read_json(path), path)
+    manifest = _manifest_from_dict(read_json(path), path)
+    broken = [v for s in manifest.streams for v in descriptor_violations(s)]
+    if broken:
+        raise MalformedManifest(f"{path}: {'; '.join(broken)}")
+    return manifest
 
 
 def write_manifest(trial_dir: str | Path, manifest: SessionManifest) -> None:
@@ -536,7 +545,12 @@ def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
             # np.save writes format 1.0 for every table a sidecar holds
             if np.lib.format.read_magic(f) != (1, 0):
                 return None
-            shape, fortran_order, stored = np.lib.format.read_array_header_1_0(f)
+            # numpy parses the header with ast.literal_eval, which on CPython 3.11
+            # can raise SystemError when threads race: a miss, the CSV is parsed
+            try:
+                shape, fortran_order, stored = np.lib.format.read_array_header_1_0(f)
+            except SystemError:
+                return None
             if stored != dtype or fortran_order or len(shape) != 2 or shape[1] != width:
                 return None
             count = shape[0] * width
@@ -689,16 +703,6 @@ def save_session(session: RawSession, root_path: str | Path) -> None:
         raise IoError(f"writing session to {root}: {exc}") from exc
 
 
-def _read_checked_manifest(root: Path) -> SessionManifest:
-    """The manifest of the container at ``root``, checked before any stream
-    file is opened, so that no stream path leaves the container."""
-    manifest = read_manifest(root)
-    broken = [v for s in manifest.streams for v in descriptor_violations(s)]
-    if broken:
-        raise MalformedManifest(f"{root / MANIFEST}: {'; '.join(broken)}")
-    return manifest
-
-
 def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
     """Load and validate a session directory; raises on any broken invariant.
 
@@ -708,7 +712,7 @@ def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
     Such a session cannot be saved, since an entry without data is a broken
     invariant; the batch pipeline and ``sync`` load this way."""
     root = Path(root_path)
-    manifest = _read_checked_manifest(root)
+    manifest = read_manifest(root)
     numeric: dict[str, TimedSeries] = {}
     frame_logs: dict[str, FrameTimestampLog] = {}
     tracks: dict[str, AudioTrack] = {}
@@ -803,7 +807,7 @@ def load_synced(root_path: str | Path) -> SyncedSession:
     stream and the resampled series of each numeric one. A listed file that is
     absent raises ``MissingFile``; a file the manifest does not list is not read."""
     root = Path(root_path)
-    manifest = _read_checked_manifest(root)
+    manifest = read_manifest(root)
     meta_path = root / "grid.json"
     meta = read_json(meta_path)
     try:

@@ -336,7 +336,7 @@ class RecordingHandle:
                 # avoids kernel-level drops between recv calls
                 self._udp_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 22)
                 self._udp_sock.bind((config.host, config.udp_port))
-            except OSError as exc:
+            except (OSError, OverflowError) as exc:  # OverflowError: a port out of range
                 raise BindError(str(exc)) from exc
             opened.pop_all()  # both bound: the handle owns them from here
         self.tcp_port = self._tcp_sock.getsockname()[1]

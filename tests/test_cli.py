@@ -113,14 +113,25 @@ class TestExitCodes:
         ["curate", "filter", "--out", "r.json"],
         ["dialogue", "stats"],
         ["dialogue", "export", "--out", "r.json"],
+        ["curate", "label", "synth-feeding-00000000", "--flags", "object_drop"],
     ],
-    ids=["report", "pipeline", "curate-stats", "curate-filter", "dialogue-stats", "dialogue-export"],
+    ids=[
+        "report",
+        "pipeline",
+        "curate-stats",
+        "curate-filter",
+        "dialogue-stats",
+        "dialogue-export",
+        "curate-label",
+    ],
 )
 def test_duplicate_session_id_is_json_error(capsys, tmp_path, dataset, monkeypatch, command):
     """A copied trial directory holds its session_id twice. No rule can tell
     which copy is right, so the dataset is refused, and nothing is written."""
     root, trial_ids = dataset
+    assert trial_ids[0] == "synth-feeding-00000000"
     shutil.copytree(root / trial_ids[0], root / "copy")
+    manifests = {p: p.read_bytes() for p in root.glob("*/manifest.json")}
     monkeypatch.chdir(tmp_path)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -132,6 +143,34 @@ def test_duplicate_session_id_is_json_error(capsys, tmp_path, dataset, monkeypat
     assert payload["code"] == "duplicate-trial"
     assert f"'{trial_ids[0]}' (2 trials)" in payload["message"]
     assert not (tmp_path / "r.json").exists()
+    assert {p: p.read_bytes() for p in root.glob("*/manifest.json")} == manifests
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["curate", "stats"], ["curate", "label", "synth-feeding-00000000"], ["dialogue", "stats"]],
+    ids=["curate-stats", "curate-label", "dialogue-stats"],
+)
+def test_manifest_entry_leaving_the_trial_is_json_error(capsys, dataset, command):
+    """Every command reads a manifest by one rule: an entry whose file leaves
+    the trial directory is refused, as ``report`` refuses it, and nothing is
+    written."""
+    root, trial_ids = dataset
+    assert trial_ids[0] == "synth-feeding-00000000"
+    path = root / trial_ids[0] / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    for entry in manifest["streams"]:
+        if entry["name"] == "ee_pose":
+            entry["file"] = "../../evil.csv"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    before = path.read_bytes()
+    code, out, err = run(capsys, "--errors", "json", *command, "--root", str(root))
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "malformed-manifest"
+    assert str(path) in payload["message"] and "streams[ee_pose].file" in payload["message"]
+    assert path.read_bytes() == before
 
 
 def _sync_or_report(command, tmp_path, root, trial_id):
@@ -149,6 +188,34 @@ def test_tau_not_finite_and_nonnegative_is_usage_error(capsys, tmp_path, dataset
     assert code == 2
     assert out == ""
     assert "argument --tau: must be finite and >= 0" in err
+
+
+@pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "abc"])
+def test_record_duration_not_finite_and_positive_is_usage_error(
+    capsys, tmp_path, monkeypatch, duration
+):
+    """``record --duration`` is checked before anything is bound; 0 would
+    record until Ctrl-C, and a negative or NaN one fail inside ``sleep``."""
+
+    def no_recording(seconds):
+        raise AssertionError("recording started")
+
+    monkeypatch.setattr("sessionforge.cli.time.sleep", no_recording)
+    argv = ["record", "--out", str(tmp_path / "rec"), "--duration", duration]
+    code, out, err = run(capsys, "--errors", "json", *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --duration: must be finite and > 0" in err
+    assert not (tmp_path / "rec").exists()
+
+
+@pytest.mark.parametrize("port", [["--tcp-port", "70000"], ["--udp-port", "-5"]], ids=["tcp", "udp"])
+def test_record_port_out_of_range_is_json_error(capsys, tmp_path, port):
+    argv = ["record", "--out", str(tmp_path / "rec"), "--duration", "1", *port]
+    code, out, err = run(capsys, "--errors", "json", *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["code"] == "bind-error"
 
 
 @pytest.mark.parametrize("command", ["pipeline", "report"])

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -241,6 +244,25 @@ class TestDenoiseSession:
         with pytest.warns(UserWarning, match="clamped"):
             with pytest.raises(UnclassifiedChannel):
                 denoise_session(broken, strict=True)
+
+    def test_raw_stage_strict_raises_for_unclassified(self):
+        session, _ = gen_session(Scenario(seed=2))
+        renamed = dict(session.numeric)
+        renamed["mystery"] = renamed.pop("ee_pose")
+        with pytest.raises(UnclassifiedChannel, match="'mystery' matches no policy class"):
+            denoise_raw(replace(session, numeric=renamed), strict=True)
+
+    def test_raw_stage_leaves_unclassified_for_the_grid_stage_unwarned(self):
+        """The native-rate stage neither filters nor warns about a stream of
+        no class: the grid-rate stage passes it through and warns once."""
+        session, _ = gen_session(Scenario(seed=2))
+        raw = replace(session, numeric={**session.numeric, "misc": session.numeric["ee_pose"]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out, done = denoise_raw(raw, strict=False)
+        assert [str(w.message) for w in caught] == []
+        assert "misc" not in done and done == {"ee_pose", "imu", "wheelchair_pose"}
+        assert out.numeric["misc"] is raw.numeric["misc"]
 
     def test_imu_cutoff_clamped_at_low_grid_rate(self):
         session, _ = gen_session(Scenario(seed=2))

@@ -67,3 +67,21 @@ def test_recorder_applies_the_whole_session_rule():
     parts = {"descriptor_violations", "series_violations", "audio_checks", "validate_session"}
     assert "session_checks" in imported
     assert imported & parts == set()
+
+
+def test_grid_stage_takes_what_the_native_stage_left():
+    """``cli`` sends the grid-rate stage every stream ``denoise_raw`` left, and
+    classifies none itself: the filter stages own which stream each filters."""
+    assert "classify_stream" not in (SRC / "cli.py").read_text(encoding="utf-8")
+
+
+def test_one_manifest_reader():
+    """``read_manifest`` is the only manifest reader, so every command and
+    both loaders check a manifest by one rule."""
+    tree = ast.parse((SRC / OWNER).read_text(encoding="utf-8"))
+    readers = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "read" in node.name and "manifest" in node.name
+    ]
+    assert readers == ["read_manifest"]

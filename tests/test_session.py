@@ -646,6 +646,18 @@ class TestSidecar:
         assert sidecars(csv) == [sidecar]
         assert same_bits(np.load(sidecar, allow_pickle=False), want)
 
+    def test_header_parse_system_error_is_a_miss(self, csv, monkeypatch):
+        """numpy parses a ``.npy`` header with ``ast.literal_eval``, which can
+        raise SystemError when threads race; the CSV is then parsed again."""
+
+        def racing(*args, **kwargs):
+            raise SystemError("AST constructor recursion depth mismatch (before=30, after=26)")
+
+        _read_table(csv)
+        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", racing)
+        _, data = _read_table(csv)
+        assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
+
     @pytest.mark.parametrize("call", ["tempfile.mkstemp", "numpy.save", "os.replace"])
     def test_failed_sidecar_write_still_loads(self, csv, monkeypatch, call):
         def fail(*args, **kwargs):

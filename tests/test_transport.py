@@ -480,6 +480,26 @@ class TestRecording:
                 gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
+    @pytest.mark.parametrize("ports", [{"tcp_port": 70000}, {"udp_port": -5}], ids=["tcp", "udp"])
+    def test_port_out_of_range_is_bind_error_and_closes_sockets(self, tmp_path, ports):
+        def start(config):
+            # returns rather than holds the error, as in the test above
+            try:
+                start_recording(config)
+            except BindError as exc:
+                return exc
+            return None
+
+        config = RecorderConfig(session_root=tmp_path / "rec", **ports)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            error = start(config)
+            assert isinstance(error, BindError) and error.code == "bind-error"
+            assert error.module == "transport_gateway"
+            del error
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_bad_audio_stream_is_rejected_before_binding(self, tmp_path):
         def start(config):
             # returns rather than holds the error, as in the test above

@@ -146,16 +146,15 @@ def _cmd_record(args) -> int:
     )
     handle = start_recording(config)
     print(f"recording on tcp:{handle.tcp_port} udp:{handle.udp_port}; ", end="")
-    if args.duration:
-        print(f"stopping after {args.duration} s")
-        time.sleep(args.duration)
-    else:
-        print("press Ctrl-C to stop")
-        try:
+    print(f"stopping after {args.duration} s" if args.duration else "press Ctrl-C to stop")
+    try:  # the wait ends at the duration or at Ctrl-C; the recording is kept either way
+        if args.duration:
+            time.sleep(args.duration)
+        else:
             while True:
                 time.sleep(0.5)
-        except KeyboardInterrupt:
-            pass
+    except KeyboardInterrupt:
+        pass
     session = handle.stop()
     n = sum(s.n_samples for s in session.numeric.values())
     print(f"recorded {n} frames across {len(session.numeric)} topics -> {args.out}")
@@ -181,7 +180,8 @@ def _cmd_denoise(args) -> int:
     synced = sess.load_synced(args.input)
     denoised = filters.denoise_session(synced, policy, strict=not args.lenient)
     sess.save_synced(denoised, args.out)
-    print(f"denoised {len(denoised.numeric)} streams -> {args.out}")
+    n = sum(denoised.numeric[name] is not series for name, series in synced.numeric.items())
+    print(f"denoised {n} streams -> {args.out}")
     return 0
 
 

@@ -28,16 +28,19 @@ either container, save refuses, before writing anything, what load rejects:
 too, and ``_synced_checks`` of the synced one; both apply the one manifest
 rule (``_manifest_checks``). Floats are written with 17 significant digits so
 save/load round-trips bit-exactly. Every CSV in the container, the synced
-container's included, goes through ``_read_table``/``_write_table``: numpy
-``loadtxt`` parses them, and the writer formats blocks of rows with one
-``%`` each. Every JSON file goes through ``read_json``/``write_json``. A
-file that cannot be read raises ``MissingFile`` or ``MalformedManifest``
-naming it.
+container's included, goes through ``_read_table``/``_write_table``. The
+reader reads a CSV's bytes once, and takes the header, the digest and the
+parse from them. It refuses any header other than its writer's: ``t`` and
+the channel names for a stream, ``t`` for a frame log and the synced
+``grid.csv``, ``index,accepted`` for a selection. numpy ``loadtxt`` parses
+the body, and the writer formats blocks of rows with one ``%`` each. Every
+JSON file goes through ``read_json``/``write_json``. A file that cannot be
+read raises ``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
-``.<name>.csv.<sha256>.npy``: the parsed table in ``.npy`` format, named
-after the digest of the CSV's bytes. Later reads of the same bytes load the
-sidecar instead of parsing the text. An edited CSV no longer matches its
+``.<name>.csv.<sha256>.npy``: the table parsed from the bytes read, in
+``.npy`` format, named after their digest. Later reads of the same bytes load
+the sidecar instead of parsing the text. An edited CSV no longer matches its
 sidecar's digest and is parsed again, and a sidecar that is unreadable or whose
 ``.npy`` header, dtype, width or size is wrong is ignored and replaced. The
 sidecar's data bytes are trusted, not checked: a byte flipped in them changes
@@ -485,39 +488,42 @@ def _write_table(path: Path, header: str, columns) -> None:
             f.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _read_table(path: Path, dtype=np.float64) -> tuple[list[str], np.ndarray]:
-    """Header names and the ``(rows, len(names))`` body of a container CSV.
+def _read_table(path: Path, header: list[str], dtype=np.float64) -> np.ndarray:
+    """The ``(rows, len(header))`` body of a container CSV whose header row
+    must be ``header``, the one its writer writes.
 
-    A token that does not parse as ``dtype``, a ragged row or rows whose width
-    differs from the header raise MalformedManifest naming the file and the
-    line of the first bad row, and a missing file raises MissingFile.
+    The CSV's bytes are read once, and everything comes from them: the
+    header, the sha256 that names the sidecar, the parse and the first bad
+    row. Another header, a token that does not parse as ``dtype``, a ragged
+    row or rows whose width differs from the header raise MalformedManifest
+    naming the file, and the line of the first bad row; so does a file that
+    cannot be read or decoded. A missing file raises MissingFile.
 
     The body is memoized in a hidden sidecar keyed on the sha256 of the CSV's
     bytes (see ``_sidecar_name``), like a hash-checked ``.pyc``: the CSV stays
     canonical, and the sidecar is used only when the digest it is named after
     is the CSV's and it holds a 2-D ``dtype`` array as wide as the header.
-    Otherwise the CSV is parsed, and the parsed array is stored as the sidecar,
-    so a sidecar holds the parser's own output bit for bit.
-
-    The CSV's bytes are read once for the digest and the header. A miss parses
-    the file by path, because numpy reads a path in large chunks but text held
-    in memory line by line, about a tenth slower; the parse is stored only if
-    the file still holds the hashed bytes (see ``_write_sidecar``), so no
-    sidecar is named after bytes other than the ones parsed.
+    Otherwise the body is parsed, and the parsed array is stored as the
+    sidecar, so a sidecar holds the parse of the bytes its name hashes.
     """
     if not path.is_file():
         raise MissingFile(str(path))
-    raw = path.read_bytes()
     try:
-        names = _text(raw).readline().strip().split(",")
-    except UnicodeDecodeError as exc:
+        raw = path.read_bytes()
+        text = _text(raw)
+        names = text.readline().strip().split(",")
+        if names != header:
+            raise MalformedManifest(f"{path}: header {names} is not {header}")
+        sidecar = path.with_name(_sidecar_name(path.name, hashlib.sha256(raw).hexdigest()))
+        data = _read_sidecar(sidecar, dtype, len(header))
+        if data is None:
+            # universal newlines are applied; str.splitlines would also split
+            # on form feeds and other separators that loadtxt keeps in a row
+            data = _parse_body(path, text.read().split("\n"), len(header), dtype)
+            _write_sidecar(path, sidecar, data)
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedManifest(f"{path}: {exc}") from exc
-    sidecar = path.with_name(_sidecar_name(path.name, hashlib.sha256(raw).hexdigest()))
-    data = _read_sidecar(sidecar, dtype, len(names))
-    if data is None:
-        data = _parse_body(path, raw, len(names), dtype)
-        _write_sidecar(path, raw, sidecar, data)
-    return names, data
+    return data
 
 
 def _text(raw: bytes) -> io.TextIOWrapper:
@@ -561,15 +567,14 @@ def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
         return None
 
 
-def _write_sidecar(path: Path, raw: bytes, sidecar: Path, data: np.ndarray) -> None:
-    """Store ``data``, parsed from ``path`` whose bytes were ``raw``, as its one
-    sidecar, with ``path``'s permissions, removing its stale ones.
+def _write_sidecar(path: Path, sidecar: Path, data: np.ndarray) -> None:
+    """Store ``data``, parsed from ``path``, as its one sidecar, with
+    ``path``'s permissions, removing its stale ones.
 
-    Written to a temp file unique to this writer and moved into place only if
-    ``path`` still holds ``raw``, so a reader never sees a partial sidecar and
-    a CSV rewritten during the parse is not cached; the temp file is removed
-    unless it was moved, whatever interrupts the write. A dataset that cannot
-    be written, read-only say, is simply not cached.
+    Written to a temp file unique to this writer and moved into place, so a
+    reader never sees a partial sidecar; the temp file is removed unless it
+    was moved, whatever interrupts the write. A dataset that cannot be
+    written, read-only say, is simply not cached.
     """
     with contextlib.suppress(OSError):
         mode = stat.S_IMODE(path.stat().st_mode)
@@ -579,8 +584,6 @@ def _write_sidecar(path: Path, raw: bytes, sidecar: Path, data: np.ndarray) -> N
             with os.fdopen(fd, "wb") as f:
                 os.fchmod(f.fileno(), mode)
                 np.save(f, data, allow_pickle=False)
-            if path.read_bytes() != raw:
-                return
             os.replace(tmp, sidecar)
             placed = True
         finally:
@@ -593,43 +596,35 @@ def _write_sidecar(path: Path, raw: bytes, sidecar: Path, data: np.ndarray) -> N
                 old.unlink()
 
 
-def _parse_body(path: Path, raw: bytes, ncols: int, dtype) -> np.ndarray:
-    """The rows below the header of ``path``, whose bytes are ``raw``,
-    ``ncols`` values of ``dtype`` each."""
+def _parse_body(path: Path, lines: list[str], ncols: int, dtype) -> np.ndarray:
+    """The body ``lines`` of CSV ``path``, below its header, as rows of
+    ``ncols`` values of ``dtype``. If the whole-table parse fails, the lines
+    are parsed one by one to name the first bad row: ``lines[i]`` is file
+    line ``i + 2``."""
+    # loadtxt warns on a body without rows, and warning filters are
+    # process-wide, so a header-only table is answered here.
+    if not any(line.strip() for line in lines):
+        return np.empty((0, ncols), dtype=dtype)
     try:
-        f = _text(raw)
-        f.readline()
-        # loadtxt warns on a body without rows, and warning filters are
-        # process-wide, so a header-only table is answered here.
-        if not any(line.strip() for line in f):
-            return np.empty((0, ncols), dtype=dtype)
-        data = np.loadtxt(
-            path, dtype, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8"
-        )
+        data = np.loadtxt(lines, dtype, delimiter=",", ndmin=2, comments=None)
         if data.shape[1] == ncols:
             return data
-    except UnicodeDecodeError as exc:
-        raise MalformedManifest(f"{path}: {exc}") from exc
     except ValueError:
         pass
-    raise MalformedManifest(f"{path}: {_first_bad_row(raw, ncols, dtype)}")
-
-
-def _first_bad_row(raw: bytes, ncols: int, dtype) -> str:
-    """The 1-based file line of the first body row that is not ``ncols`` values
-    of ``dtype``, and what is wrong with it. Parses row by row, so it runs
-    only after the whole-table read has failed."""
-    for line_no, line in enumerate(_text(raw), start=1):
-        text = line.rstrip("\r\n")
-        if line_no == 1 or not text:
-            continue  # the header; loadtxt skips empty lines
+    for line_no, line in enumerate(lines, start=2):
+        if not line:
+            continue  # loadtxt skips empty lines
         try:
-            row = np.loadtxt([text], dtype, delimiter=",", comments=None, ndmin=2)
+            width = np.loadtxt([line], dtype, delimiter=",", comments=None, ndmin=2).shape[1]
         except ValueError:
-            return f"line {line_no}: cannot parse {text!r} as {np.dtype(dtype).name}"
-        if row.shape[1] != ncols:
-            return f"line {line_no} has {row.shape[1]} columns, header has {ncols}"
-    return "no bad row found"
+            raise MalformedManifest(
+                f"{path}: line {line_no}: cannot parse {line!r} as {np.dtype(dtype).name}"
+            ) from None
+        if width != ncols:
+            raise MalformedManifest(
+                f"{path}: line {line_no} has {width} columns, header has {ncols}"
+            )
+    raise MalformedManifest(f"{path}: no bad row found")
 
 
 def _write_series_csv(path: Path, series: TimedSeries) -> None:
@@ -638,11 +633,7 @@ def _write_series_csv(path: Path, series: TimedSeries) -> None:
 
 
 def _read_series_csv(path: Path, channels: tuple[Channel, ...]) -> TimedSeries:
-    names, data = _read_table(path)
-    if [c.name for c in channels] != names[1:]:
-        raise MalformedManifest(
-            f"{path.name}: header channels {names[1:]} do not match manifest"
-        )
+    data = _read_table(path, ["t", *(c.name for c in channels)])
     return TimedSeries(timestamps=data[:, 0], values=data[:, 1:], channels=channels)
 
 
@@ -721,7 +712,7 @@ def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
         if desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(path, desc.channels)
         elif desc.kind is StreamKind.VIDEO_FRAMES:
-            frame_logs[desc.name] = FrameTimestampLog(_read_table(path)[1][:, 0])
+            frame_logs[desc.name] = FrameTimestampLog(_read_table(path, ["t"])[:, 0])
         elif desc.kind is StreamKind.AUDIO:
             tracks[desc.name] = _read_wav(path, samples=audio)
 
@@ -814,16 +805,13 @@ def load_synced(root_path: str | Path) -> SyncedSession:
         rate, tau = float(meta["rate"]), float(meta["tau"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedManifest(f"{meta_path}: bad rate or tau: {exc!r}") from exc
-    grid = ReferenceGrid(timestamps=_read_table(root / "grid.csv")[1][:, 0], rate=rate)
+    grid = ReferenceGrid(timestamps=_read_table(root / "grid.csv", ["t"])[:, 0], rate=rate)
 
     selections: dict[str, FrameSelection] = {}
     numeric: dict[str, TimedSeries] = {}
     for desc in manifest.streams:
         if desc.kind is StreamKind.VIDEO_FRAMES:
-            path = root / _SELECTION_PATH.format(desc.name)
-            names, sel = _read_table(path, dtype=int)
-            if names != _SELECTION_HEADER:
-                raise MalformedManifest(f"{path}: header {names} is not {_SELECTION_HEADER}")
+            sel = _read_table(root / _SELECTION_PATH.format(desc.name), _SELECTION_HEADER, int)
             selections[desc.name] = FrameSelection(sel[:, 0], sel[:, 1])
         elif desc.kind is StreamKind.NUMERIC:
             numeric[desc.name] = _read_series_csv(root / desc.file, desc.channels)

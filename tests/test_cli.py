@@ -1,6 +1,8 @@
 import json
 import pickle
 import shutil
+import socket
+import time
 import warnings
 import wave
 from dataclasses import fields, is_dataclass, replace
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sessionforge import filters
+from sessionforge import filters, transport
 from sessionforge.cli import denoise_and_sync, main, process_trial
 from sessionforge.curation import label_trial
 from sessionforge.dialogue import AnnotatedDialogue
@@ -26,6 +28,7 @@ from sessionforge.session import (
 )
 from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
+from sessionforge.transport import AudioDatagram, TcpFrame
 
 
 @pytest.fixture
@@ -356,6 +359,28 @@ def test_unreadable_container_file_is_json_error(capsys, tmp_path, dataset, case
     assert target in payload["message"]
 
 
+def test_csv_that_cannot_be_read_is_json_error(capsys, dataset, monkeypatch):
+    """A container CSV the user may not read fails the trial with a typed
+    error naming it, as an unreadable JSON or WAV file does."""
+    root, trial_ids = dataset
+    target = root / trial_ids[0] / "streams" / "imu.csv"
+    read_bytes = Path.read_bytes
+
+    def refuse(self):
+        if self == target:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    code, out, err = run(capsys, "--errors", "json", "report", "--root", str(root))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "malformed-manifest"
+    assert str(target) in payload["message"] and "Permission denied" in payload["message"]
+
+
 @pytest.mark.parametrize("name", ["streams/ee_pose.csv", "selections/ego_cam.csv"])
 def test_synced_file_the_manifest_lists_is_required(capsys, tmp_path, dataset, name):
     root, trial_ids = dataset
@@ -683,6 +708,71 @@ class TestStageCommands:
         assert (out_dir / "grid.json").is_file()
 
 
+class TestRecordCommand:
+    """``record`` saves what its ports received, whether its wait ends at
+    ``--duration`` or at Ctrl-C."""
+
+    FRAMES = 50
+
+    @pytest.fixture
+    def record(self, capsys, tmp_path, monkeypatch):
+        """``record --out <tmp>/rec *argv``, whose wait sends FRAMES TCP frames
+        and one audio datagram to the bound ports and returns once the
+        recorder has every frame, or with ``interrupt`` raises
+        KeyboardInterrupt then; gives the exit code, stdout and the waits."""
+        handles, waits, sleep, start = [], [], time.sleep, transport.start_recording
+
+        def recording(config):
+            handles.append(start(config))
+            return handles[-1]
+
+        def record(*argv, interrupt=False):
+            def wait(seconds):
+                waits.append(seconds)
+                (handle,) = handles
+                frames = [TcpFrame("ee", k / 10, (float(k), 0.0)) for k in range(self.FRAMES)]
+                with socket.create_connection(("127.0.0.1", handle.tcp_port)) as sock:
+                    sock.sendall(b"".join(f.encode() for f in frames))
+                with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                    datagram = AudioDatagram(0, 0.0, bytes(320)).encode()
+                    sock.sendto(datagram, ("127.0.0.1", handle.udp_port))
+                deadline = time.monotonic() + 10
+                while handle.frames_received < self.FRAMES and time.monotonic() < deadline:
+                    sleep(0.01)
+                if interrupt:
+                    raise KeyboardInterrupt
+
+            monkeypatch.setattr(time, "sleep", wait)
+            try:
+                code, out, _ = run(capsys, "record", "--out", str(tmp_path / "rec"), *argv)
+            except KeyboardInterrupt:
+                pytest.fail("Ctrl-C escaped record")
+            return code, out, waits
+
+        monkeypatch.setattr(transport, "start_recording", recording)
+        return record
+
+    def assert_saved(self, tmp_path, out):
+        assert f"recorded {self.FRAMES} frames across 1 topics" in out
+        saved = load_session(tmp_path / "rec")
+        assert saved.numeric["ee"].timestamps.tolist() == [k / 10 for k in range(self.FRAMES)]
+        assert saved.audio["mic"].samples.tolist() == [0] * 160
+
+    def test_records_for_the_duration(self, tmp_path, record):
+        code, out, waits = record("--duration", "30")
+        assert code == 0 and waits == [30.0]
+        assert "stopping after 30.0 s" in out
+        self.assert_saved(tmp_path, out)
+
+    @pytest.mark.parametrize(
+        "duration", [["--duration", "30"], []], ids=["duration", "no-duration"]
+    )
+    def test_ctrl_c_keeps_the_recording(self, tmp_path, record, duration):
+        code, out, waits = record(*duration, interrupt=True)
+        assert code == 0 and len(waits) == 1
+        self.assert_saved(tmp_path, out)
+
+
 class TestCurateCommands:
     def test_stats_json(self, capsys, dataset):
         root, _ = dataset
@@ -842,6 +932,34 @@ class TestPipeline:
         want = sync_session(raw).numeric["misc"]
         assert synced.numeric["misc"].values.tobytes() == want.values.tobytes()
         assert synced.numeric["misc"].timestamps.tobytes() == want.timestamps.tobytes()
+
+    def test_denoise_counts_only_the_streams_it_filtered(self, capsys, tmp_path):
+        """Under --lenient a stream of no policy class passes through, and is
+        not counted as denoised."""
+        session, _ = gen_session(Scenario(seed=5, duration=4.0, noise_sd=0.01))
+        misc = session.numeric["ee_pose"]
+        entry = describe_stream("misc", misc, 100.0)
+        save_session(
+            replace(
+                session,
+                manifest=replace(session.manifest, streams=(*session.manifest.streams, entry)),
+                numeric={**session.numeric, "misc": misc},
+            ),
+            tmp_path / "trial",
+        )
+        synced, out_dir = tmp_path / "synced", tmp_path / "den"
+        assert run(capsys, "sync", "--in", str(tmp_path / "trial"), "--out", str(synced))[0] == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run(
+                capsys, "denoise", "--in", str(synced), "--out", str(out_dir), "--lenient"
+            )
+        assert code == 0
+        assert "stream 'misc' unclassified; passing through unfiltered" in [
+            str(w.message) for w in caught
+        ]
+        assert out == f"denoised 3 streams -> {out_dir}\n"
+        assert sorted(load_synced(out_dir).numeric) == ["ee_pose", "imu", "misc", "wheelchair_pose"]
 
     def test_report_deterministic(self, capsys, dataset, tmp_path):
         root, _ = dataset

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shutil
 import stat
 import sys
@@ -49,6 +50,66 @@ def synthetic_session():
     return session
 
 
+def _with_stream(session, kind, name, data):
+    """``session`` with stream ``name`` of ``kind`` ("numeric", "frame_logs" or
+    "audio") replaced by ``data``, or dropped when ``data`` is None."""
+    streams = {k: v for k, v in getattr(session, kind).items() if k != name}
+    return replace(session, **{kind: streams if data is None else {**streams, name: data}})
+
+
+def _edit_array(kind, name, field, edit):
+    """An edit of a copy of array ``field`` of stream ``name``."""
+
+    def apply(session):
+        data = getattr(session, kind)[name]
+        array = getattr(data, field).copy()
+        edit(array)
+        return _with_stream(session, kind, name, replace(data, **{field: array}))
+
+    return apply
+
+
+def _next_float(array):
+    array.flat[0] = np.nextafter(array.flat[0], np.inf)
+
+
+def _negate_first(array):
+    array.flat[0] = -array.flat[0]
+
+
+def _flip_low_bit(array):
+    array.flat[0] ^= 1
+
+
+def _edit_audio_meta(session):
+    track = session.audio["mic"]
+    meta = replace(track.meta, sample_rate=44100)
+    return _with_stream(session, "audio", "mic", replace(track, meta=meta))
+
+
+def _rename_first_channel(session):
+    ee = session.numeric["ee_pose"]
+    channels = (Channel("a", "m"), *ee.channels[1:])
+    return _with_stream(session, "numeric", "ee_pose", replace(ee, channels=channels))
+
+
+# Each kind of difference ``sessions_equal`` must see, as an edit of a session
+# whose ee_pose starts with a 0.0 value.
+SESSION_EDITS = {
+    "manifest": lambda s: replace(s, manifest=replace(s.manifest, notes="edited")),
+    "numeric-channels": _rename_first_channel,
+    "numeric-timestamp-bits": _edit_array("numeric", "ee_pose", "timestamps", _next_float),
+    "numeric-value-sign-of-zero": _edit_array("numeric", "ee_pose", "values", _negate_first),
+    "frame-log-bits": _edit_array("frame_logs", "ego_cam", "frame_timestamps", _next_float),
+    "audio-meta": _edit_audio_meta,
+    "audio-samples": _edit_array("audio", "mic", "samples", _flip_low_bit),
+    "missing-numeric": lambda s: _with_stream(s, "numeric", "imu", None),
+    "missing-frame-log": lambda s: _with_stream(s, "frame_logs", "wrist_cam", None),
+    "missing-audio": lambda s: _with_stream(s, "audio", "mic", None),
+    "dialogues": lambda s: replace(s, dialogues=()),
+}
+
+
 class TestRoundTrip:
     def test_save_load_value_equal(self, synthetic_session, tmp_path):
         save_session(synthetic_session, tmp_path / "trial")
@@ -78,6 +139,16 @@ class TestRoundTrip:
         assert sessions_equal(with_ee(0.0, nan), with_ee(0.0, -nan))
         assert not sessions_equal(with_ee(0.0, nan), with_ee(-0.0, nan))
 
+    @pytest.mark.parametrize("edit", SESSION_EDITS)
+    def test_equality_sees_each_kind_of_difference(self, synthetic_session, edit):
+        ee = synthetic_session.numeric["ee_pose"]
+        values = ee.values.copy()
+        values[0, 0] = 0.0  # so the value-bits edit can make it -0.0
+        base = _with_stream(synthetic_session, "numeric", "ee_pose", replace(ee, values=values))
+        edited = SESSION_EDITS[edit](base)
+        assert sessions_equal(base, replace(base))
+        assert not sessions_equal(base, edited) and not sessions_equal(edited, base)
+
     def test_expected_stream_count(self, synthetic_session):
         # two cameras + three numeric + one audio
         assert len(synthetic_session.manifest.streams) == 6
@@ -88,6 +159,16 @@ class TestRoundTrip:
         save_session(synthetic_session, tmp_path / "trial")
         loaded = load_session(tmp_path / "trial")
         assert loaded.dialogues == synthetic_session.dialogues
+
+
+# Every table the two containers write: case -> (container, file).
+WRONG_HEADER_TABLES = {
+    "numeric-stream": ("trial", "streams/ee_pose.csv"),
+    "frame-log": ("trial", "video/ego_cam.timestamps.csv"),
+    "grid": ("synced", "grid.csv"),
+    "selection": ("synced", "selections/ego_cam.csv"),
+    "synced-stream": ("synced", "streams/ee_pose.csv"),
+}
 
 
 class TestLoadErrors:
@@ -160,6 +241,23 @@ class TestLoadErrors:
         path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         with pytest.raises(MalformedManifest, match="columns"):
             load_session(tmp_path / "trial")
+
+    @pytest.mark.parametrize("table", WRONG_HEADER_TABLES)
+    def test_wrong_header_fails_the_load(self, synthetic_session, tmp_path, table):
+        """Every table of both containers is read against its writer's header.
+        Here a leading ``frame_index`` column is added: a frame log so written
+        would otherwise give its indices as its timestamps."""
+        container, name = WRONG_HEADER_TABLES[table]
+        save_session(synthetic_session, tmp_path / "trial")
+        save_synced(sync_session(synthetic_session), tmp_path / "synced")
+        load = {"trial": load_session, "synced": load_synced}[container]
+        load(tmp_path / container)  # fills the sidecars
+        path = tmp_path / container / name
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        lines = [f"frame_index,{header}", *(f"{i},{row}" for i, row in enumerate(rows))]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedManifest, match=f"^{re.escape(str(path))}: header"):
+            load(tmp_path / container)
 
     @pytest.mark.parametrize(
         "entry",
@@ -574,6 +672,9 @@ def format_2_0(path, data):
         np.lib.format.write_array(f, data, version=(2, 0))
 
 
+XY = ["t", "x", "y"]  # the header of TestSidecar's table
+
+
 class TestSidecar:
     """``_read_table`` memoizes its parse in a hash-checked sidecar."""
 
@@ -589,21 +690,44 @@ class TestSidecar:
         path = tmp_path / "t.csv"
         _write_table(path, header, [np.asarray(c, dtype=dtype) for c in columns])
         want = fresh_parse(path, dtype)
-        names, cold = _read_table(path, dtype)
-        assert names == header.split(",") and same_bits(cold, want)
+        cold = _read_table(path, header.split(","), dtype)
+        assert same_bits(cold, want)
         assert len(sidecars(path)) == 1
         monkeypatch.setattr(np, "loadtxt", no_parse)
-        names, warm = _read_table(path, dtype)
-        assert names == header.split(",") and same_bits(warm, want)
+        warm = _read_table(path, header.split(","), dtype)
+        assert same_bits(warm, want)
         assert warm.flags.writeable and warm.flags.c_contiguous
 
+    def test_one_read_of_the_csv_per_call(self, csv, monkeypatch):
+        """A miss opens the CSV once and parses the bytes it read, not the
+        file; a hit opens it once and parses nothing."""
+        want = fresh_parse(csv)
+        opened, parsed = [], []
+        open_, loadtxt = Path.open, np.loadtxt
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return open_(self, *args, **kwargs)
+
+        def recording_parse(source, *args, **kwargs):
+            parsed.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        monkeypatch.setattr(np, "loadtxt", recording_parse)
+        assert same_bits(_read_table(csv, XY), want)
+        assert opened.count(csv) == 1 and len(sidecars(csv)) == 1
+        assert len(parsed) == 1 and isinstance(parsed[0], list)
+        assert same_bits(_read_table(csv, XY), want)
+        assert opened.count(csv) == 2 and len(parsed) == 1
+
     def test_edited_csv_wins_over_its_sidecar(self, csv):
-        _read_table(csv)
+        _read_table(csv, XY)
         (old,) = sidecars(csv)
         lines = csv.read_text(encoding="utf-8").splitlines()
         lines[3] = "9,9,9"
         csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        _, data = _read_table(csv)
+        data = _read_table(csv, XY)
         assert data[2].tolist() == [9.0, 9.0, 9.0]
         assert same_bits(data, fresh_parse(csv))
         (new,) = sidecars(csv)
@@ -638,10 +762,10 @@ class TestSidecar:
     )
     def test_bad_sidecar_falls_back_and_is_replaced(self, csv, spoil):
         want = fresh_parse(csv)
-        _read_table(csv)
+        _read_table(csv, XY)
         (sidecar,) = sidecars(csv)
         spoil(sidecar, want)
-        _, data = _read_table(csv)
+        data = _read_table(csv, XY)
         assert same_bits(data, want)
         assert sidecars(csv) == [sidecar]
         assert same_bits(np.load(sidecar, allow_pickle=False), want)
@@ -653,9 +777,9 @@ class TestSidecar:
         def racing(*args, **kwargs):
             raise SystemError("AST constructor recursion depth mismatch (before=30, after=26)")
 
-        _read_table(csv)
+        _read_table(csv, XY)
         monkeypatch.setattr(np.lib.format, "read_array_header_1_0", racing)
-        _, data = _read_table(csv)
+        data = _read_table(csv, XY)
         assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
 
     @pytest.mark.parametrize("call", ["tempfile.mkstemp", "numpy.save", "os.replace"])
@@ -665,11 +789,15 @@ class TestSidecar:
 
         monkeypatch.setattr(call, fail)
         for _ in range(2):
-            _, data = _read_table(csv)
+            data = _read_table(csv, XY)
             assert same_bits(data, fresh_parse(csv))
         assert sidecars(csv) == []
 
-    def test_csv_rewritten_during_the_parse_is_not_cached(self, csv, monkeypatch):
+    def test_csv_rewritten_during_the_parse_gives_the_bytes_read(self, csv, monkeypatch):
+        """A read returns the parse of the bytes it read, though the CSV is
+        rewritten during the parse; the next read parses the new bytes and
+        leaves their one sidecar."""
+        want = fresh_parse(csv)
         loadtxt = np.loadtxt
 
         def rewrite_then_parse(*args, **kwargs):
@@ -677,11 +805,11 @@ class TestSidecar:
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", rewrite_then_parse)
-        _read_table(csv)
-        assert sidecars(csv) == []
+        assert same_bits(_read_table(csv, XY), want)
         monkeypatch.setattr(np, "loadtxt", loadtxt)
-        _, data = _read_table(csv)
-        assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
+        data = _read_table(csv, XY)
+        assert same_bits(data, fresh_parse(csv)) and data.shape == (4, 3)
+        assert len(sidecars(csv)) == 1
 
     def test_interrupted_sidecar_write_leaves_no_temp_file(self, csv, monkeypatch):
         def interrupt(*args, **kwargs):
@@ -689,13 +817,13 @@ class TestSidecar:
 
         monkeypatch.setattr(np, "save", interrupt)
         with pytest.raises(KeyboardInterrupt):
-            _read_table(csv)
+            _read_table(csv, XY)
         assert sidecars(csv) == []
 
     @pytest.mark.parametrize("mode", [0o640, 0o664], ids=oct)
     def test_sidecar_has_the_csv_permissions(self, csv, mode):
         csv.chmod(mode)
-        _read_table(csv)
+        _read_table(csv, XY)
         (sidecar,) = sidecars(csv)
         assert stat.S_IMODE(sidecar.stat().st_mode) == mode
 
@@ -704,19 +832,19 @@ class TestSidecar:
         crlf.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
         want = fresh_parse(csv)
         for _ in range(2):
-            names, data = _read_table(crlf)
-            assert names == ["t", "x", "y"] and same_bits(data, want)
+            data = _read_table(crlf, XY)
+            assert same_bits(data, want)
             monkeypatch.setattr(np, "loadtxt", no_parse)
 
     def test_malformed_csv_raises_and_writes_no_sidecar(self, csv):
-        _read_table(csv)
+        _read_table(csv, XY)
         before = sidecars(csv)
         lines = csv.read_text(encoding="utf-8").splitlines()
         lines[5] = lines[5].replace(",", ",x", 1)
         csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         for _ in range(2):
             with pytest.raises(MalformedManifest, match=r"t\.csv: line 6\b"):
-                _read_table(csv)
+                _read_table(csv, XY)
         assert sidecars(csv) == before
 
     def test_containers_read_once_load_the_same(self, tmp_path, monkeypatch):
@@ -750,7 +878,7 @@ class TestSidecar:
         def read():
             try:
                 for _ in range(20):
-                    results.append(_read_table(csv)[1])
+                    results.append(_read_table(csv, XY))
             except Exception as exc:  # reported below
                 errors.append(exc)
 

@@ -18,7 +18,7 @@ from sessionforge.errors import (
     MalformedFrame,
     NeedMoreBytes,
 )
-from sessionforge.session import Task, load_session, validate_session
+from sessionforge.session import Channel, Task, load_session, validate_session
 from sessionforge.transport import (
     AudioDatagram,
     RecorderConfig,
@@ -342,6 +342,43 @@ class TestRecording:
         session = handle.stop()
         assert session.numeric["ok"].n_samples == 2
         assert handle.malformed_frames == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [bytes(11), AudioDatagram(1, 0.02, bytes(4)).encode() + b"\x01"],
+        ids=["below-header", "odd-pcm"],
+    )
+    def test_malformed_datagram_is_counted_and_skipped(self, tmp_path, bad):
+        """A datagram shorter than its 12-byte header, or with an odd PCM
+        length, counts one malformed frame; the audio around it is intact."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        pcm = np.arange(480, dtype="<i2").reshape(3, 160)
+        datagrams = [AudioDatagram(k, k * 0.02, pcm[k].tobytes()).encode() for k in range(3)]
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for data in (datagrams[0], bad, *datagrams[1:]):
+                sock.sendto(data, ("127.0.0.1", handle.udp_port))
+        with pytest.warns(UserWarning, match="zero frames"):
+            session = handle.stop()
+        assert handle.malformed_frames == 1
+        np.testing.assert_array_equal(session.audio["mic"].samples, pcm.ravel())
+
+    def test_stream_map_sets_rate_and_channels(self, tmp_path):
+        """A topic in the config's ``stream_map`` is saved at its mapped rate
+        and channels; another keeps its observed rate and ``ch<i>`` names."""
+        channels = (Channel("x", "m"), Channel("y", "m"))
+        config = RecorderConfig(session_root=tmp_path / "rec", stream_map={"ee": (100.0, channels)})
+        handle = start_recording(config)
+        frames = [
+            TcpFrame(topic, k / 10, (float(k), 0.0)) for k in range(20) for topic in ("ee", "other")
+        ]
+        self.send_frames(handle.tcp_port, frames)
+        handle.stop()
+        loaded = load_session(tmp_path / "rec")
+        entries = {s.name: s for s in loaded.manifest.streams}
+        assert (entries["ee"].nominal_rate, entries["ee"].channels) == (100.0, channels)
+        assert loaded.numeric["ee"].channels == channels
+        assert entries["other"].nominal_rate == pytest.approx(10.0)
+        assert [c.name for c in entries["other"].channels] == ["ch0", "ch1"]
 
     def test_bad_topic_is_left_out_not_fatal(self, tmp_path):
         """A topic that breaks a stream invariant (one sample, or repeated

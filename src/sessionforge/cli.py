@@ -8,6 +8,7 @@ report, pipeline. Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
-from .errors import MissingFile, SessionForgeError
+from .errors import IoError, MissingFile, SessionForgeError
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -92,6 +93,16 @@ def build_report(
     if manifests:
         report["curation"] = curation.dataset_stats(manifests).to_json_dict()
     return report
+
+
+@contextlib.contextmanager
+def _user_file(path: Path):
+    """Reads and writes of a file the user named: an ``OSError`` becomes an
+    ``IoError`` naming the path, as ``save_session`` reports one."""
+    try:
+        yield path
+    except OSError as exc:
+        raise IoError(f"{path}: {exc}") from exc
 
 
 def _json_text(obj) -> str:
@@ -191,7 +202,8 @@ def _cmd_analyze(args) -> int:
     payload = {**tm.to_json_dict(), **_comfort_entry(tm.wheelchair_mean_jerk)}
     text = _json_text(payload)
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        with _user_file(Path(args.report)) as out:
+            out.write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -221,7 +233,8 @@ def _cmd_curate(args) -> int:
     trials = curation.filter_successful(root, strict=not args.lenient)
     text = "\n".join(trials) + ("\n" if trials else "")
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _user_file(Path(args.out)) as out:
+            out.write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
@@ -236,7 +249,9 @@ def _cmd_dialogue(args) -> int:
         path = Path(args.file)
         if not path.is_file():
             raise MissingFile(str(path))
-        dialogues = dlg.import_jsonl(path.read_bytes())
+        with _user_file(path):
+            data = path.read_bytes()
+        dialogues = dlg.import_jsonl(data)
         label = dlg.AmbiguityLabel(
             clarity=dlg.Clarity(args.clarity),
             ambiguity_type=dlg.AmbiguityType(args.type) if args.type else None,
@@ -250,14 +265,16 @@ def _cmd_dialogue(args) -> int:
             updated.append(d)
         if not found:
             raise SessionForgeError(f"trial {args.trial} not found in {path}")
-        path.write_bytes(dlg.export_jsonl(updated))
+        with _user_file(path):
+            path.write_bytes(dlg.export_jsonl(updated))
         print(f"labeled {args.trial} turn {args.turn}: {args.clarity}" + (f"/{args.type}" if args.type else ""))
         return 0
     if args.dialogue_cmd == "export":
         dialogues = _collect_dialogues(_dataset_root(args))
         data = dlg.export_jsonl(dialogues)
         if args.out:
-            Path(args.out).write_bytes(data)
+            with _user_file(Path(args.out)) as out:
+                out.write_bytes(data)
             print(f"exported {len(dialogues)} dialogues -> {args.out}")
         else:
             sys.stdout.buffer.write(data)
@@ -292,8 +309,8 @@ def _cmd_pipeline(args) -> int:
     if args.cmd == "report":
         print(text, end="")
         return 0
-    out = Path(args.report)
-    out.write_text(text, encoding="utf-8")
+    with _user_file(Path(args.report)) as out:
+        out.write_text(text, encoding="utf-8")
     print(f"report -> {out}")
     return 0
 

@@ -19,7 +19,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from .dialogue import (
     AmbiguityLabel,
@@ -108,6 +107,8 @@ class MotionProfile:
         hi = self.duration if t_hi is None else min(self.duration, t_hi)
         if hi <= lo or self.displacement == 0.0:
             return 0.0
+        from scipy.integrate import quad  # here, not at the top: scipy is slow to import
+
         value, _ = quad(lambda t: self.jerk_magnitude(np.array([t]))[0], lo, hi, limit=200)
         return value / (hi - lo)
 

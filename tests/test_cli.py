@@ -381,6 +381,50 @@ def test_csv_that_cannot_be_read_is_json_error(capsys, dataset, monkeypatch):
     assert str(target) in payload["message"] and "Permission denied" in payload["message"]
 
 
+# A directory, or a file under a missing directory, stands for any output file
+# that cannot be written; a root user writes through a read-only mode.
+OUTPUT_FILE_CASES = {
+    "pipeline": ("pipeline --root {root} --report {dir}", "{dir}"),
+    "analyze": ("analyze --in {synced} --report {dir}", "{dir}"),
+    "curate-filter": ("curate filter --root {root} --out {dir}", "{dir}"),
+    "dialogue-export": ("dialogue export --root {root} --out {dir}/no/x.jsonl", "{dir}/no/x.jsonl"),
+    "dialogue-annotate": (
+        "dialogue annotate --file {jsonl} --trial {trial_id} --turn 2 --clarity specific",
+        "{jsonl}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_FILE_CASES)
+def test_output_file_that_cannot_be_written_is_json_error(
+    capsys, tmp_path, dataset, monkeypatch, case
+):
+    """A file the user named for output that cannot be written fails the
+    command with one ``io-error`` naming it, not a traceback."""
+    command, target = OUTPUT_FILE_CASES[case]
+    root, trial_ids = dataset
+    names = {"root": root, "dir": tmp_path / "dir", "synced": tmp_path / "synced",
+             "jsonl": root / trial_ids[0] / "dialogue.jsonl", "trial_id": trial_ids[0]}
+    names["dir"].mkdir()
+    assert run(capsys, "sync", "--in", str(root / trial_ids[0]), "--out", str(names["synced"]))[0] == 0
+    target = target.format(**names)
+    if case == "dialogue-annotate":  # the file must be read first, so only its write-back fails
+        write_bytes = Path.write_bytes
+
+        def refuse(self, data):
+            if str(self) == target:
+                raise PermissionError(13, "Permission denied", str(self))
+            return write_bytes(self, data)
+
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+    code, _, err = run(capsys, "--errors", "json", *command.format(**names).split())
+    assert code == 1
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "io-error"
+    assert target in payload["message"]
+
+
 @pytest.mark.parametrize("name", ["streams/ee_pose.csv", "selections/ego_cam.csv"])
 def test_synced_file_the_manifest_lists_is_required(capsys, tmp_path, dataset, name):
     root, trial_ids = dataset

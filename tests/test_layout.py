@@ -85,3 +85,26 @@ def test_one_manifest_reader():
         if isinstance(node, ast.FunctionDef) and "read" in node.name and "manifest" in node.name
     ]
     assert readers == ["read_manifest"]
+
+
+def _import_time_modules(tree: ast.AST) -> set[str]:
+    """The top-level package of every import that runs when the module is
+    imported: all but those inside a function body."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found |= _import_time_modules(node)
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_filters_imports_scipy_at_import_time(module):
+    """scipy is slow to import, and only the filters need it at once: the
+    recorder, the loaders and the synthetic generator start without it, so any
+    other use of scipy is imported inside the function that makes it."""
+    imported = _import_time_modules(ast.parse(module.read_text(encoding="utf-8")))
+    assert module.name == "filters.py" or "scipy" not in imported

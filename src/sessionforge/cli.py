@@ -105,6 +105,13 @@ def _user_file(path: Path):
         raise IoError(f"{path}: {exc}") from exc
 
 
+def _write_user_file(path: Path, data: bytes) -> None:
+    """Replace the file the user named with ``data`` whole: a write that
+    fails leaves the old file as it was and raises ``IoError``."""
+    with _user_file(path):
+        sess._replace_file(path, data)
+
+
 def _json_text(obj) -> str:
     """The CLI's JSON output: indented, keys sorted, ending in a newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
@@ -202,8 +209,7 @@ def _cmd_analyze(args) -> int:
     payload = {**tm.to_json_dict(), **_comfort_entry(tm.wheelchair_mean_jerk)}
     text = _json_text(payload)
     if args.report:
-        with _user_file(Path(args.report)) as out:
-            out.write_text(text, encoding="utf-8")
+        _write_user_file(Path(args.report), text.encode("utf-8"))
     print(text, end="")
     return 0
 
@@ -233,8 +239,7 @@ def _cmd_curate(args) -> int:
     trials = curation.filter_successful(root, strict=not args.lenient)
     text = "\n".join(trials) + ("\n" if trials else "")
     if args.out:
-        with _user_file(Path(args.out)) as out:
-            out.write_text(text, encoding="utf-8")
+        _write_user_file(Path(args.out), text.encode("utf-8"))
     print(text, end="")
     return 0
 
@@ -265,16 +270,14 @@ def _cmd_dialogue(args) -> int:
             updated.append(d)
         if not found:
             raise SessionForgeError(f"trial {args.trial} not found in {path}")
-        with _user_file(path):
-            path.write_bytes(dlg.export_jsonl(updated))
+        _write_user_file(path, dlg.export_jsonl(updated))
         print(f"labeled {args.trial} turn {args.turn}: {args.clarity}" + (f"/{args.type}" if args.type else ""))
         return 0
     if args.dialogue_cmd == "export":
         dialogues = _collect_dialogues(_dataset_root(args))
         data = dlg.export_jsonl(dialogues)
         if args.out:
-            with _user_file(Path(args.out)) as out:
-                out.write_bytes(data)
+            _write_user_file(Path(args.out), data)
             print(f"exported {len(dialogues)} dialogues -> {args.out}")
         else:
             sys.stdout.buffer.write(data)
@@ -309,8 +312,8 @@ def _cmd_pipeline(args) -> int:
     if args.cmd == "report":
         print(text, end="")
         return 0
-    with _user_file(Path(args.report)) as out:
-        out.write_text(text, encoding="utf-8")
+    out = Path(args.report)
+    _write_user_file(out, text.encode("utf-8"))
     print(f"report -> {out}")
     return 0
 

@@ -14,13 +14,21 @@ from .errors import (
     DuplicateTrial,
     EmptyInput,
     EmptyQuestion,
+    IoError,
     MalformedSurvey,
     MissingFile,
     OutOfRangeRating,
     UnknownTrial,
     UnlabeledTrial,
 )
-from .session import SessionManifest, read_manifest, task_label, trial_dirs, write_manifest
+from .session import (
+    MANIFEST,
+    SessionManifest,
+    read_manifest,
+    task_label,
+    trial_dirs,
+    write_manifest,
+)
 
 
 class Violation(str, Enum):
@@ -44,9 +52,10 @@ class Violation(str, Enum):
 def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> SessionManifest:
     """Set a trial's violation flags; success is exactly 'no flags'.
 
-    Relabeling overwrites any previous flags. The updated manifest is written
-    back in place and returned. A dataset that repeats a session_id is refused
-    before anything is written.
+    Relabeling overwrites any previous flags. The updated manifest replaces
+    the old one whole and is returned; a write that fails leaves the old one
+    and raises IoError. A dataset that repeats a session_id is refused before
+    anything is written.
     """
     dirs = trial_dirs(dataset_root)
     manifests = [read_manifest(trial_dir) for trial_dir in dirs]
@@ -56,7 +65,10 @@ def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> Se
             continue
         parsed = tuple(Violation.parse(f) for f in flags)
         updated = replace(manifest, violation_flags=parsed, success=len(parsed) == 0)
-        write_manifest(trial_dir, updated)
+        try:
+            write_manifest(trial_dir, updated)
+        except OSError as exc:
+            raise IoError(f"{trial_dir / MANIFEST}: {exc}") from exc
         return updated
     raise UnknownTrial(trial_id)
 

@@ -34,8 +34,9 @@ parse from them. It refuses any header other than its writer's: ``t`` and
 the channel names for a stream, ``t`` for a frame log and the synced
 ``grid.csv``, ``index,accepted`` for a selection. numpy ``loadtxt`` parses
 the body, and the writer formats blocks of rows with one ``%`` each. Every
-JSON file goes through ``read_json``/``write_json``. A file that cannot be
-read raises ``MissingFile`` or ``MalformedManifest`` naming it.
+JSON file goes through ``read_json``/``write_json``, which replaces the file
+whole (``_replace_file``), so a write that fails leaves the old one. A file
+that cannot be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the table parsed from the bytes read, in
@@ -56,14 +57,15 @@ cannot be written a hash more.
 from __future__ import annotations
 
 import contextlib
+import errno
 import glob
 import hashlib
 import io
 import json
 import math
 import os
+import secrets
 import stat
-import tempfile
 import wave
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
@@ -437,7 +439,7 @@ def read_user_json(path: Path, parse, what: str):
 
 
 def write_json(path: Path, obj, sort_keys: bool = False) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
+    _replace_file(path, (json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n").encode("utf-8"))
 
 
 def read_manifest(trial_dir: str | Path) -> SessionManifest:
@@ -567,29 +569,63 @@ def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
         return None
 
 
+def _replace_file(path: Path, data, mode: int | None = None) -> None:
+    """Replace the file at ``path`` whole with ``data``, a bytes-like object.
+
+    The bytes go to a temp file unique to this writer in ``path``'s
+    directory, which is then moved onto ``path``: a reader sees the old file
+    or the new one, never part of either, and a write that fails part-way
+    leaves the old file intact. The temp file is removed unless it was moved,
+    whatever interrupts the write. The file gets ``mode``, else the mode of
+    the file it replaces, else a new file's. A symlink at ``path`` is
+    followed. Only a regular file is replaced: anything else, a device or a
+    pipe such as ``/dev/null`` or ``/dev/stdout``, is opened and written as
+    it is. An existing file the caller may not write is refused, as opening
+    it would be. Raises OSError.
+    """
+    target = Path(path)
+    try:
+        st = target.stat()
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(target, "wb") as f:
+            f.write(data)
+        return
+    if st is not None:
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        if mode is None:
+            mode = stat.S_IMODE(st.st_mode)
+    if target.is_symlink():
+        target = Path(os.path.realpath(target))
+    tmp = target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    # Not mkstemp, whose 0o600 would outlive the move: 0o666 less the umask, as open() gives.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    placed = False
+    try:
+        with open(fd, "wb") as f:
+            if mode is not None:
+                os.fchmod(fd, mode)
+            f.write(data)
+        os.replace(tmp, target)
+        placed = True
+    finally:
+        if not placed:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
 def _write_sidecar(path: Path, sidecar: Path, data: np.ndarray) -> None:
     """Store ``data``, parsed from ``path``, as its one sidecar, with
-    ``path``'s permissions, removing its stale ones.
-
-    Written to a temp file unique to this writer and moved into place, so a
-    reader never sees a partial sidecar; the temp file is removed unless it
-    was moved, whatever interrupts the write. A dataset that cannot be
-    written, read-only say, is simply not cached.
+    ``path``'s permissions, removing its stale ones. It is written whole
+    (``_replace_file``), so a reader never sees a partial sidecar. A dataset
+    that cannot be written, read-only say, is simply not cached.
     """
     with contextlib.suppress(OSError):
-        mode = stat.S_IMODE(path.stat().st_mode)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-        placed = False
-        try:
-            with os.fdopen(fd, "wb") as f:
-                os.fchmod(f.fileno(), mode)
-                np.save(f, data, allow_pickle=False)
-            os.replace(tmp, sidecar)
-            placed = True
-        finally:
-            if not placed:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
+        buf = io.BytesIO()
+        np.save(buf, data, allow_pickle=False)
+        _replace_file(sidecar, buf.getbuffer(), stat.S_IMODE(path.stat().st_mode))
         any_digest = "?" * (2 * hashlib.sha256().digest_size)
         for old in path.parent.glob(_sidecar_name(glob.escape(path.name), any_digest)):
             if old != sidecar:
@@ -642,7 +678,7 @@ def _write_wav(path: Path, track: AudioTrack) -> None:
         w.setnchannels(track.meta.channels)
         w.setsampwidth(track.meta.bit_depth // 8)
         w.setframerate(track.meta.sample_rate)
-        w.writeframes(track.samples.astype("<i2").tobytes())
+        w.writeframes(np.ascontiguousarray(track.samples, dtype="<i2"))
 
 
 def _read_wav(path: Path, samples: bool = True) -> AudioTrack:

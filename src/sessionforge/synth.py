@@ -14,6 +14,7 @@ that breaks this as ``MalformedManifest``.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -307,11 +308,31 @@ def _gen_dialogue(trial_id: str, task: Task, duration: float) -> AnnotatedDialog
     return AnnotatedDialogue(trial_id=trial_id, task=task.value, turns=turns, labels=labels)
 
 
+# (samples, rate) -> the tone of every live session of that length and rate.
+# Weak values: a tone goes with the last session holding it.
+_TONES: weakref.WeakValueDictionary[tuple[int, int], np.ndarray] = weakref.WeakValueDictionary()
+
+
+def _tone(n: int, rate: int) -> np.ndarray:
+    """The session's stand-in for conversational audio: ``n`` int16 samples
+    of a 440 Hz tone at ``rate``, computed once per ``(n, rate)`` while a
+    session holds it, and read-only, since every such session shares it."""
+    samples = _TONES.get((n, rate))
+    if samples is None:
+        tone = 0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(n) / rate)
+        samples = np.round(tone * 32767).astype(np.int16)
+        samples.flags.writeable = False
+        _TONES[n, rate] = samples
+    return samples
+
+
 def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     """Generate a full raw session plus its analytic ground truth.
 
     Deterministic: the same scenario (seed included) produces a value- and
-    byte-identical session.
+    byte-identical session. Sessions of equal duration and audio rate share
+    one read-only tone as their ``mic`` samples, as a loaded session's
+    samples are read-only too: edit a ``.copy()``.
     """
     rng = _rng(scenario.seed)
     trial_id = f"synth-{scenario.task.value}-{scenario.seed:08d}"
@@ -345,11 +366,10 @@ def gen_session(scenario: Scenario) -> tuple[RawSession, GroundTruth]:
     }
 
     n_audio = int(round(duration * scenario.audio_rate))
-    tone = 0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(n_audio) / scenario.audio_rate)
     audio = {
         "mic": AudioTrack(
             meta=AudioMeta(sample_rate=scenario.audio_rate, bit_depth=16, channels=1),
-            samples=np.round(tone * 32767).astype(np.int16),
+            samples=_tone(n_audio, scenario.audio_rate),
         )
     }
 

@@ -1,7 +1,12 @@
+import contextlib
 import json
+import os
 import pickle
+import resource
 import shutil
 import socket
+import stat
+import threading
 import time
 import warnings
 import wave
@@ -409,20 +414,90 @@ def test_output_file_that_cannot_be_written_is_json_error(
     assert run(capsys, "sync", "--in", str(root / trial_ids[0]), "--out", str(names["synced"]))[0] == 0
     target = target.format(**names)
     if case == "dialogue-annotate":  # the file must be read first, so only its write-back fails
-        write_bytes = Path.write_bytes
+        replace_file = os.replace
 
-        def refuse(self, data):
-            if str(self) == target:
-                raise PermissionError(13, "Permission denied", str(self))
-            return write_bytes(self, data)
+        def refuse(src, dst):
+            if Path(dst).resolve() == Path(target).resolve():
+                raise PermissionError(13, "Permission denied", str(dst))
+            return replace_file(src, dst)
 
-        monkeypatch.setattr(Path, "write_bytes", refuse)
+        monkeypatch.setattr(os, "replace", refuse)
     code, _, err = run(capsys, "--errors", "json", *command.format(**names).split())
     assert code == 1
     assert err.count("\n") == 1
     payload = json.loads(err)
     assert payload["code"] == "io-error"
     assert target in payload["message"]
+
+
+@contextlib.contextmanager
+def file_size_limit(nbytes: int):
+    """Writes past byte ``nbytes`` of any file fail part-way with EFBIG, as
+    on a full disk; Python ignores SIGXFSZ, so the process goes on."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+# Each command that replaces a file, and the file it replaces.
+REPLACED_FILE_CASES = {
+    "pipeline": ("pipeline --root {root} --report {out}", "{out}"),
+    "analyze": ("analyze --in {synced} --report {out}", "{out}"),
+    "curate-filter": ("curate filter --root {root} --out {out}", "{out}"),
+    "curate-label": ("curate label {trial_id} --flags object_drop --root {root}", "{manifest}"),
+    "dialogue-export": ("dialogue export --root {root} --out {out}", "{out}"),
+    "dialogue-annotate": (
+        "dialogue annotate --file {jsonl} --trial {trial_id} --turn 2 --clarity specific",
+        "{jsonl}",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPLACED_FILE_CASES)
+def test_write_that_fails_part_way_leaves_the_old_file(capsys, tmp_path, dataset, case):
+    """A file a command replaces keeps its old bytes when the write fails
+    part-way, at a 16-byte file size limit here, and no temp file is left."""
+    command, target = REPLACED_FILE_CASES[case]
+    root, trial_ids = dataset
+    trial = root / trial_ids[0]
+    names = {"root": root, "out": tmp_path / "out", "synced": tmp_path / "synced",
+             "jsonl": trial / "dialogue.jsonl", "manifest": trial / "manifest.json",
+             "trial_id": trial_ids[0]}
+    assert run(capsys, "sync", "--in", str(trial), "--out", str(names["synced"]))[0] == 0
+    names["out"].write_bytes(b"old output\n")
+    target = Path(target.format(**names))
+    old = target.read_bytes()
+    with file_size_limit(16):
+        code, _, err = run(capsys, "--errors", "json", *command.format(**names).split())
+    assert code == 1
+    payload = json.loads(err)
+    assert payload["code"] == "io-error" and str(target) in payload["message"]
+    assert "File too large" in payload["message"]
+    assert target.read_bytes() == old
+    assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_output_to_a_pipe_is_written_not_replaced(capsys, tmp_path, dataset):
+    """An output that is not a regular file, a FIFO here as ``/dev/stdout``
+    or ``/dev/null`` may be, receives the bytes and stays what it was."""
+    root, _ = dataset
+    (tmp_path / "out").mkdir()
+    fifo = tmp_path / "out" / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run(capsys, "dialogue", "export", "--root", str(root), "--out", str(fifo))
+    with contextlib.suppress(OSError):  # lets the reader go if nothing opened the FIFO
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    reader.join(timeout=10)
+    assert code == 0 and out.startswith("exported ")
+    assert received == [run(capsys, "dialogue", "export", "--root", str(root))[1].encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in fifo.parent.iterdir()) == ["fifo"]
 
 
 @pytest.mark.parametrize("name", ["streams/ee_pose.csv", "selections/ego_cam.csv"])

@@ -29,7 +29,9 @@ from sessionforge.session import (
     TimedSeries,
     _read_series_csv,
     _read_table,
+    _replace_file,
     _write_table,
+    _write_wav,
     describe_stream,
     descriptor_violations,
     load_session,
@@ -428,6 +430,73 @@ class TestFormat:
         )
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want.getvalue()
 
+    @pytest.mark.parametrize("step", [1, 3], ids=["contiguous", "strided"])
+    def test_wav_bytes_match_the_wave_module(self, tmp_path, step):
+        """The WAV writer gives the bytes ``wave`` writes for the samples'
+        little-endian 16-bit copy."""
+        samples = np.random.default_rng(step).integers(-32768, 32768, 3000, dtype=np.int16)[::step]
+        track = AudioTrack(meta=AudioMeta(sample_rate=8000, bit_depth=16, channels=1), samples=samples)
+        _write_wav(tmp_path / "got.wav", track)
+        with wave.open(str(tmp_path / "want.wav"), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(8000)
+            w.writeframes(samples.astype("<i2").tobytes())
+        assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+
+
+class TestReplaceFile:
+    """``_replace_file`` puts the new bytes in place whole, or leaves the old ones."""
+
+    def test_replaces_the_bytes_and_keeps_the_mode(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old")
+        path.chmod(0o640)
+        _replace_file(path, b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_new_file_gets_the_mode_of_any_new_file(self, tmp_path):
+        (tmp_path / "plain").write_bytes(b"")
+        _replace_file(tmp_path / "new", b"x")
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == stat.S_IMODE(
+            (tmp_path / "plain").stat().st_mode
+        )
+
+    def test_symlink_is_followed(self, tmp_path):
+        (tmp_path / "real").write_bytes(b"old")
+        (tmp_path / "link").symlink_to("real")
+        _replace_file(tmp_path / "link", b"new")
+        assert (tmp_path / "link").is_symlink()
+        assert (tmp_path / "real").read_bytes() == b"new"
+
+    def test_file_the_caller_may_not_write_is_refused(self, tmp_path, monkeypatch):
+        """A read-only file is refused, as opening it would be, not renamed
+        over; ``os.access`` stands in for a caller without root."""
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes")
+        monkeypatch.setattr(os, "access", lambda p, m: not (Path(p) == path and m == os.W_OK))
+        with pytest.raises(PermissionError, match="out.json"):
+            _replace_file(path, b"new bytes")
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+    def test_interrupted_move_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        """Interrupted once the temp file is written; a write that fails
+        part-way is tested through the CLI (``test_cli``)."""
+        path = tmp_path / "out.json"
+        path.write_bytes(b"old bytes")
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            _replace_file(path, b"new bytes")
+        assert path.read_bytes() == b"old bytes"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
 
 class TestSaveErrors:
     def test_empty_session_id(self, synthetic_session, tmp_path):
@@ -782,7 +851,7 @@ class TestSidecar:
         data = _read_table(csv, XY)
         assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
 
-    @pytest.mark.parametrize("call", ["tempfile.mkstemp", "numpy.save", "os.replace"])
+    @pytest.mark.parametrize("call", ["os.open", "numpy.save", "os.replace"])
     def test_failed_sidecar_write_still_loads(self, csv, monkeypatch, call):
         def fail(*args, **kwargs):
             raise OSError(30, "Read-only file system")

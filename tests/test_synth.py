@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sessionforge.session import Task, save_session
+from sessionforge.session import Task, load_session, save_session
 from sessionforge.sync import sync_session
 from sessionforge.synth import (
     MotionProfile,
@@ -150,6 +153,46 @@ class TestSessionShape:
     def test_invalid_scenario(self):
         with pytest.raises(ValueError):
             Scenario(seed=0, duration=-1.0)
+
+
+def mic(duration: float, audio_rate: int, seed: int = 0):
+    session, _ = gen_session(Scenario(seed=seed, duration=duration, audio_rate=audio_rate))
+    return session.audio["mic"].samples
+
+
+class TestSharedTone:
+    """Sessions of one duration and audio rate share one read-only tone."""
+
+    @pytest.mark.parametrize("duration, rate", [(60.0, 48000), (0.5, 44100), (1.3, 8000)])
+    def test_samples_are_the_tone_bit_for_bit(self, duration, rate):
+        n = int(round(duration * rate))
+        want = np.round(0.3 * np.sin(2.0 * np.pi * 440.0 * np.arange(n) / rate) * 32767)
+        got = mic(duration, rate)
+        assert got.dtype == np.int16
+        assert got.tobytes() == want.astype(np.int16).tobytes()
+
+    def test_equal_length_and_rate_share_one_array(self):
+        first = mic(1.5, 16000, seed=1)
+        assert mic(1.5, 16000, seed=2) is first
+        assert mic(2.5, 16000) is not first
+        assert mic(1.5, 22050) is not first
+
+    def test_samples_are_read_only_as_loaded_ones_are(self, tmp_path):
+        session, _ = gen_session(Scenario(seed=4, duration=0.5))
+        save_session(session, tmp_path / "trial")
+        loaded = load_session(tmp_path / "trial").audio["mic"].samples
+        for samples in (session.audio["mic"].samples, loaded):
+            assert not samples.flags.writeable
+            with pytest.raises(ValueError):
+                samples[0] = 1
+        assert np.array_equal(loaded, session.audio["mic"].samples)
+
+    def test_tone_goes_with_its_last_session(self):
+        session, _ = gen_session(Scenario(seed=5, duration=0.7, audio_rate=11025))
+        tone = weakref.ref(session.audio["mic"].samples)
+        del session
+        gc.collect()
+        assert tone() is None
 
 
 class TestAudioDatagrams:

@@ -8,7 +8,6 @@ report, pipeline. Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -20,7 +19,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
-from .errors import IoError, MissingFile, SessionForgeError
+from .errors import MissingFile, SessionForgeError
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -95,20 +94,10 @@ def build_report(
     return report
 
 
-@contextlib.contextmanager
-def _user_file(path: Path):
-    """Reads and writes of a file the user named: an ``OSError`` becomes an
-    ``IoError`` naming the path, as ``save_session`` reports one."""
-    try:
-        yield path
-    except OSError as exc:
-        raise IoError(f"{path}: {exc}") from exc
-
-
 def _write_user_file(path: Path, data: bytes) -> None:
-    """Replace the file the user named with ``data`` whole: a write that
-    fails leaves the old file as it was and raises ``IoError``."""
-    with _user_file(path):
+    """Replace the file the user named, in a directory that must exist, with ``data``
+    whole: a write that fails leaves the old file and raises ``IoError`` naming it."""
+    with sess._io_error(path):
         sess._replace_file(path, data)
 
 
@@ -254,9 +243,8 @@ def _cmd_dialogue(args) -> int:
         path = Path(args.file)
         if not path.is_file():
             raise MissingFile(str(path))
-        with _user_file(path):
-            data = path.read_bytes()
-        dialogues = dlg.import_jsonl(data)
+        with sess._io_error(path):
+            dialogues = dlg.import_jsonl(path.read_bytes())
         label = dlg.AmbiguityLabel(
             clarity=dlg.Clarity(args.clarity),
             ambiguity_type=dlg.AmbiguityType(args.type) if args.type else None,

@@ -14,7 +14,6 @@ from .errors import (
     DuplicateTrial,
     EmptyInput,
     EmptyQuestion,
-    IoError,
     MalformedSurvey,
     MissingFile,
     OutOfRangeRating,
@@ -22,7 +21,6 @@ from .errors import (
     UnlabeledTrial,
 )
 from .session import (
-    MANIFEST,
     SessionManifest,
     read_manifest,
     task_label,
@@ -65,10 +63,7 @@ def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> Se
             continue
         parsed = tuple(Violation.parse(f) for f in flags)
         updated = replace(manifest, violation_flags=parsed, success=len(parsed) == 0)
-        try:
-            write_manifest(trial_dir, updated)
-        except OSError as exc:
-            raise IoError(f"{trial_dir / MANIFEST}: {exc}") from exc
+        write_manifest(trial_dir, updated)
         return updated
     raise UnknownTrial(trial_id)
 

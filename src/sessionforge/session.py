@@ -28,15 +28,19 @@ either container, save refuses, before writing anything, what load rejects:
 too, and ``_synced_checks`` of the synced one; both apply the one manifest
 rule (``_manifest_checks``). Floats are written with 17 significant digits so
 save/load round-trips bit-exactly. Every CSV in the container, the synced
-container's included, goes through ``_read_table``/``_write_table``. The
+container's included, goes through ``_read_table``/``_table_bytes``. The
 reader reads a CSV's bytes once, and takes the header, the digest and the
 parse from them. It refuses any header other than its writer's: ``t`` and
 the channel names for a stream, ``t`` for a frame log and the synced
 ``grid.csv``, ``index,accepted`` for a selection. numpy ``loadtxt`` parses
-the body, and the writer formats blocks of rows with one ``%`` each. Every
-JSON file goes through ``read_json``/``write_json``, which replaces the file
-whole (``_replace_file``), so a write that fails leaves the old one. A file
-that cannot be read raises ``MissingFile`` or ``MalformedManifest`` naming it.
+the body, and ``_table_bytes`` formats blocks of rows with one ``%`` each.
+Every file, a container's, a sidecar or one a command names, is replaced whole
+by ``_replace_file``; a write that fails raises ``IoError`` naming the file
+(``_io_error``). A save writes one file at a time, the manifest last, and
+needs disk space for its largest file twice. A failed re-save leaves each file
+old or new whole, though the container may mix the two; a failed first save
+leaves no manifest, so ``trial_dirs`` skips it. A file that cannot be read
+raises ``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
 ``.<name>.csv.<sha256>.npy``: the table parsed from the bytes read, in
@@ -438,8 +442,8 @@ def read_user_json(path: Path, parse, what: str):
         raise MalformedManifest(f"{path}: not a {what}: {exc}") from exc
 
 
-def write_json(path: Path, obj, sort_keys: bool = False) -> None:
-    _replace_file(path, (json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n").encode("utf-8"))
+def _json_bytes(obj, sort_keys: bool = False) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n").encode("utf-8")
 
 
 def read_manifest(trial_dir: str | Path) -> SessionManifest:
@@ -455,7 +459,8 @@ def read_manifest(trial_dir: str | Path) -> SessionManifest:
 
 
 def write_manifest(trial_dir: str | Path, manifest: SessionManifest) -> None:
-    write_json(Path(trial_dir) / MANIFEST, _manifest_to_dict(manifest))
+    """Replace the manifest at ``trial_dir`` whole; raises IoError naming it."""
+    _write_files(Path(trial_dir), [(MANIFEST, _json_bytes(_manifest_to_dict(manifest)))])
 
 
 def trial_dirs(root: str | Path) -> list[Path]:
@@ -474,20 +479,21 @@ def read_dialogues(trial_dir: str | Path) -> tuple[dlg.AnnotatedDialogue, ...]:
         raise MalformedManifest(f"{path}: {exc}") from exc
 
 
-def _write_table(path: Path, header: str, columns) -> None:
-    """Write ``columns`` (1-D or 2-D, equal length) as CSV under one header row.
+def _table_bytes(header: list[str], columns) -> bytes:
+    """``columns`` (1-D or 2-D, equal length) as CSV under one header row.
 
     ``%.17g`` round-trips every float and prints integers below 1e17 as ``%d``.
     Rows are formatted a block at a time with one ``%``: the bytes
-    ``numpy.savetxt`` writes, without its per-row loop, in bounded memory.
+    ``numpy.savetxt`` writes, without its per-row loop. The blocks bound the
+    per-row Python objects, not the output, which is held whole.
     """
     table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with path.open("w", encoding="utf-8", newline="\n") as f:
-        f.write(header + "\n")
-        for lo in range(0, len(table), _BLOCK_ROWS):
-            block = table[lo : lo + _BLOCK_ROWS]
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    blocks = [",".join(header).encode("utf-8") + b"\n"]
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        block = table[lo : lo + _BLOCK_ROWS]
+        blocks.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return b"".join(blocks)
 
 
 def _read_table(path: Path, header: list[str], dtype=np.float64) -> np.ndarray:
@@ -589,8 +595,7 @@ def _replace_file(path: Path, data, mode: int | None = None) -> None:
     except FileNotFoundError:
         st = None
     if st is not None and not stat.S_ISREG(st.st_mode):
-        with open(target, "wb") as f:
-            f.write(data)
+        target.write_bytes(data)
         return
     if st is not None:
         if not os.access(target, os.W_OK):
@@ -663,9 +668,8 @@ def _parse_body(path: Path, lines: list[str], ncols: int, dtype) -> np.ndarray:
     raise MalformedManifest(f"{path}: no bad row found")
 
 
-def _write_series_csv(path: Path, series: TimedSeries) -> None:
-    header = "t," + ",".join(ch.name for ch in series.channels)
-    _write_table(path, header, [series.timestamps, series.values])
+def _series_bytes(s: TimedSeries) -> bytes:
+    return _table_bytes(["t", *(c.name for c in s.channels)], [s.timestamps, s.values])
 
 
 def _read_series_csv(path: Path, channels: tuple[Channel, ...]) -> TimedSeries:
@@ -673,12 +677,14 @@ def _read_series_csv(path: Path, channels: tuple[Channel, ...]) -> TimedSeries:
     return TimedSeries(timestamps=data[:, 0], values=data[:, 1:], channels=channels)
 
 
-def _write_wav(path: Path, track: AudioTrack) -> None:
-    with wave.open(str(path), "wb") as w:
+def _wav_bytes(track: AudioTrack) -> bytes:
+    buf = io.BytesIO()
+    with wave.open(buf, "wb") as w:
         w.setnchannels(track.meta.channels)
         w.setsampwidth(track.meta.bit_depth // 8)
         w.setframerate(track.meta.sample_rate)
         w.writeframes(np.ascontiguousarray(track.samples, dtype="<i2"))
+    return buf.getvalue()
 
 
 def _read_wav(path: Path, samples: bool = True) -> AudioTrack:
@@ -709,25 +715,41 @@ def _read_wav(path: Path, samples: bool = True) -> AudioTrack:
     return AudioTrack(meta=meta, samples=pcm)
 
 
-def save_session(session: RawSession, root_path: str | Path) -> None:
-    """Write a session to ``root_path``; save/load is a lossless round trip."""
-    _require_valid(session)
-    root = Path(root_path)
+@contextlib.contextmanager
+def _io_error(path: Path):
+    """An ``OSError`` reading or writing the file at ``path`` becomes an ``IoError`` naming it."""
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        write_manifest(root, session.manifest)
-        for streams, write in (
-            (session.numeric, _write_series_csv),
-            (session.frame_logs, lambda path, log: _write_table(path, "t", [log.frame_timestamps])),
-            (session.audio, _write_wav),
-        ):
-            for name, data in streams.items():
-                path = root / describe_stream(name, data).file
-                path.parent.mkdir(parents=True, exist_ok=True)
-                write(path, data)
-        (root / DIALOGUE).write_bytes(dlg.export_jsonl(list(session.dialogues)))
+        yield
     except OSError as exc:
-        raise IoError(f"writing session to {root}: {exc}") from exc
+        raise IoError(f"{path}: {exc}") from exc
+
+
+def _write_files(root: Path, files) -> None:
+    """Replace each ``(path under root, bytes)`` of ``files`` whole, in turn, making its
+    directory; the first that fails raises IoError, and the files after it stay as they were."""
+    for rel, data in files:
+        path = root / rel
+        with _io_error(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _replace_file(path, data)
+        del data  # frees this file's bytes before the next file's are made
+
+
+def save_session(session: RawSession, root_path: str | Path) -> None:
+    """Write a session to ``root_path``, the manifest last; save/load is a lossless round trip."""
+    _require_valid(session)
+    _write_files(Path(root_path), _session_files(session))
+
+
+def _session_files(session: RawSession):
+    for name, series in session.numeric.items():
+        yield describe_stream(name, series).file, _series_bytes(series)
+    for name, log in session.frame_logs.items():
+        yield describe_stream(name, log).file, _table_bytes(["t"], [log.frame_timestamps])
+    for name, track in session.audio.items():
+        yield describe_stream(name, track).file, _wav_bytes(track)
+    yield DIALOGUE, dlg.export_jsonl(list(session.dialogues))
+    yield MANIFEST, _json_bytes(_manifest_to_dict(session.manifest))
 
 
 def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
@@ -807,26 +829,21 @@ def _synced_checks(synced: SyncedSession) -> None:
 
 
 def save_synced(synced: SyncedSession, root_path: str | Path) -> None:
-    """Persist a synced session: grid, selections, resampled streams, report."""
+    """Persist a synced session: grid, selections, streams, report, then manifest."""
     _synced_checks(synced)
-    root = Path(root_path)
-    try:
-        for sub in ("selections", "streams"):
-            (root / sub).mkdir(parents=True, exist_ok=True)
-        write_manifest(root, synced.manifest)
-        write_json(root / "grid.json", {"rate": synced.grid.rate, "tau": synced.tau})
-        _write_table(root / "grid.csv", "t", [synced.grid.timestamps])
-        for name, sel in synced.frame_selections.items():
-            _write_table(
-                root / _SELECTION_PATH.format(name),
-                ",".join(_SELECTION_HEADER),
-                [sel.selected_indices, sel.accepted_flags],
-            )
-        for name, series in synced.numeric.items():
-            _write_series_csv(root / _STREAM_PATHS[StreamKind.NUMERIC].format(name), series)
-        write_json(root / "sync_report.json", synced.report(), sort_keys=True)
-    except OSError as exc:
-        raise IoError(f"writing synced session to {root}: {exc}") from exc
+    _write_files(Path(root_path), _synced_files(synced))
+
+
+def _synced_files(synced: SyncedSession):
+    yield "grid.json", _json_bytes({"rate": synced.grid.rate, "tau": synced.tau})
+    yield "grid.csv", _table_bytes(["t"], [synced.grid.timestamps])
+    for name, sel in synced.frame_selections.items():
+        columns = [sel.selected_indices, sel.accepted_flags]
+        yield _SELECTION_PATH.format(name), _table_bytes(_SELECTION_HEADER, columns)
+    for name, series in synced.numeric.items():
+        yield _STREAM_PATHS[StreamKind.NUMERIC].format(name), _series_bytes(series)
+    yield "sync_report.json", _json_bytes(synced.report(), sort_keys=True)
+    yield MANIFEST, _json_bytes(_manifest_to_dict(synced.manifest))
 
 
 def load_synced(root_path: str | Path) -> SyncedSession:

@@ -442,42 +442,82 @@ def file_size_limit(nbytes: int):
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
 
 
-# Each command that replaces a file, and the file it replaces.
+# Each command that replaces a file or re-saves a container, what it
+# replaces, and a file size limit its write fails at. A 16-byte limit would
+# fail a container's first file and show nothing; at 4096 bytes the first
+# files of the 12 s synced container fit, and its ``streams/ee_pose.csv``
+# does not.
 REPLACED_FILE_CASES = {
-    "pipeline": ("pipeline --root {root} --report {out}", "{out}"),
-    "analyze": ("analyze --in {synced} --report {out}", "{out}"),
-    "curate-filter": ("curate filter --root {root} --out {out}", "{out}"),
-    "curate-label": ("curate label {trial_id} --flags object_drop --root {root}", "{manifest}"),
-    "dialogue-export": ("dialogue export --root {root} --out {out}", "{out}"),
+    "pipeline": ("pipeline --root {root} --report {out}", "out", 16),
+    "analyze": ("analyze --in {synced} --report {out}", "out", 16),
+    "curate-filter": ("curate filter --root {root} --out {out}", "out", 16),
+    "curate-label": ("curate label {trial_id} --flags object_drop --root {root}", "manifest", 16),
+    "dialogue-export": ("dialogue export --root {root} --out {out}", "out", 16),
     "dialogue-annotate": (
         "dialogue annotate --file {jsonl} --trial {trial_id} --turn 2 --clarity specific",
-        "{jsonl}",
+        "jsonl",
+        16,
     ),
+    "synth-resave": ("synth --seed 4 --out {seed3}", "seed3", 4096),
+    "sync-resave": ("sync --tau 0.01 --in {long} --out {long_synced}", "long_synced", 4096),
 }
+
+
+def file_bytes(root: Path) -> dict[Path, bytes]:
+    """The bytes of each file under ``root``, by path relative to it."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 @pytest.mark.parametrize("case", REPLACED_FILE_CASES)
 def test_write_that_fails_part_way_leaves_the_old_file(capsys, tmp_path, dataset, case):
     """A file a command replaces keeps its old bytes when the write fails
-    part-way, at a 16-byte file size limit here, and no temp file is left."""
-    command, target = REPLACED_FILE_CASES[case]
+    part-way, and no temp file is left. A container re-saved over an old one
+    holds each file's old bytes or new bytes whole, and still loads."""
+    command, key, limit = REPLACED_FILE_CASES[case]
     root, trial_ids = dataset
     trial = root / trial_ids[0]
     names = {"root": root, "out": tmp_path / "out", "synced": tmp_path / "synced",
              "jsonl": trial / "dialogue.jsonl", "manifest": trial / "manifest.json",
-             "trial_id": trial_ids[0]}
-    assert run(capsys, "sync", "--in", str(trial), "--out", str(names["synced"]))[0] == 0
+             "trial_id": trial_ids[0], "seed3": tmp_path / "seed3", "long": tmp_path / "long",
+             "long_synced": tmp_path / "long_synced"}
+    (tmp_path / "long.json").write_text('{"seed": 3, "duration": 12}', encoding="utf-8")
+    for argv in (f"sync --in {trial} --out {names['synced']}",
+                 f"synth --seed 3 --out {names['seed3']}",
+                 f"synth --scenario {tmp_path / 'long.json'} --out {names['long']}",
+                 f"sync --in {names['long']} --out {names['long_synced']}"):
+        assert run(capsys, *argv.split())[0] == 0
     names["out"].write_bytes(b"old output\n")
-    target = Path(target.format(**names))
-    old = target.read_bytes()
-    with file_size_limit(16):
+    target = names[key]
+    old = file_bytes(target) if target.is_dir() else target.read_bytes()
+    with file_size_limit(limit):
         code, _, err = run(capsys, "--errors", "json", *command.format(**names).split())
     assert code == 1
     payload = json.loads(err)
-    assert payload["code"] == "io-error" and str(target) in payload["message"]
-    assert "File too large" in payload["message"]
-    assert target.read_bytes() == old
+    named = Path(payload["message"].split(": ", 1)[0])
+    assert payload["code"] == "io-error" and "File too large" in payload["message"]
     assert list(tmp_path.rglob("*.tmp")) == []
+    if not target.is_dir():
+        assert named == target and target.read_bytes() == old
+        return
+    assert run(capsys, *command.format(**{**names, key: tmp_path / "new"}).split())[0] == 0
+    new, got = file_bytes(tmp_path / "new"), file_bytes(target)
+    assert named.relative_to(target) in new and got.keys() == old.keys() | new.keys()
+    assert all(got[name] in (old.get(name), new.get(name)) for name in got)
+    load = "analyze" if (target / "grid.json").is_file() else f"sync --out {tmp_path / 'check'}"
+    assert run(capsys, *load.split(), "--in", str(target))[0] == 0
+
+
+def test_first_save_that_fails_part_way_leaves_no_trial(capsys, tmp_path, dataset):
+    """A save writes the manifest last: a first save that fails part-way
+    leaves a directory without one, which the dataset's commands skip."""
+    root, trial_ids = dataset
+    with file_size_limit(8192):  # the CSVs fit, the WAV does not
+        code, _, err = run(capsys, "--errors", "json", "synth", "--seed", "3", "--out", str(root),
+                           "--as-trial")
+    assert code == 1 and json.loads(err)["code"] == "io-error"
+    [partial] = [p for p in root.iterdir() if p.name not in trial_ids]
+    assert file_bytes(partial) and not (partial / "manifest.json").exists()
+    assert run(capsys, "report", "--root", str(root))[0] == 0
 
 
 def test_output_to_a_pipe_is_written_not_replaced(capsys, tmp_path, dataset):

@@ -87,6 +87,76 @@ def test_one_manifest_reader():
     assert readers == ["read_manifest"]
 
 
+def _file_writes(tree: ast.AST) -> list[ast.Call]:
+    """The calls in ``tree`` that may write a file: ``write_bytes``,
+    ``write_text``, an ``os.open`` with a write flag, and an ``open``,
+    ``Path.open`` or ``wave.open`` whose mode is not a constant read mode.
+    ``wave.open`` of a name bound to an ``io.BytesIO`` writes memory, not a
+    file."""
+    buffers = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+        and ast.unparse(node.value.func) == "io.BytesIO"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def mode_writes(call: ast.Call, mode_at: int) -> bool:
+        """Whether the mode, positional ``mode_at`` or ``mode=``, may write."""
+        modes = call.args[mode_at : mode_at + 1]
+        modes += [k.value for k in call.keywords if k.arg == "mode"]
+        if not modes:
+            return False
+        return not (isinstance(modes[0], ast.Constant) and set(modes[0].value) <= set("rbt"))
+
+    found = []
+    for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = ast.unparse(call.func)
+        if name == "os.open":
+            flags = {n.attr for n in ast.walk(call.args[1]) if isinstance(n, ast.Attribute)}
+            hit = bool(flags & {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"})
+        elif name == "wave.open":
+            first = call.args[0] if call.args else None
+            hit = mode_writes(call, 1) and not (isinstance(first, ast.Name) and first.id in buffers)
+        elif name == "open":
+            hit = mode_writes(call, 1)
+        elif isinstance(call.func, ast.Attribute):
+            attr = call.func.attr
+            hit = attr in ("write_bytes", "write_text") or (attr == "open" and mode_writes(call, 0))
+        else:
+            hit = False
+        if hit:
+            found.append(call)
+    return found
+
+
+def test_one_file_writer():
+    """Every file the package writes, a container's, a sidecar or one a
+    command names, is written by ``session._replace_file``, which replaces it
+    whole; the encoders return bytes."""
+    sample = ast.parse(
+        'open(p, "w"); p.open("ab"); os.open(p, os.O_WRONLY); wave.open(str(p), "wb")\n'
+        'p.write_text(""); p.write_bytes(b""); open(p); p.open("rb"); os.open(p, os.O_RDONLY)\n'
+        'buf = io.BytesIO(); wave.open(buf, "wb"); wave.open(p)'
+    )
+    assert len(_file_writes(sample)) == 6
+    writer = next(
+        node
+        for node in ast.walk(ast.parse((SRC / OWNER).read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_replace_file"
+    )
+    inside = _file_writes(writer)
+    assert inside
+    outside = [
+        f"{module.name}:{call.lineno}: {ast.unparse(call)}"
+        for module in sorted(SRC.glob("*.py"))
+        for call in _file_writes(ast.parse(module.read_text(encoding="utf-8")))
+        if not (module.name == OWNER and writer.lineno <= call.lineno <= writer.end_lineno)
+    ]
+    assert outside == []
+
+
 def _import_time_modules(tree: ast.AST) -> set[str]:
     """The top-level package of every import that runs when the module is
     imported: all but those inside a function body."""

@@ -30,8 +30,8 @@ from sessionforge.session import (
     _read_series_csv,
     _read_table,
     _replace_file,
-    _write_table,
-    _write_wav,
+    _table_bytes,
+    _wav_bytes,
     describe_stream,
     descriptor_violations,
     load_session,
@@ -415,34 +415,32 @@ class TestFormat:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
-    def test_table_bytes_match_savetxt(self, tmp_path, rows):
-        """The block writer gives numpy.savetxt's bytes, across block edges."""
+    def test_table_bytes_match_savetxt(self, rows):
+        """The block encoder gives numpy.savetxt's bytes, across block edges."""
         rng = np.random.default_rng(rows)
         values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
         flat = values.reshape(-1)  # a view
         flat[::7] = np.resize([np.nan, np.inf, -np.inf, -0.0, 1e17, 5e-324, 3.0], flat[::7].size)
         columns = [np.arange(rows) / 7.0, values]
-        _write_table(tmp_path / "t.csv", "t,a,b,c", columns)
-        want = io.StringIO()
+        want = io.BytesIO()
         np.savetxt(
             want, np.column_stack(columns), fmt="%.17g", delimiter=",", header="t,a,b,c",
             comments="",
         )
-        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want.getvalue()
+        assert _table_bytes(["t", "a", "b", "c"], columns) == want.getvalue()
 
     @pytest.mark.parametrize("step", [1, 3], ids=["contiguous", "strided"])
     def test_wav_bytes_match_the_wave_module(self, tmp_path, step):
-        """The WAV writer gives the bytes ``wave`` writes for the samples'
-        little-endian 16-bit copy."""
+        """The WAV encoder gives the bytes ``wave`` writes to a file for the
+        samples' little-endian 16-bit copy."""
         samples = np.random.default_rng(step).integers(-32768, 32768, 3000, dtype=np.int16)[::step]
         track = AudioTrack(meta=AudioMeta(sample_rate=8000, bit_depth=16, channels=1), samples=samples)
-        _write_wav(tmp_path / "got.wav", track)
         with wave.open(str(tmp_path / "want.wav"), "wb") as w:
             w.setnchannels(1)
             w.setsampwidth(2)
             w.setframerate(8000)
             w.writeframes(samples.astype("<i2").tobytes())
-        assert (tmp_path / "got.wav").read_bytes() == (tmp_path / "want.wav").read_bytes()
+        assert _wav_bytes(track) == (tmp_path / "want.wav").read_bytes()
 
 
 class TestReplaceFile:
@@ -560,11 +558,14 @@ class TestSaveErrors:
             save_session(synthetic_session, target / "trial")
 
     def test_dir_under_a_file(self, synthetic_session, tmp_path):
-        # ENOTDIR, which root cannot override as it can a read-only mode
+        """ENOTDIR, which root cannot override as it can a read-only mode; the
+        error names the file the save was writing, its first."""
         blocker = tmp_path / "blocker"
         blocker.write_text("", encoding="utf-8")
-        with pytest.raises(IoError):
+        with pytest.raises(IoError) as raised:
             save_session(synthetic_session, blocker / "trial")
+        first = describe_stream(*next(iter(synthetic_session.numeric.items()))).file
+        assert str(raised.value).startswith(f"{blocker / 'trial' / first}: ")
 
 
 class TestValidateManifest:
@@ -750,14 +751,16 @@ class TestSidecar:
     @pytest.fixture
     def csv(self, tmp_path):
         path = tmp_path / "t.csv"
-        _write_table(path, "t,x,y", [np.arange(50) / 7.0, np.linspace(-1, 1, 100).reshape(50, 2)])
+        path.write_bytes(
+            _table_bytes(XY, [np.arange(50) / 7.0, np.linspace(-1, 1, 100).reshape(50, 2)])
+        )
         return path
 
     @pytest.mark.parametrize("table", SIDECAR_TABLES)
     def test_sidecar_equals_fresh_parse(self, tmp_path, monkeypatch, table):
         header, columns, dtype = SIDECAR_TABLES[table]
         path = tmp_path / "t.csv"
-        _write_table(path, header, [np.asarray(c, dtype=dtype) for c in columns])
+        path.write_bytes(_table_bytes(header.split(","), [np.asarray(c, dtype) for c in columns]))
         want = fresh_parse(path, dtype)
         cold = _read_table(path, header.split(","), dtype)
         assert same_bits(cold, want)
@@ -870,7 +873,7 @@ class TestSidecar:
         loadtxt = np.loadtxt
 
         def rewrite_then_parse(*args, **kwargs):
-            _write_table(csv, "t,x,y", [np.zeros(4), np.ones((4, 2))])
+            csv.write_bytes(_table_bytes(XY, [np.zeros(4), np.ones((4, 2))]))
             return loadtxt(*args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", rewrite_then_parse)

@@ -20,13 +20,13 @@ each connection once, up to 64 KB, and takes the queued datagrams up to a
 fixed per-pass budget, so a TCP flood cannot starve the audio. TCP flow
 control is the backpressure.
 
-A connection's chunk is decoded in one loop over one checked decoder, which
-appends each whole frame's timestamp and values to its topic's lists without
-building a frame object; per-topic arrival order is kept, cross-stream order
-is unspecified. The decoder caches its f64 layouts by payload width and its
-topic names by their bytes, each in a bounded cache; bytes that are not UTF-8
-are never cached. A malformed frame is counted and skipped by its declared
-length, and a partial frame waits for the connection's next chunk.
+A connection's chunk is decoded in one loop that checks each frame by
+``frame_decode``'s rules and appends its timestamp and values, as their wire
+bytes (8 per value), to its topic's buffer, without building a frame object;
+per-topic arrival order is kept, cross-stream order is unspecified. Each topic
+is converted to one array once, at ``stop()``. A topic whose name is not UTF-8
+is a malformed frame every time. A malformed frame is counted and skipped by
+its declared length, and a partial frame waits for the connection's next chunk.
 
 ``stop()`` is the cut-off: it wakes the thread, which stops after its current
 read and takes, without waiting, what the sockets hold: the connections in
@@ -78,10 +78,6 @@ _DRAIN_DATAGRAMS = 4096
 # Datagrams taken per select() pass, as a connection takes up to _RECV_BYTES:
 # one per pass would let a TCP flood starve the audio.
 _PASS_DATAGRAMS = 64
-# The decoder's bounded caches: f64 layouts by payload width, topic names by
-# their bytes. A sender that cycles through more only costs cache misses.
-LAYOUT_CACHE_SIZE = 64
-TOPIC_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -101,21 +97,12 @@ class TcpFrame:
         return struct.pack(">I", len(body)) + body
 
 
-@functools.lru_cache(maxsize=LAYOUT_CACHE_SIZE)
-def _f64s(count: int) -> struct.Struct:
-    """The layout of ``count`` big-endian f64 values."""
-    return struct.Struct(f">{count}d")
+def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
+    """Decode one frame starting at ``data[offset]``.
 
-
-@functools.lru_cache(maxsize=TOPIC_CACHE_SIZE)
-def _topic(raw: bytes) -> str:
-    """A topic's name; bytes that are not UTF-8 raise, and so are not cached."""
-    return raw.decode("utf-8")
-
-
-def _decode_fields(data: bytes, offset: int) -> tuple[str, tuple[float, ...], int]:
-    """``frame_decode`` without the frame: (topic, (timestamp, *values),
-    bytes consumed), raising what ``frame_decode`` raises."""
+    Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
+    and MalformedFrame for an invalid one.
+    """
     avail = len(data) - offset
     if avail < 4:
         raise NeedMoreBytes(4 - avail)
@@ -130,7 +117,7 @@ def _decode_fields(data: bytes, offset: int) -> tuple[str, tuple[float, ...], in
     if nul <= start:  # -1 (no terminator) or an empty topic
         raise MalformedFrame("missing or empty topic before terminator")
     try:
-        topic = _topic(data[start:nul])
+        topic = data[start:nul].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"topic not valid UTF-8: {exc}") from exc
     payload = end - nul - 1 - 8
@@ -138,17 +125,8 @@ def _decode_fields(data: bytes, offset: int) -> tuple[str, tuple[float, ...], in
         raise MalformedFrame("frame too short for timestamp")
     if payload % 8 != 0:
         raise MalformedFrame(f"payload length {payload} not a multiple of 8")
-    return topic, _f64s(payload // 8 + 1).unpack_from(data, nul + 1), total
-
-
-def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
-    """Decode one frame starting at ``data[offset]``.
-
-    Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
-    and MalformedFrame for an invalid one.
-    """
-    topic, numbers, consumed = _decode_fields(data, offset)
-    return TcpFrame(topic, numbers[0], numbers[1:]), consumed
+    numbers = struct.unpack_from(f">{payload // 8 + 1}d", data, nul + 1)
+    return TcpFrame(topic, numbers[0], numbers[1:]), total
 
 
 @dataclass(frozen=True)
@@ -233,6 +211,19 @@ def audio_reassemble(datagrams: list[AudioDatagram]) -> tuple[bytes, GapReport]:
 
 # -- live recorder ----------------------------------------------------------
 
+def _new_topic(
+    topics: dict[bytes, tuple[bytearray, set[int]]], name: bytes
+) -> tuple[bytearray, set[int]] | None:
+    """A new entry in ``topics`` for the topic ``name``; None, and no entry,
+    when ``name`` is not UTF-8."""
+    try:
+        name.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    entry = topics[name] = (bytearray(), set())
+    return entry
+
+
 def _take_queued(sock: socket.socket) -> bytes:
     """At the cut-off: the bytes the kernel has received for ``sock`` and not
     yet delivered (``FIONREAD``, POSIX), read without waiting."""
@@ -311,7 +302,8 @@ class RecordingHandle:
             )
         self.config = config
         # written only by the recording thread
-        self._topics: dict[str, tuple[list[float], list[tuple[float, ...]]]] = {}
+        # topic name bytes -> (its frames' timestamp and value bytes, their sizes)
+        self._topics: dict[bytes, tuple[bytearray, set[int]]] = {}
         self._datagrams: list[AudioDatagram] = []
         # each open connection -> the partial frame at the end of its last chunk
         self._rest: dict[socket.socket, bytes] = {}
@@ -411,31 +403,33 @@ class RecordingHandle:
         return len(chunk)
 
     def _ingest(self, buf: bytes) -> bytes:
-        """Record every whole frame in ``buf``; return the partial frame at its end."""
+        """Record every whole frame in ``buf``; return the partial frame at its end.
+
+        A frame that ``frame_decode`` would accept adds its timestamp and value
+        bytes to its topic; a malformed one is skipped by its declared length."""
         topics = self._topics
+        unpack, find = _U32.unpack_from, buf.find
         frames = malformed = 0
         off, end = 0, len(buf)
-        while off < end:
-            try:
-                topic, numbers, consumed = _decode_fields(buf, off)
-            except NeedMoreBytes:
+        while end - off >= 4:
+            start = off + 4
+            nxt = start + unpack(buf, off)[0]
+            if nxt > end:
                 break
-            except MalformedFrame:
-                # resync: drop the declared frame length and move on, once all
-                # of it is here (a length below the minimum body is refused
-                # before its bytes arrive)
-                consumed = 4 + _U32.unpack_from(buf, off)[0]
-                if consumed > end - off:
-                    break
+            nul = find(b"\x00", start, nxt)
+            size = nxt - nul - 1  # timestamp and values
+            # a body under _MIN_BODY fails one of these checks
+            entry = None
+            if nul > start and size >= 8 and not size % 8:
+                key = buf[start:nul]
+                entry = topics.get(key) or _new_topic(topics, key)
+            if entry is None:
                 malformed += 1
             else:
-                lists = topics.get(topic)
-                if lists is None:
-                    lists = topics[topic] = ([], [])
-                lists[0].append(numbers[0])
-                lists[1].append(numbers[1:])
+                entry[0].extend(buf[nul + 1 : nxt])
+                entry[1].add(size)
                 frames += 1
-            off += consumed
+            off = nxt
         self.frames_received += frames
         self.malformed_frames += malformed
         return buf[off:]
@@ -483,17 +477,21 @@ class RecordingHandle:
 
         # one bad topic must not cost the recording its other topics
         numeric: dict[str, tuple[TimedSeries, float]] = {}
-        for topic, (ts, vals) in sorted(self._topics.items()):
-            widths = sorted(set(map(len, vals)))
-            if len(widths) > 1:  # np.array cannot hold ragged frames
+        for name, (data, sizes) in sorted(self._topics.items()):
+            topic = name.decode("utf-8")
+            widths = sorted(size // 8 - 1 for size in sizes)
+            if len(widths) > 1:  # ragged frames make no rows
                 broken = [f"frames carry {widths} values"]
             else:
+                # one conversion: big-endian wire bytes to native rows
+                rows = np.frombuffer(data, ">f8").astype(np.float64).reshape(-1, widths[0] + 1)
+                ts = rows[:, 0]
                 if topic in cfg.stream_map:
                     rate, channels = cfg.stream_map[topic]
                 else:
-                    rate = max(1.0, (len(ts) - 1) / max(ts[-1] - ts[0], 1e-9))
+                    rate = max(1.0, (len(ts) - 1) / max(float(ts[-1] - ts[0]), 1e-9))
                     channels = tuple(Channel(f"ch{i}", "1") for i in range(widths[0]))
-                series = TimedSeries(np.array(ts), np.array(vals), channels)
+                series = TimedSeries(ts, rows[:, 1:], channels)
                 broken, _ = session_checks(_recording(cfg, {topic: (series, rate)}, audio))
             if broken:
                 warnings.warn(f"topic '{topic}' left out of the recording: {'; '.join(broken)}")

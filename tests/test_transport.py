@@ -105,24 +105,18 @@ class TestFrameCodec:
 
     def test_bad_utf8_topic_is_malformed_every_time_and_never_cached(self):
         frame = FRAME_CASES["bad-utf8"][0]
-        transport._topic.cache_clear()
         for _ in range(3):
             with pytest.raises(MalformedFrame, match="topic not valid UTF-8"):
                 frame_decode(frame)
-        assert transport._topic.cache_info().currsize == 0
+        # nor does the recorder keep a topic for it
+        assert TestIngest.ingest(frame * 3, ()) == ({}, 0, 3)
 
     def test_more_topics_and_widths_than_the_caches_hold_still_decode(self):
-        transport._topic.cache_clear()
-        transport._f64s.cache_clear()
-        n_topics = transport.TOPIC_CACHE_SIZE + 10
-        n_widths = transport.LAYOUT_CACHE_SIZE + 10
-        frames = [TcpFrame(f"topic{i}", float(i), (float(i),)) for i in range(n_topics)]
-        frames += [TcpFrame("wide", float(n), tuple(np.arange(n, dtype=float))) for n in range(n_widths)]
-        for _ in range(2):  # the second round decodes what the first evicted
+        frames = [TcpFrame(f"topic{i}", float(i), (float(i),)) for i in range(266)]
+        frames += [TcpFrame("wide", float(n), tuple(np.arange(n, dtype=float))) for n in range(74)]
+        for _ in range(2):
             for frame in frames:
                 assert frame_decode(frame.encode()) == (frame, len(frame.encode()))
-        assert transport._topic.cache_info().currsize == transport.TOPIC_CACHE_SIZE
-        assert transport._f64s.cache_info().currsize == transport.LAYOUT_CACHE_SIZE
 
 
 def _walk(buf):
@@ -145,8 +139,16 @@ def _walk(buf):
 
 
 def _bits(topics):
+    """``_walk``'s topics as the recorder's bytes give them back: per topic,
+    the bit patterns of its timestamps and of each frame's values, or, when
+    its frames carry different numbers of values, its frame count and the set
+    of those numbers."""
     pack = lambda xs: struct.pack(f">{len(xs)}d", *xs)  # noqa: E731
-    return {t: (pack(ts), [pack(v) for v in vals]) for t, (ts, vals) in topics.items()}
+    out = {}
+    for t, (ts, vals) in topics.items():
+        widths = {len(v) for v in vals}
+        out[t] = (pack(ts), [pack(v) for v in vals]) if len(widths) == 1 else (len(ts), widths)
+    return out
 
 
 class TestIngest:
@@ -155,16 +157,21 @@ class TestIngest:
 
     @staticmethod
     def stream():
-        """Good frames of three topics, with every whole case of FRAME_CASES
-        after each step; one frame holds a NaN and a negative zero."""
+        """Good frames of four topics, with every whole case of FRAME_CASES
+        after each step, and two bodies shorter than the minimum that pass
+        all but one of the recorder's checks: an empty topic before a
+        timestamp, and a topic with no timestamp. One frame holds a NaN and a
+        negative zero, and the frames of "mixed" carry 1 or 2 values."""
         rng = np.random.default_rng(3)
         whole = [frame for frame, partial in FRAME_CASES.values() if not partial]
+        whole += [struct.pack(">I", 9) + b"\x00" + bytes(8), struct.pack(">I", 2) + b"t\x00"]
         parts = []
         for k, case in enumerate(whole):
             parts += [
                 TcpFrame("arm", float(k), tuple(rng.normal(size=3))).encode(),
                 TcpFrame("imu", k / 3, (float("nan"), -0.0) if k == 2 else (k * 0.1, 1.0)).encode(),
                 TcpFrame("grip", -float(k), (float(rng.normal()),)).encode(),
+                TcpFrame("mixed", k / 7, (float(k),) if k % 2 else (float(k), -1.0)).encode(),
                 case,
             ]
         return b"".join(parts)
@@ -172,19 +179,35 @@ class TestIngest:
     @staticmethod
     def ingest(buf, cuts):
         """Feed ``buf`` cut at ``cuts`` to a handle holding only the state
-        ``_ingest`` writes: no sockets, no thread."""
+        ``_ingest`` writes: no sockets, no thread. Returns its topics as
+        ``_bits`` gives them, and its frame and malformed counts. Each
+        topic's bytes are turned back into rows; a ragged topic's frames, one
+        such topic at most, are the frames that no row holds."""
         handle = transport.RecordingHandle.__new__(transport.RecordingHandle)
         handle._topics, handle.frames_received, handle.malformed_frames = {}, 0, 0
         rest = b""
         for lo, hi in zip((0, *cuts), (*cuts, len(buf))):
             rest = handle._ingest(rest + buf[lo:hi])
         assert rest == b""
-        return handle._topics, handle.frames_received, handle.malformed_frames
+        topics, rows, ragged = {}, 0, []
+        for name, (data, sizes) in handle._topics.items():
+            widths = {size // 8 - 1 for size in sizes}
+            if len(widths) > 1:
+                ragged.append((name.decode(), widths))
+                continue
+            table = np.frombuffer(data, ">f8").reshape(-1, 1 + widths.pop())
+            topics[name.decode()] = (table[:, 0].tobytes(), [row.tobytes() for row in table[:, 1:]])
+            rows += len(table)
+        assert len(ragged) <= 1
+        for name, widths in ragged:
+            topics[name] = (handle.frames_received - rows, widths)
+        return topics, handle.frames_received, handle.malformed_frames
 
     def test_any_cuts_record_what_one_walk_decodes(self):
         buf = self.stream()
         want_topics, want_frames, want_malformed = _walk(buf)
-        assert (want_frames, want_malformed) == (3 * 8 + 2, 6)
+        assert (want_frames, want_malformed) == (4 * 10 + 2, 8)
+        assert _bits(want_topics)["mixed"] == (10, {1, 2})
         rng = np.random.default_rng(11)
         cut_sets = [(k,) for k in range(len(buf) + 1)]
         cut_sets.append(tuple(range(1, len(buf))))  # one byte per chunk
@@ -195,7 +218,7 @@ class TestIngest:
         for cuts in cut_sets:
             topics, frames, malformed = self.ingest(buf, cuts)
             assert (frames, malformed) == (want_frames, want_malformed), cuts
-            assert _bits(topics) == _bits(want_topics), cuts
+            assert topics == _bits(want_topics), cuts
 
 
 class TestAudioReassembly:

@@ -33,7 +33,10 @@ reader reads a CSV's bytes once, and takes the header, the digest and the
 parse from them. It refuses any header other than its writer's: ``t`` and
 the channel names for a stream, ``t`` for a frame log and the synced
 ``grid.csv``, ``index,accepted`` for a selection. numpy ``loadtxt`` parses
-the body, and ``_table_bytes`` formats blocks of rows with one ``%`` each.
+the body. ``_table_bytes`` writes the bytes ``%.17g`` writes for each value,
+a block of values at a time: the digits of values written in fixed point are
+made exactly with numpy, and only values written with an exponent go through
+Python's ``%``, one call per block.
 Every file, a container's, a sidecar or one a command names, is replaced whole
 by ``_replace_file``; a write that fails raises ``IoError`` naming the file
 (``_io_error``). A save writes one file at a time, the manifest last, and
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import glob
 import hashlib
 import io
@@ -91,7 +95,7 @@ PAPER_AUDIO_RATE = 48000
 PAPER_AUDIO_BIT_DEPTH = 16
 MANIFEST = "manifest.json"
 DIALOGUE = "dialogue.jsonl"
-_BLOCK_ROWS = 4096  # rows per formatted block when writing a CSV
+_BLOCK_VALUES = 4096  # values per formatted block when writing a CSV
 
 
 class Task(str, Enum):
@@ -482,18 +486,178 @@ def read_dialogues(trial_dir: str | Path) -> tuple[dlg.AnnotatedDialogue, ...]:
 def _table_bytes(header: list[str], columns) -> bytes:
     """``columns`` (1-D or 2-D, equal length) as CSV under one header row.
 
-    ``%.17g`` round-trips every float and prints integers below 1e17 as ``%d``.
-    Rows are formatted a block at a time with one ``%``: the bytes
-    ``numpy.savetxt`` writes, without its per-row loop. The blocks bound the
-    per-row Python objects, not the output, which is held whole.
+    Each value is written as ``b"%.17g" % float(value)``: the bytes
+    ``numpy.savetxt`` writes, which round-trip every float and print integers
+    below 1e17 as ``%d``. Integer columns are converted to float64 first, as
+    ``%`` converts an int. The digits of a finite value with
+    ``1e-4 <= |x| < 1e17``, which %.17g writes in fixed point, are made
+    exactly with numpy: an exact product ``x * 10**(16 - X)`` rounded half to
+    even in int64 (``_fixed_digits``). Zeros, NaN and infinities need no
+    digits. Only the values %.17g writes with an exponent go through Python's
+    ``%``. The table is formatted in blocks of ``_BLOCK_VALUES`` values
+    (``_block_bytes``), which bound the temporaries, about 1.3 MB, not the
+    output, which is held whole.
     """
     table = np.column_stack(columns)
-    row = b",".join([b"%.17g"] * table.shape[1]) + b"\n"
+    step = max(1, _BLOCK_VALUES // max(1, table.shape[1]))
     blocks = [",".join(header).encode("utf-8") + b"\n"]
-    for lo in range(0, len(table), _BLOCK_ROWS):
-        block = table[lo : lo + _BLOCK_ROWS]
-        blocks.append((row * len(block)) % tuple(block.ravel().tolist()))
+    for lo in range(0, len(table), step):
+        blocks.append(_block_bytes(table[lo : lo + step]))
     return b"".join(blocks)
+
+
+# %.17g writes a finite x with 1e-4 <= |x| < 1e17 in fixed point: its 17
+# significant digits, trailing zeros dropped, around a ".", with decimal
+# exponent X in -4..16. That text is cut from one 41-byte row: a "-", a "0",
+# the digits (A), a ".", three "0"s, the digits again (B), then "," or a
+# newline. The row's mask keeps "-"? A[:X+1] ("." B[X+1:sig])? when X >= 0,
+# and "-"? "0." "0"*(-X-1) B[:sig] when X < 0, where sig counts the
+# significant digits.
+_ROW = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b",", np.uint8)
+_MIN_X, _MAX_X = -4, 16
+_NAN, _INF = np.frombuffer(b"nan", np.uint8), np.frombuffer(b"inf", np.uint8)
+
+
+def _mask_key(sign, X, tz):
+    """Row of ``_fixed_tables()`` masks for a value's sign, decimal exponent
+    and number of trailing zeros among its 17 digits."""
+    return (sign * (_MAX_X - _MIN_X + 1) + X - _MIN_X) * 17 + 16 - tz
+
+
+@functools.cache
+def _fixed_tables():
+    """The fixed-point encoder's tables, built once, on first use.
+
+    ``least[k + 5]`` is the least double ``>= 10**k`` for k in -5..18, so
+    ``x >= least[k + 5]`` exactly when ``x >= 10**k``: ``float("1e-k")``
+    rounds up for k in 1..5, and is exact for k >= 0. ``p10`` holds
+    ``10**j`` for j in 0..20, all exact doubles, and ``p10_hi + p10_lo`` is
+    its Veltkamp split. ``words`` are little-endian ASCII words: 0..9999 are
+    four digits, and 10000..10009 one digit in the top byte. ``masks`` are
+    the row masks, indexed by ``_mask_key``.
+    """
+    least = np.array([float(f"1e{k}") for k in range(-5, 19)])
+    p10 = np.array([float(10**j) for j in range(_MAX_X - _MIN_X + 1)])
+    c = p10 * 134217729.0  # 2**27 + 1
+    p10_hi = c - (c - p10)
+    g = np.arange(10000)
+    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + ord("0")
+    words = np.concatenate([
+        digits.astype(np.uint8).view("<u4").reshape(-1),
+        (np.arange(10, dtype="<u4") + ord("0")) << 24,
+    ])
+    sign = np.arange(2)[:, None, None, None]
+    X = np.arange(_MIN_X, _MAX_X + 1)[None, :, None, None]
+    sig = np.arange(1, 18)[None, None, :, None]
+    p = np.arange(len(_ROW))
+    masks = (
+        ((p == 0) & (sign == 1))
+        | ((p == 1) & (X < 0))
+        | ((p >= 2) & (p <= 2 + X))
+        | ((p == 19) & (sig > X + 1))
+        | ((p >= 20) & (p < 19 - X))
+        | ((p >= 23 + np.maximum(X + 1, 0)) & (p < 23 + sig))
+        | (p == len(_ROW) - 1)
+    ).reshape(-1, len(_ROW))
+    tables = least, p10, p10_hi, p10 - p10_hi, words, masks
+    for t in tables:
+        t.flags.writeable = False  # shared by every caller
+    return tables
+
+
+def _fixed_digits(x: np.ndarray):
+    """Decimal exponent, trailing zeros and 17 digits (``(n, 17)`` ASCII) of
+    each ``x`` in ``[1e-4, 1e17)``, rounded as %.17g rounds them.
+
+    The exponent X comes from ``log10``, corrected against ``least``, since
+    numpy's ``log10`` may be an ulp or so off near ``10**k``.
+    ``x * 10**(16 - X)`` is formed as an exact pair ``H + L`` by Dekker's
+    product: H is an integer-valued double and ``|L| <= 8``. Rounding
+    ``H + L`` half to even in int64 gives the digits. No double in this range
+    rounds up to ``10**(X + 1)`` at 17 digits, so X stays exact.
+    """
+    least, p10, p10_hi, p10_lo, words, _ = _fixed_tables()
+    X = np.floor(np.log10(x)).astype(np.intp)
+    X -= x < np.take(least, X + 5)
+    X += x >= np.take(least, X + 6)
+    j = 16 - X
+    c = x * 134217729.0  # Veltkamp's split, 2**27 + 1
+    xh = c - (c - x)
+    xl = x - xh
+    yh, yl = np.take(p10_hi, j), np.take(p10_lo, j)
+    H = x * np.take(p10, j)
+    L = xl * yl - (((H - xh * yh) - xl * yh) - xh * yl)
+    f = np.floor(L)
+    R = H.astype(np.int64) + f.astype(np.int64)
+    half = L - f
+    R += (half > 0.5) | ((half == 0.5) & ((R & 1) == 1))
+    # Words: the first digit in word 1's top byte, the other 16 in words 2..5,
+    # four each; word 0, "0000", pads the digits to 8 bytes.
+    q = np.empty((len(x), 3), np.intp)
+    q[:, 0] = R // 10**16
+    rest = R - q[:, 0] * 10**16
+    q[:, 1] = rest // 10**8
+    q[:, 2] = rest - q[:, 1] * 10**8
+    g = q // 10000
+    idx = np.empty((len(x), 6), np.intp)
+    idx[:, 0::2] = g
+    idx[:, 1::2] = q - g * 10000
+    idx[:, 1] += 10000
+    text = np.take(words, idx).view(np.uint8)
+    # Trailing zeros: a "0" XOR 0x30 is a zero top byte of a little-endian
+    # 8-digit word, and frexp gives a word's bit length.
+    bits = np.frexp((text.view("<u8")[:, 1:] ^ 0x3030303030303030).astype(np.float64))[1]
+    zeros = 8 - (bits + 7) // 8
+    tz = zeros[:, 1] + (zeros[:, 1] == 8) * zeros[:, 0]
+    return X, tz, text[:, 7:]
+
+
+def _block_bytes(block: np.ndarray) -> bytes:
+    """The CSV rows of ``block``: ``b"%.17g" % v`` for each value, exactly.
+
+    A value %.17g writes in fixed point takes its digits from
+    ``_fixed_digits``. A zero is A[:1] of the row, a "0", and NaN and the
+    infinities write their letters into A[:3]. Each value's text is cut from
+    its row by one mask, looked up once. Only values that %.17g writes with an
+    exponent take Python's ``%``, one call per block: formatted to a fixed
+    width and merged into the rows, or, in a block of nothing else, as the
+    rows themselves.
+    """
+    least, *_, masks = _fixed_tables()
+    nrows, ncols = block.shape
+    v = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    a = np.abs(v)
+    fixed = (a >= least[1]) & (a < 1e17)
+    exp = ~fixed & (a > 0) & (a < np.inf)
+    if exp.all():
+        row = b",".join([b"%.17g"] * ncols) + b"\n"
+        return (row * nrows) % tuple(v.tolist())
+    out = np.empty((len(v), len(_ROW)), np.uint8)
+    out[:] = _ROW
+    out.reshape(nrows, ncols, -1)[:, -1, -1] = ord("\n")
+    sign = np.signbit(v)
+    if fixed.any():
+        X, tz, digits = _fixed_digits(a if fixed.all() else np.where(fixed, a, 1.0))
+        out[:, 2:19] = digits
+        out[:, 23:40] = digits
+        key = _mask_key(sign, X, tz)
+    if not fixed.all():
+        finite = np.isfinite(v)
+        nan = np.isnan(v)
+        # "0" shows one digit at X = 0; "nan" and "inf" three at X = 2.
+        other = _mask_key(sign & ~nan, np.where(finite, 0, 2), np.where(finite, 16, 14))
+        key = np.where(fixed, key, other) if fixed.any() else other
+        np.copyto(out[:, 2], ord("0"), where=~fixed)
+        if not finite.all():
+            np.copyto(out[:, 2:5], np.where(nan[:, None], _NAN, _INF), where=~finite[:, None])
+    mask = np.take(masks, key, axis=0)
+    if exp.any():
+        vals = v[exp]
+        wide = np.frombuffer(b"%-40.17g" * len(vals) % tuple(vals.tolist()), np.uint8)
+        wide = wide.reshape(-1, 40)
+        out[exp, :40] = wide
+        mask[exp, :40] = wide != ord(" ")
+    return out[mask].tobytes()
 
 
 def _read_table(path: Path, header: list[str], dtype=np.float64) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -10,10 +11,13 @@ import warnings
 import wave
 from dataclasses import replace
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionforge.errors import InvariantViolation, IoError, MalformedManifest, MissingFile
 from sessionforge.session import (
@@ -27,6 +31,8 @@ from sessionforge.session import (
     StreamKind,
     Task,
     TimedSeries,
+    _BLOCK_VALUES,
+    _fixed_tables,
     _read_series_csv,
     _read_table,
     _replace_file,
@@ -414,9 +420,13 @@ class TestFormat:
         ]:
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-    @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 10000])
+    @pytest.mark.parametrize(
+        "rows", [0, 1, _BLOCK_VALUES // 4 - 1, _BLOCK_VALUES // 4, _BLOCK_VALUES // 4 + 1,
+                 4095, 4096, 4097, 10000],
+    )
     def test_table_bytes_match_savetxt(self, rows):
-        """The block encoder gives numpy.savetxt's bytes, across block edges."""
+        """The block encoder gives numpy.savetxt's bytes, across block edges
+        (a block holds ``_BLOCK_VALUES // 4`` rows of this 4-column table)."""
         rng = np.random.default_rng(rows)
         values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 3))
         flat = values.reshape(-1)  # a view
@@ -428,6 +438,102 @@ class TestFormat:
             comments="",
         )
         assert _table_bytes(["t", "a", "b", "c"], columns) == want.getvalue()
+
+    @staticmethod
+    def assert_percent_bytes(*columns):
+        """``_table_bytes`` gives the reference: ``b"%.17g" % v`` for each
+        value, joined row by row."""
+        table = np.column_stack(columns)
+        header = [f"c{i}" for i in range(table.shape[1])]
+        want = b"".join(b",".join(b"%.17g" % v for v in row) + b"\n" for row in table.tolist())
+        assert _table_bytes(header, list(columns)) == ",".join(header).encode() + b"\n" + want
+
+    @given(st.lists(st.lists(st.floats(), min_size=3, max_size=3), max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_is_written_as_percent_writes_it(self, rows):
+        self.assert_percent_bytes(np.array(rows, dtype=np.float64).reshape(-1, 3))
+
+    @given(st.lists(st.floats(1e-4, 1e17), min_size=1, max_size=50), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_fixed_point_floats_are_written_as_percent_writes_them(self, values, shift):
+        x = np.array(values) * 10.0**-shift
+        self.assert_percent_bytes(x, -x)
+
+    def test_exact_ties_round_half_to_even(self):
+        """n + 1/4 and n + 3/4 with 16-digit n are exact halves at the 17th
+        digit: %.17g rounds them to the even digit."""
+        n = np.concatenate([
+            1e15 + np.arange(50_000),
+            np.random.default_rng(5).integers(10**15, 225 * 10**13, 50_000),
+        ]).astype(np.float64)
+        self.assert_percent_bytes((4 * n + 1) / 4, (4 * n + 3) / 4)
+
+    def test_neighbours_of_powers_of_ten(self):
+        """The exponent is exact at 10**k, and no double below 10**k rounds
+        up to it at 17 digits."""
+        near = []
+        for k in range(-8, 19):
+            x = float(f"1e{k}")
+            for _ in range(4):
+                x = math.nextafter(x, -math.inf)
+            for _ in range(9):
+                near.append(x)
+                x = math.nextafter(x, math.inf)
+        near = np.array(near)
+        self.assert_percent_bytes(near, -near)
+
+    @pytest.mark.parametrize("towards", [-np.inf, np.inf], ids=["below", "above"])
+    def test_exponent_survives_a_log10_an_ulp_off(self, monkeypatch, towards):
+        """The exponent is corrected against exact thresholds, so a ``log10``
+        an ulp off near ``10**k`` changes no byte."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), towards))
+        self.test_neighbours_of_powers_of_ten()
+
+    def test_thresholds_are_the_least_doubles_at_powers_of_ten(self):
+        for k, f in zip(range(-5, 19), _fixed_tables()[0].tolist()):
+            assert Fraction(f) >= Fraction(10) ** k > Fraction(math.nextafter(f, 0))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [float("99999999999999999"), float("99999999999999995"), 1e17,
+             math.nextafter(1e17, 0), float("9.99999999999999999e16"), float("9.999999999999999e16")],
+            [1e-4, math.nextafter(1e-4, 0), math.nextafter(1e-4, 1), float("9.99999999999999999e-5"),
+             float("0.000099999999999999995"), 0.00010000000000000005],
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, -1e-310],
+            [np.nan, -np.nan, np.inf, -np.inf, 1.5, -2.5],
+        ],
+        ids=["round-up-to-1e17", "1e-4", "zeros-and-subnormals", "nan-and-inf"],
+    )
+    def test_edge_values(self, values):
+        self.assert_percent_bytes(np.array(values), np.array(values[::-1]))
+
+    def test_selection_table_with_large_ints(self):
+        """``%`` converts an int to float; so does the encoder."""
+        index = np.array(
+            [0, 1, 2**53, 2**53 + 1, 2**53 + 3, 2**62 + 7, 2**63 - 1, -(2**63), 12345678901234567]
+        )
+        flags = np.array([True, False, True, True, False, True, False, True, True])
+        self.assert_percent_bytes(index, flags)
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, 1e-6, np.nan], ids=["zero", "negative-zero", "1e-6", "nan"]
+    )
+    def test_table_of_values_outside_the_digit_path(self, value):
+        """Tables with no value in fixed point, over several blocks."""
+        rows = _BLOCK_VALUES  # four blocks of this 4-column table
+        jitter = 1.0 + np.arange(rows * 4).reshape(rows, 4) * 1e-9 if value == 1e-6 else 1.0
+        self.assert_percent_bytes(np.full((rows, 4), value) * jitter)
+
+    def test_mixed_block_merges_values_with_an_exponent(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3 * _BLOCK_VALUES // 2, 2))
+        x[::3, 0] *= 1e-9
+        x[::5, 1] *= 1e30
+        x[::7, 1] = 0.0
+        x[::11, 0] = np.nan
+        self.assert_percent_bytes(np.arange(len(x)) / 100.0, x)
 
     @pytest.mark.parametrize("step", [1, 3], ids=["contiguous", "strided"])
     def test_wav_bytes_match_the_wave_module(self, tmp_path, step):

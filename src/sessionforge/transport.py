@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import operator
 import selectors
 import socket
 import struct
@@ -78,6 +79,7 @@ _DRAIN_DATAGRAMS = 4096
 # Datagrams taken per select() pass, as a connection takes up to _RECV_BYTES:
 # one per pass would let a TCP flood starve the audio.
 _PASS_DATAGRAMS = 64
+_SEQUENCE = operator.attrgetter("sequence")
 
 
 @dataclass(frozen=True)
@@ -162,50 +164,33 @@ class GapReport:
         return sum(hi - lo + 1 for lo, hi in self.missing_sequences)
 
 
-def _ranges(sorted_seqs: list[int]) -> tuple[tuple[int, int], ...]:
-    ranges = []
-    start = prev = None
-    for s in sorted_seqs:
-        if start is None:
-            start = prev = s
-        elif s == prev + 1:
-            prev = s
-        else:
-            ranges.append((start, prev))
-            start = prev = s
-    if start is not None:
-        ranges.append((start, prev))
-    return tuple(ranges)
-
-
 def audio_reassemble(datagrams: list[AudioDatagram]) -> tuple[bytes, GapReport]:
     """Order datagrams by sequence, drop duplicates, zero-fill gaps.
 
     Gaps are filled at the nominal chunk size (the most common received pcm
-    length); sequences are assumed to start at 0.
+    length); sequences are assumed to start at 0. The fill is at most one
+    chunk per distinct sequence received, so a stray high sequence cannot make
+    the track unbounded: the first sequence past that bound, and every higher
+    one, is refused, and the report counts only the sequences kept.
     """
-    if not datagrams:
-        return b"", GapReport(missing_sequences=(), received=0, expected=0)
     by_seq: dict[int, bytes] = {}
     for d in datagrams:
         if d.sequence not in by_seq:  # keep first, drop later duplicates
             by_seq[d.sequence] = d.pcm
-    max_seq = max(by_seq)
-    expected = max_seq + 1
-    chunk = Counter(len(p) for p in by_seq.values()).most_common(1)[0][0]
-    parts = []
-    missing = []
-    for seq in range(expected):
-        if seq in by_seq:
-            parts.append(by_seq[seq])
-        else:
-            parts.append(b"\x00" * chunk)
-            missing.append(seq)
-    report = GapReport(
-        missing_sequences=_ranges(missing),
-        received=len(by_seq),
-        expected=expected,
-    )
+    seqs = sorted(by_seq)
+    # seqs[i] - i chunks are missing below seqs[i], a non-decreasing count
+    kept = seqs[: np.searchsorted(np.subtract(seqs, np.arange(len(seqs))), len(seqs), "right")]
+    if not kept:
+        return b"", GapReport(missing_sequences=(), received=0, expected=0)
+    chunk = Counter(len(by_seq[seq]) for seq in kept).most_common(1)[0][0]
+    parts, missing, prev = [], [], -1
+    for seq in kept:
+        if seq > prev + 1:
+            parts.append(bytes(chunk * (seq - prev - 1)))
+            missing.append((prev + 1, seq - 1))
+        parts.append(by_seq[seq])
+        prev = seq
+    report = GapReport(missing_sequences=tuple(missing), received=len(kept), expected=prev + 1)
     return b"".join(parts), report
 
 
@@ -473,6 +458,9 @@ class RecordingHandle:
         audio: dict[str, AudioTrack] = {}
         if self._datagrams:
             pcm, self.gap_report = audio_reassemble(self._datagrams)
+            # a sequence past the fill bound is refused, like a malformed datagram
+            sequences = len(set(map(_SEQUENCE, self._datagrams)))
+            self.malformed_frames += sequences - self.gap_report.received
             audio[cfg.audio_stream] = AudioTrack(self._audio_meta, np.frombuffer(pcm, dtype="<i2"))
 
         # one bad topic must not cost the recording its other topics

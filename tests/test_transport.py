@@ -269,6 +269,30 @@ class TestAudioReassembly:
         assert missing == sorted(dropped)
         assert report.received + report.total_missing == report.expected == 1000
 
+    @pytest.mark.parametrize(
+        "seqs,kept",
+        [
+            ((0, 1, 20000), (0, 1)),
+            ((0, 1, 2**32 - 1), (0, 1)),
+            ((0, 1, 20000, 20001), (0, 1)),  # every sequence above the first refused one
+            ((0, 3), (0, 3)),  # a fill of 2 chunks for 2 sequences is within the bound
+            ((0, 4), (0,)),
+            ((5,), ()),
+        ],
+    )
+    def test_fill_is_bounded_by_the_sequences_received(self, seqs, kept):
+        """The zero-fill is at most one chunk per distinct sequence received,
+        so one stray high sequence cannot make the track unbounded."""
+        dgs = [AudioDatagram(s, 0.0, bytes([k + 1] * 4)) for k, s in enumerate(seqs)]
+        pcm, report = audio_reassemble(dgs)
+        expected = kept[-1] + 1 if kept else 0
+        oracle = b"".join(
+            bytes([seqs.index(s) + 1] * 4) if s in kept else bytes(4) for s in range(expected)
+        )
+        assert pcm == oracle
+        assert report.received == len(kept) and report.expected == expected
+        assert report.total_missing == expected - len(kept) <= len(seqs)
+
     def test_datagram_codec_round_trip(self):
         dg = AudioDatagram(sequence=17, timestamp=0.34, pcm=b"\x01\x02\x03\x04")
         assert datagram_decode(dg.encode()) == dg
@@ -384,6 +408,26 @@ class TestRecording:
             session = handle.stop()
         assert handle.malformed_frames == 1
         np.testing.assert_array_equal(session.audio["mic"].samples, pcm.ravel())
+
+    @pytest.mark.parametrize("stray", [20000, 2**32 - 1])
+    def test_stray_sequence_is_refused_and_the_recording_kept(self, tmp_path, stray):
+        """A datagram whose sequence lies far past the others is refused and
+        counted as malformed; stop() keeps the numeric topics and a track no
+        longer than the datagrams received."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        frames = [TcpFrame("ee_pose", float(k), (float(k),)) for k in range(10)]
+        self.send_frames(handle.tcp_port, frames)
+        pcm = np.arange(480, dtype="<i2").reshape(3, 160)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            for seq, chunk in zip((0, 1, stray), pcm):
+                sock.sendto(AudioDatagram(seq, seq * 0.02, chunk.tobytes()).encode(),
+                            ("127.0.0.1", handle.udp_port))
+        session = handle.stop()
+        np.testing.assert_array_equal(session.numeric["ee_pose"].timestamps, np.arange(10.0))
+        np.testing.assert_array_equal(session.audio["mic"].samples, pcm[:2].ravel())
+        assert handle.gap_report.received == handle.gap_report.expected == 2
+        assert handle.malformed_frames == 1
+        assert len(load_session(tmp_path / "rec").audio["mic"].samples) == 320
 
     def test_stream_map_sets_rate_and_channels(self, tmp_path):
         """A topic in the config's ``stream_map`` is saved at its mapped rate

@@ -26,7 +26,7 @@ _API = {
     "jerk_series path_length task_aggregate trial_mean_jerk",
     "session": "AudioMeta AudioTrack Channel FrameSelection FrameTimestampLog RawSession "
     "ReferenceGrid SessionManifest StreamDescriptor StreamKind SyncedSession Task TimedSeries "
-    "load_session save_session sessions_equal validate_manifest",
+    "load_session save_session sessions_equal",
     "sync": "OverlapWindow build_reference_grid compute_overlap interpolate_numeric match_frames "
     "sync_session",
     "synth": "GroundTruth Scenario gen_min_jerk_trajectory gen_session",

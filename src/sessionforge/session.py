@@ -311,10 +311,18 @@ def _manifest_checks(manifest: SessionManifest) -> tuple[list[str], list[str]]:
     return broken, [] if known else [f"task: '{manifest.task}' not in task taxonomy"]
 
 
-def validate_manifest(manifest: SessionManifest) -> list[str]:
-    """Check manifest invariants; returns one string per violated rule."""
-    broken, flags = _manifest_checks(manifest)
-    return broken + flags
+def _dialogue_violations(
+    manifest: SessionManifest, dialogues: tuple[dlg.AnnotatedDialogue, ...]
+) -> list[str]:
+    """A trial's dialogue records belong to it: each names the trial's id and
+    its task, or the report would count its utterances elsewhere."""
+    task = task_label(manifest.task)
+    return [
+        f"dialogue[{i}]: {field} {got!r} is not this trial's {want!r}"
+        for i, d in enumerate(dialogues)
+        for field, got, want in (("trial_id", d.trial_id, manifest.session_id), ("task", d.task, task))
+        if got != want
+    ]
 
 
 def _time_violations(where: str, t: np.ndarray, n_min: int) -> list[str]:
@@ -339,8 +347,10 @@ def session_checks(session: RawSession) -> tuple[list[str], list[str]]:
     different. A name belongs to streams of one kind, whatever the manifest's
     order. A numeric stream has as many values as timestamps and channels.
     An audio track's rate is an integer > 0, as in a WAV header, and its
-    depth 16 bits, as the samples are int16."""
+    depth 16 bits, as the samples are int16. Each dialogue record names the
+    session's id and task, the rule ``read_dialogues`` applies too."""
     broken, flags = _manifest_checks(session.manifest)
+    broken += _dialogue_violations(session.manifest, session.dialogues)
     entries = list(session.manifest.streams)
     rates = {(s.name, s.kind): s.nominal_rate for s in entries}
     held = {StreamKind.NUMERIC: session.numeric, StreamKind.VIDEO_FRAMES: session.frame_logs,
@@ -472,15 +482,23 @@ def trial_dirs(root: str | Path) -> list[Path]:
     return sorted(p.parent for p in Path(root).glob(f"*/{MANIFEST}"))
 
 
-def read_dialogues(trial_dir: str | Path) -> tuple[dlg.AnnotatedDialogue, ...]:
-    """A trial's dialogues; none when it has no dialogue file."""
+def read_dialogues(
+    trial_dir: str | Path, manifest: SessionManifest
+) -> tuple[dlg.AnnotatedDialogue, ...]:
+    """The dialogues of the trial at ``trial_dir``, whose manifest is
+    ``manifest``; none when it has no dialogue file. A record that names
+    another trial or task raises InvariantViolation, as a load would."""
     path = Path(trial_dir) / DIALOGUE
     if not path.is_file():
         return ()
     try:
-        return tuple(dlg.import_jsonl(path.read_bytes()))
+        dialogues = tuple(dlg.import_jsonl(path.read_bytes()))
     except (OSError, SerializationError) as exc:
         raise MalformedManifest(f"{path}: {exc}") from exc
+    broken = _dialogue_violations(manifest, dialogues)
+    if broken:
+        raise InvariantViolation(f"{path}: {'; '.join(broken)}")
+    return dialogues
 
 
 def _table_bytes(header: list[str], columns) -> bytes:
@@ -943,7 +961,7 @@ def load_session(root_path: str | Path, *, audio: bool = True) -> RawSession:
         numeric=numeric,
         frame_logs=frame_logs,
         audio=tracks,
-        dialogues=read_dialogues(root),
+        dialogues=read_dialogues(root, manifest),
     )
     _require_valid(session)
     return session if audio else replace(session, audio={})

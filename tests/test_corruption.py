@@ -9,6 +9,10 @@ container, ``synth --scenario`` over a scenario JSON file. The command must
 return 0 or 1, print at most one line on stderr, a JSON error object, and
 raise nothing. Duplicated runs are at most 2 bytes long, so no case can turn a
 rate or a duration into one that generates gigabytes.
+
+Two targeted corruptions join the sweep: a dialogue record that names another
+trial, or another task, than its trial's manifest. Each is refused with
+``invariant-violation`` by every command that reads dialogues.
 """
 
 import json
@@ -124,3 +128,23 @@ def test_corrupted_scenario_through_synth(capsys, tmp_path):
         return ["synth", "--scenario", str(copy / rel), "--out", str(copy / "out")]
 
     _sweep(capsys, tmp_path, "scenario", source, run_case)
+
+
+@pytest.mark.parametrize("field,value", [("trial_id", "no-such-trial"), ("task", "cleaning")])
+@pytest.mark.parametrize(
+    "command", [["report"], ["dialogue", "stats"], ["dialogue", "export"]], ids=" ".join
+)
+def test_dialogue_record_of_another_trial(capsys, tmp_path, pristine, field, value, command):
+    """The pristine trial is a feeding trial: its utterances must not be
+    counted under another trial or task."""
+    copy = tmp_path / "data"
+    shutil.copytree(pristine / "data", copy)
+    path = copy / "trial" / "dialogue.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert records[0][field] != value
+    records[0][field] = value
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    code = main(["--errors", "json", *command, "--root", str(copy)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["code"] == "invariant-violation"

@@ -45,7 +45,6 @@ from sessionforge.session import (
     save_session,
     save_synced,
     sessions_equal,
-    validate_manifest,
     validate_session,
 )
 from sessionforge.sync import sync_session
@@ -167,6 +166,20 @@ class TestRoundTrip:
         save_session(synthetic_session, tmp_path / "trial")
         loaded = load_session(tmp_path / "trial")
         assert loaded.dialogues == synthetic_session.dialogues
+
+    @pytest.mark.parametrize("field,value", [("trial_id", "no-such-trial"), ("task", "cleaning")])
+    def test_dialogue_of_another_trial_is_refused_by_save(
+        self, synthetic_session, tmp_path, field, value
+    ):
+        """A dialogue record must name its session's id and task: save refuses,
+        before writing anything, what load would reject."""
+        dialogue = replace(synthetic_session.dialogues[0], **{field: value})
+        bad = replace(synthetic_session, dialogues=(dialogue,))
+        want = f"dialogue[0]: {field} {value!r} is not this trial's"
+        assert [v for v in validate_session(bad) if v.startswith(want)] == validate_session(bad)
+        with pytest.raises(InvariantViolation, match=re.escape(want)):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
 
 
 # Every table the two containers write: case -> (container, file).
@@ -681,11 +694,11 @@ class TestValidateManifest:
             s.nominal_rate for s in manifest.streams if s.kind.value == "video_frames"
         )
         assert rates == [12.0, 15.0]
-        assert validate_manifest(manifest) == []
+        assert validate_session(synthetic_session) == []
 
     def test_unknown_task_flagged(self, synthetic_session):
         bad = replace(synthetic_session.manifest, task="Walking")
-        assert any("taxonomy" in v for v in validate_manifest(bad))
+        assert any("taxonomy" in v for v in validate_session(replace(synthetic_session, manifest=bad)))
 
     def test_nonconformant_audio_rate_flagged(self, synthetic_session):
         session, _ = gen_session(Scenario(seed=1, audio_rate=44100))
@@ -780,8 +793,8 @@ class TestMutationDetection:
         ],
     )
     def test_manifest_mutations_detected(self, synthetic_session, mutate, needle):
-        bad = mutate(synthetic_session.manifest)
-        assert any(needle in v for v in validate_manifest(bad))
+        bad = replace(synthetic_session, manifest=mutate(synthetic_session.manifest))
+        assert any(needle in v for v in validate_session(bad))
 
     def test_numeric_unit_must_be_nonempty(self, synthetic_session):
         m = synthetic_session.manifest
@@ -790,7 +803,7 @@ class TestMutationDetection:
             numeric, channels=(replace(numeric.channels[0], unit=""),) + numeric.channels[1:]
         )
         bad = replace(m, streams=tuple(broken if s.name == numeric.name else s for s in m.streams))
-        assert any("non-empty SI" in v for v in validate_manifest(bad))
+        assert any("non-empty SI" in v for v in validate_session(replace(synthetic_session, manifest=bad)))
 
     def test_series_nan_timestamp_detected(self, synthetic_session):
         from sessionforge.session import TimedSeries

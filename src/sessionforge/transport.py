@@ -79,7 +79,6 @@ _DRAIN_DATAGRAMS = 4096
 # Datagrams taken per select() pass, as a connection takes up to _RECV_BYTES:
 # one per pass would let a TCP flood starve the audio.
 _PASS_DATAGRAMS = 64
-_SEQUENCE = operator.attrgetter("sequence")
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,8 @@ class RecordingHandle:
         # each open connection -> the partial frame at the end of its last chunk
         self._rest: dict[socket.socket, bytes] = {}
         self._stopping = False
-        self._session: RawSession | None = None
+        self._built: RawSession | None = None  # by stop(), saved or not
+        self._session: RawSession | None = None  # by stop(), once saved
         self.malformed_frames = 0
         self.frames_received = 0
         self.gap_report: GapReport | None = None
@@ -448,10 +448,11 @@ class RecordingHandle:
             self._thread.join()
         for sock in (self._tcp_sock, self._udp_sock, self._wake_r, self._wake_w):
             sock.close()
-        session = self._build_session()
-        save_session(session, self.config.session_root)
-        self._session = session
-        return session
+        if self._built is None:  # once: building counts the refused datagrams
+            self._built = self._build_session()
+        save_session(self._built, self.config.session_root)
+        self._session = self._built
+        return self._session
 
     def _build_session(self) -> RawSession:
         cfg = self.config
@@ -459,7 +460,7 @@ class RecordingHandle:
         if self._datagrams:
             pcm, self.gap_report = audio_reassemble(self._datagrams)
             # a sequence past the fill bound is refused, like a malformed datagram
-            sequences = len(set(map(_SEQUENCE, self._datagrams)))
+            sequences = len(set(map(operator.attrgetter("sequence"), self._datagrams)))
             self.malformed_frames += sequences - self.gap_report.received
             audio[cfg.audio_stream] = AudioTrack(self._audio_meta, np.frombuffer(pcm, dtype="<i2"))
 

@@ -175,9 +175,10 @@ class TestRoundTrip:
         before writing anything, what load would reject."""
         dialogue = replace(synthetic_session.dialogues[0], **{field: value})
         bad = replace(synthetic_session, dialogues=(dialogue,))
-        want = f"dialogue[0]: {field} {value!r} is not this trial's"
-        assert [v for v in validate_session(bad) if v.startswith(want)] == validate_session(bad)
-        with pytest.raises(InvariantViolation, match=re.escape(want)):
+        own = {"trial_id": synthetic_session.manifest.session_id, "task": "feeding"}[field]
+        message = f"dialogue[0]: {field} {value!r} is not this trial's {own!r}"
+        assert validate_session(bad) == [message]
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
             save_session(bad, tmp_path / "trial")
         assert not (tmp_path / "trial").exists()
 

@@ -410,10 +410,19 @@ class TestRecording:
         np.testing.assert_array_equal(session.audio["mic"].samples, pcm.ravel())
 
     @pytest.mark.parametrize("stray", [20000, 2**32 - 1])
-    def test_stray_sequence_is_refused_and_the_recording_kept(self, tmp_path, stray):
+    def test_stray_sequence_is_refused_and_the_recording_kept(self, tmp_path, monkeypatch, stray):
         """A datagram whose sequence lies far past the others is refused and
-        counted as malformed; stop() keeps the numeric topics and a track no
-        longer than the datagrams received."""
+        counted as malformed, once, though the first save fails; stop() keeps
+        the numeric topics and a track no longer than the datagrams received."""
+        save, calls = transport.save_session, []
+
+        def save_fails_once(session, root):
+            calls.append(root)
+            if len(calls) == 1:
+                raise IoError("disk full")
+            save(session, root)
+
+        monkeypatch.setattr(transport, "save_session", save_fails_once)
         handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
         frames = [TcpFrame("ee_pose", float(k), (float(k),)) for k in range(10)]
         self.send_frames(handle.tcp_port, frames)
@@ -422,6 +431,8 @@ class TestRecording:
             for seq, chunk in zip((0, 1, stray), pcm):
                 sock.sendto(AudioDatagram(seq, seq * 0.02, chunk.tobytes()).encode(),
                             ("127.0.0.1", handle.udp_port))
+        with pytest.raises(IoError):
+            handle.stop()
         session = handle.stop()
         np.testing.assert_array_equal(session.numeric["ee_pose"].timestamps, np.arange(10.0))
         np.testing.assert_array_equal(session.audio["mic"].samples, pcm[:2].ravel())

@@ -38,6 +38,7 @@ sending cannot hold ``stop()`` open.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import operator
@@ -177,8 +178,8 @@ def audio_reassemble(datagrams: list[AudioDatagram]) -> tuple[bytes, GapReport]:
         if d.sequence not in by_seq:  # keep first, drop later duplicates
             by_seq[d.sequence] = d.pcm
     seqs = sorted(by_seq)
-    # seqs[i] - i chunks are missing below seqs[i], a non-decreasing count
-    kept = seqs[: np.searchsorted(np.subtract(seqs, np.arange(len(seqs))), len(seqs), "right")]
+    # seqs[i] - i chunks are missing below seqs[i], a count that never falls
+    kept = seqs[: bisect.bisect_right(range(len(seqs)), len(seqs), key=lambda i: seqs[i] - i)]
     if not kept:
         return b"", GapReport(missing_sequences=(), received=0, expected=0)
     chunk = Counter(len(by_seq[seq]) for seq in kept).most_common(1)[0][0]

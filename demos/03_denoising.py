@@ -11,9 +11,9 @@ from sessionforge.filters import (
     filtfilt,
 )
 
-# The design is computed from first principles: analog prototype poles on
-# the left half unit circle, prewarped so the bilinear transform lands the
-# -3 dB point exactly on the requested cutoff.
+# The design is scipy.signal.butter's: analog prototype poles on the left
+# half unit circle, prewarped so the bilinear transform lands the -3 dB point
+# exactly on the requested cutoff.
 spec = design_butterworth_lowpass(order=4, cutoff=5.0, sample_rate=100.0)
 print("b =", np.round(spec.b, 6))
 print("a =", np.round(spec.a, 6))

@@ -1,8 +1,6 @@
 """Butterworth low-pass design and zero-phase forward-backward filtering.
 
-Coefficients come from the analog prototype poles via a prewarped bilinear
-transform, computed here directly rather than taken from a library, so the
-design is reproducible from first principles. Each design is made once per
+Coefficients are ``scipy.signal.butter``'s design. Each design is made once per
 ``(order, cutoff, sample_rate)`` and shared, read-only, by every stream that
 asks for it. The zero-phase pass is scipy's "pad" method written out along
 axis 0 (time): odd-reflection padding of length 3*(order+1) at both ends, and
@@ -70,44 +68,30 @@ class FilterSpec:
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def design_butterworth_lowpass(order: int, cutoff: float, sample_rate: float) -> FilterSpec:
-    """Digital Butterworth low-pass via prewarped bilinear transform.
+    """Digital Butterworth low-pass, ``scipy.signal.butter``'s design.
 
-    Analog prototype poles sit on the unit circle in the left half s-plane;
-    prewarping places the -3 dB point exactly at ``cutoff``. Equal arguments
-    return the same (read-only) spec.
+    Equal arguments return the same (read-only) spec.
     """
-    if order < 1:
+    if order < 1:  # butter(0, ...) returns a pass-through rather than raising
         raise ValueError("order must be >= 1")
     if not 0.0 < cutoff < sample_rate / 2.0:
         raise InvalidCutoff(
             f"cutoff {cutoff} Hz must lie in (0, {sample_rate / 2.0}) Hz"
         )
-    # Prototype poles: exp(j*pi*(2k + N - 1) / (2N)), k = 1..N.
-    k = np.arange(1, order + 1)
-    poles = np.exp(1j * np.pi * (2 * k + order - 1) / (2 * order))
-    # Prewarp the cutoff so the bilinear map lands it exactly.
-    fs2 = 2.0 * sample_rate
-    warped = fs2 * np.tan(np.pi * cutoff / sample_rate)
-    poles = warped * poles
-    gain = warped**order
-    # Bilinear transform s -> z; the N zeros at infinity map to z = -1.
-    pz = (fs2 + poles) / (fs2 - poles)
-    gain = gain * np.real(1.0 / np.prod(fs2 - poles))
-    b = np.real(gain * np.poly(-np.ones(order)))
-    a = np.real(np.poly(pz))
+    b, a = scipy.signal.butter(order, cutoff, fs=sample_rate)
     return FilterSpec(order=order, cutoff=cutoff, sample_rate=sample_rate, b=b, a=a)
 
 
 def filtfilt(spec: FilterSpec, signal: np.ndarray) -> np.ndarray:
     """Zero-phase filtering along axis 0: forward pass, backward pass.
 
-    The pass is scipy's "pad" method with the first-principles ``spec``
-    coefficients and its cached steady state ``spec.zi``, so every column of
-    a 2-D ``signal`` is filtered at once. Transients are suppressed by
-    odd-reflection padding of ``spec.padlen`` samples and by seeding each
-    direction's state at its first value; edge transients decay with the
-    slowest pole, so the result is only approximately time-reversal
-    symmetric. The output is bit-identical to
+    The pass is scipy's "pad" method with the ``spec`` coefficients and its
+    cached steady state ``spec.zi``, so every column of a 2-D ``signal`` is
+    filtered at once. Transients are suppressed by odd-reflection padding of
+    ``spec.padlen`` samples and by seeding each direction's state at its
+    first value; edge transients decay with the slowest pole, so the result
+    is only approximately time-reversal symmetric. The output is
+    bit-identical to
     ``scipy.signal.filtfilt(spec.b, spec.a, signal, axis=0)``.
     """
     x = np.asarray(signal, dtype=np.float64)

@@ -7,6 +7,7 @@ import scipy.signal
 
 from sessionforge.errors import InvalidCutoff, SignalTooShort, UnclassifiedChannel
 from sessionforge.filters import (
+    NYQUIST_CLAMP,
     ChannelClass,
     DenoisePolicy,
     FilterSpec,
@@ -33,12 +34,20 @@ class TestDesign:
             spec = design_butterworth_lowpass(order, cutoff, fs)
             assert spec.dc_gain() == pytest.approx(1.0, abs=1e-9)
 
-    def test_coefficients_match_reference_design(self):
-        # independent oracle: scipy's butter (pole placement + bilinear)
-        spec = design_butterworth_lowpass(4, 5.0, 100.0)
-        b_ref, a_ref = scipy.signal.butter(4, 5.0 / 50.0)
-        np.testing.assert_allclose(spec.b, b_ref, atol=1e-9)
-        np.testing.assert_allclose(spec.a, a_ref, atol=1e-9)
+    @pytest.mark.parametrize(
+        "order,cutoff,fs",
+        [(4, 5.0, 100.0), (4, 10.0, 100.0), (2, 1.0, 30.0), (6, 40.0, 200.0),
+         (4, NYQUIST_CLAMP * 30.0, 30.0)],  # the last: a cutoff clamped below Nyquist
+    )
+    def test_coefficients_match_reference_design(self, order, cutoff, fs):
+        spec = design_butterworth_lowpass(order, cutoff, fs)
+        b_ref, a_ref = scipy.signal.butter(order, cutoff, fs=fs)
+        np.testing.assert_array_equal(spec.b.view(np.uint64), b_ref.view(np.uint64))
+        np.testing.assert_array_equal(spec.a.view(np.uint64), a_ref.view(np.uint64))
+
+    def test_order_zero_raises(self):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            design_butterworth_lowpass(0, 5.0, 100.0)
 
     @pytest.mark.parametrize("order,cutoff,fs", [(2, 1.0, 30.0), (4, 10.0, 120.0), (5, 3.3, 48.0)])
     def test_cutoff_gain_is_3db(self, order, cutoff, fs):

@@ -6,7 +6,6 @@ statistics aggregate trial means with the sample (n-1) standard deviation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -109,21 +108,19 @@ class TrialMetrics:
         return asdict(self)
 
 
-def _positions(synced, role: str, is_role, axes: tuple[str, ...]) -> np.ndarray:
-    """The ``axes`` columns of the one stream whose name ``is_role`` accepts."""
-    names = [name for name in synced.numeric if is_role(name)]
+def _positions(synced, cls: ChannelClass, axes: tuple[str, ...]) -> np.ndarray:
+    """The ``axes`` columns of the one stream of class ``cls`` that has them all."""
+    names = [
+        name
+        for name, series in synced.numeric.items()
+        if set(axes) <= {ch.name for ch in series.channels} and classify_stream(name) is cls
+    ]
     if not names:
-        raise MissingChannel(f"no {role} stream")
+        raise MissingChannel(f"no {cls.value} stream has channels {list(axes)}")
     if len(names) > 1:
-        raise AmbiguousStream(f"streams {names} are all {role} streams")
+        raise AmbiguousStream(f"streams {names} are all {cls.value} streams with {list(axes)}")
     series = synced.numeric[names[0]]
-    cols = []
-    for axis in axes:
-        idx = series.channel_index(axis)
-        if idx is None:
-            raise MissingChannel(f"stream '{names[0]}' lacks channel '{axis}'")
-        cols.append(series.values[:, idx])
-    return np.column_stack(cols)
+    return np.column_stack([series.values[:, series.channel_index(a)] for a in axes])
 
 
 def compute_trial_metrics(synced) -> TrialMetrics:
@@ -134,13 +131,8 @@ def compute_trial_metrics(synced) -> TrialMetrics:
     """
     grid = synced.grid
     dt = 1.0 / grid.rate
-    ee = _positions(
-        synced, "end-effector", lambda n: classify_stream(n) is ChannelClass.EE_POSE, ("x", "y", "z")
-    )
-    # Not the "wheel" class, which also holds wheel-speed streams without x/y.
-    wheelchair = _positions(
-        synced, "wheelchair", lambda n: re.search("wheelchair", n.lower()), ("x", "y")
-    )
+    ee = _positions(synced, ChannelClass.EE_POSE, ("x", "y", "z"))
+    wheelchair = _positions(synced, ChannelClass.WHEELCHAIR_WHEELS, ("x", "y"))
     duration = float(grid.timestamps[-1] - grid.timestamps[0])
     return TrialMetrics(
         trial_id=synced.manifest.session_id,

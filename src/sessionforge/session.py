@@ -280,7 +280,8 @@ def describe_stream(name: str, data, rate: float | None = None) -> StreamDescrip
 
 def descriptor_violations(desc: StreamDescriptor) -> list[str]:
     """The invariants manifest entry ``desc`` breaks; one string per rule. Its
-    name must be a plain file name, and its file the path of its kind and name."""
+    name must be a plain file name, its file the path of its kind and name,
+    and each numeric channel name one cell of the CSV header that load reads."""
     s, violations = desc, []
     if not isinstance(s.name, str) or s.name in ("", ".", "..") or set("/\\\0") & set(s.name):
         violations.append(f"streams[{s.name}].name: must be a plain file name")
@@ -296,6 +297,12 @@ def descriptor_violations(desc: StreamDescriptor) -> list[str]:
         if len(s.channels) < 1:
             violations.append(f"streams[{s.name}].channels: numeric streams need >= 1 channel")
         for ch in s.channels:
+            name = ch.name
+            if not isinstance(name, str) or set(",\r\n") & set(name) or name != name.strip():
+                violations.append(
+                    f"streams[{s.name}].channels[{name!r}].name: must be a string with no "
+                    "comma, line break or edge whitespace"
+                )
             if not ch.unit:
                 violations.append(
                     f"streams[{s.name}].channels[{ch.name}].unit: must be a non-empty SI string"
@@ -381,12 +388,6 @@ def session_checks(session: RawSession) -> tuple[list[str], list[str]]:
         if track.meta.bit_depth != PAPER_AUDIO_BIT_DEPTH:
             broken.append(f"streams[{name}]: audio-bit-depth-nonconformant")
     return broken, flags
-
-
-def validate_session(session: RawSession) -> list[str]:
-    """Manifest violations plus per-series invariant checks."""
-    broken, flags = session_checks(session)
-    return broken + flags
 
 
 def _require_valid(session: RawSession) -> None:

@@ -1120,6 +1120,25 @@ class TestPipeline:
         assert out == f"denoised 3 streams -> {out_dir}\n"
         assert sorted(load_synced(out_dir).numeric) == ["ee_pose", "imu", "misc", "wheelchair_pose"]
 
+    def test_report_over_a_trial_with_a_wheelchair_imu(self, capsys, dataset):
+        """An IMU mounted on the chair is of the imu class, not the wheelchair
+        stream: its trial is scored, and so are the other two."""
+        root, trial_ids = dataset
+        session = load_session(root / trial_ids[0])
+        imu = session.numeric["imu"]
+        entry = describe_stream("wheelchair_imu", imu, 100.0)
+        save_session(
+            replace(
+                session,
+                manifest=replace(session.manifest, streams=(*session.manifest.streams, entry)),
+                numeric={**session.numeric, "wheelchair_imu": imu},
+            ),
+            root / trial_ids[0],
+        )
+        code, out, err = run(capsys, "--errors", "json", "report", "--root", str(root))
+        assert (code, err) == (0, "")
+        assert sorted(t["trial_id"] for t in json.loads(out)["trials"]) == sorted(trial_ids)
+
     def test_report_deterministic(self, capsys, dataset, tmp_path):
         root, _ = dataset
         outputs = []

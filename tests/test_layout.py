@@ -75,6 +75,20 @@ def test_grid_stage_takes_what_the_native_stage_left():
     assert "classify_stream" not in (SRC / "cli.py").read_text(encoding="utf-8")
 
 
+def test_stream_roles_are_matched_only_in_filters():
+    """``filters.classify_stream`` is the one rule of which stream is which:
+    ``metrics`` finds the ee and wheelchair streams by its class and their
+    axes, and no other module imports ``re`` to match stream names its own way."""
+    importers = {
+        module.name
+        for module in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(alias.name == "re" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "re")
+    }
+    assert importers == {"filters.py"}
+
+
 def test_one_manifest_reader():
     """``read_manifest`` is the only manifest reader, so every command and
     both loaders check a manifest by one rule."""

@@ -195,6 +195,48 @@ class TestComputeTrialMetrics:
         numeric = {**synced.numeric, "ee_imu": synced.numeric["imu"]}
         assert compute_trial_metrics(replace(synced, numeric=numeric)) == compute_trial_metrics(synced)
 
+    def test_imu_named_wheelchair_is_not_the_wheelchair_stream(self):
+        session, _ = gen_session(Scenario(seed=5))
+        synced = sync_session(session)
+        from dataclasses import replace
+
+        numeric = {**synced.numeric, "wheelchair_imu": synced.numeric["imu"]}
+        assert compute_trial_metrics(replace(synced, numeric=numeric)) == compute_trial_metrics(synced)
+
+    @pytest.mark.parametrize(
+        "name,channels",
+        [
+            ("wheelchair_arm_joints", [f"q{i}" for i in range(6)]),  # the arm class
+            ("ee_orientation", ["qx", "qy", "qz", "qw"]),  # the ee class, no x, y, z
+            ("wheel_speeds", ["left", "right"]),  # the wheel class, no x, y
+        ],
+    )
+    def test_stream_of_another_class_or_axes_is_not_a_role_stream(self, name, channels):
+        """The ee and wheelchair streams are each the one stream of their class
+        that carries their axes; an extra stream outside that rule changes nothing."""
+        session, _ = gen_session(Scenario(seed=5))
+        synced = sync_session(session)
+        from dataclasses import replace
+
+        from sessionforge.session import Channel, TimedSeries
+
+        t = synced.grid.timestamps
+        values = np.outer(np.sin(t), np.arange(1.0, len(channels) + 1))
+        extra = TimedSeries(t, values, tuple(Channel(c, "1") for c in channels))
+        numeric = {**synced.numeric, name: extra}
+        assert compute_trial_metrics(replace(synced, numeric=numeric)) == compute_trial_metrics(synced)
+
+    def test_wheelchair_stream_without_its_axes_is_missing(self):
+        session, _ = gen_session(Scenario(seed=5))
+        synced = sync_session(session)
+        from dataclasses import replace
+
+        pose = synced.numeric["wheelchair_pose"]
+        x_only = replace(pose, values=pose.values[:, :1], channels=pose.channels[:1])
+        numeric = {**synced.numeric, "wheelchair_pose": x_only}
+        with pytest.raises(MissingChannel, match=r"no wheelchair_wheels stream has channels \['x', 'y'\]"):
+            compute_trial_metrics(replace(synced, numeric=numeric))
+
     def test_time_shift_invariance(self):
         session, _ = gen_session(Scenario(seed=6))
         synced = sync_session(session)

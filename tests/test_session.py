@@ -42,10 +42,11 @@ from sessionforge.session import (
     descriptor_violations,
     load_session,
     load_synced,
+    read_manifest,
     save_session,
     save_synced,
+    session_checks,
     sessions_equal,
-    validate_session,
 )
 from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
@@ -177,7 +178,7 @@ class TestRoundTrip:
         bad = replace(synthetic_session, dialogues=(dialogue,))
         own = {"trial_id": synthetic_session.manifest.session_id, "task": "feeding"}[field]
         message = f"dialogue[0]: {field} {value!r} is not this trial's {own!r}"
-        assert validate_session(bad) == [message]
+        assert session_checks(bad) == ([message], [])
         with pytest.raises(InvariantViolation, match=re.escape(message)):
             save_session(bad, tmp_path / "trial")
         assert not (tmp_path / "trial").exists()
@@ -688,6 +689,58 @@ class TestSaveErrors:
         assert str(raised.value).startswith(f"{blocker / 'trial' / first}: ")
 
 
+# Channel names save and read_manifest refuse. Load splits the stripped header
+# line on commas, so a comma or a line break splits a cell and trailing
+# whitespace is lost; the rule refuses whitespace at either edge of any name.
+UNHEADERABLE = {
+    "comma": "a,b",
+    "line-feed": "a\nb",
+    "carriage-return": "a\rb",
+    "trailing-space": "z ",
+    "leading-space": " z",
+}
+
+
+def _with_last_ee_channel(session, name):
+    """``session`` with its ee_pose's last channel renamed ``name``, and the
+    manifest entry describing it."""
+    ee = session.numeric["ee_pose"]
+    ee = replace(ee, channels=(*ee.channels[:-1], Channel(name, "m")))
+    m = session.manifest
+    streams = [describe_stream("ee_pose", ee, s.nominal_rate) if s.name == "ee_pose" else s
+               for s in m.streams]
+    return replace(_with_stream(session, "numeric", "ee_pose", ee), manifest=replace(m, streams=streams))
+
+
+class TestChannelNames:
+    @pytest.mark.parametrize("name", UNHEADERABLE.values(), ids=UNHEADERABLE)
+    def test_save_refuses_a_name_the_header_cannot_hold(self, synthetic_session, tmp_path, name):
+        """Save refuses, before writing anything, what load would reject as a
+        header that is not the manifest's channels."""
+        bad = _with_last_ee_channel(synthetic_session, name)
+        with pytest.raises(InvariantViolation, match=r"streams\[ee_pose\]\.channels\[.*\]\.name"):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
+    @pytest.mark.parametrize("name", UNHEADERABLE.values(), ids=UNHEADERABLE)
+    def test_read_manifest_refuses_a_name_the_header_cannot_hold(
+        self, synthetic_session, tmp_path, name
+    ):
+        save_session(synthetic_session, tmp_path / "trial")
+        path = tmp_path / "trial" / "manifest.json"
+        d = json.loads(path.read_text(encoding="utf-8"))
+        entry = next(s for s in d["streams"] if s["name"] == "ee_pose")
+        entry["channels"][-1]["name"] = name
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(MalformedManifest, match=r"streams\[ee_pose\]\.channels"):
+            read_manifest(tmp_path / "trial")
+
+    def test_a_name_with_inner_space_round_trips(self, synthetic_session, tmp_path):
+        session = _with_last_ee_channel(synthetic_session, "z axis")
+        save_session(session, tmp_path / "trial")
+        assert sessions_equal(load_session(tmp_path / "trial"), session)
+
+
 class TestValidateManifest:
     def test_paper_conformant_manifest(self, synthetic_session):
         manifest = synthetic_session.manifest
@@ -695,15 +748,17 @@ class TestValidateManifest:
             s.nominal_rate for s in manifest.streams if s.kind.value == "video_frames"
         )
         assert rates == [12.0, 15.0]
-        assert validate_session(synthetic_session) == []
+        assert session_checks(synthetic_session) == ([], [])
 
     def test_unknown_task_flagged(self, synthetic_session):
         bad = replace(synthetic_session.manifest, task="Walking")
-        assert any("taxonomy" in v for v in validate_session(replace(synthetic_session, manifest=bad)))
+        _, flags = session_checks(replace(synthetic_session, manifest=bad))
+        assert any("taxonomy" in v for v in flags)
 
     def test_nonconformant_audio_rate_flagged(self, synthetic_session):
         session, _ = gen_session(Scenario(seed=1, audio_rate=44100))
-        assert any("audio-rate-nonconformant" in v for v in validate_session(session))
+        _, flags = session_checks(session)
+        assert any("audio-rate-nonconformant" in v for v in flags)
 
     def test_describe_stream(self):
         series = TimedSeries([0.0, 0.1], [[1.0], [2.0]], (Channel("x", "m"),))
@@ -751,7 +806,7 @@ class TestValidateManifest:
             manifest=replace(synthetic_session.manifest, streams=tuple(streams)),
             frame_logs={**synthetic_session.frame_logs, "imu": log},
         )
-        assert validate_session(bad) == ["streams[imu]: one name under two kinds"]
+        assert session_checks(bad) == (["streams[imu]: one name under two kinds"], [])
         with pytest.raises(InvariantViolation, match=r"streams\[imu\]: one name under two kinds"):
             save_session(bad, tmp_path / "trial")
         assert not (tmp_path / "trial").exists()
@@ -795,7 +850,8 @@ class TestMutationDetection:
     )
     def test_manifest_mutations_detected(self, synthetic_session, mutate, needle):
         bad = replace(synthetic_session, manifest=mutate(synthetic_session.manifest))
-        assert any(needle in v for v in validate_session(bad))
+        broken, flags = session_checks(bad)
+        assert any(needle in v for v in broken + flags)
 
     def test_numeric_unit_must_be_nonempty(self, synthetic_session):
         m = synthetic_session.manifest
@@ -804,7 +860,8 @@ class TestMutationDetection:
             numeric, channels=(replace(numeric.channels[0], unit=""),) + numeric.channels[1:]
         )
         bad = replace(m, streams=tuple(broken if s.name == numeric.name else s for s in m.streams))
-        assert any("non-empty SI" in v for v in validate_session(replace(synthetic_session, manifest=bad)))
+        violations, _ = session_checks(replace(synthetic_session, manifest=bad))
+        assert any("non-empty SI" in v for v in violations)
 
     def test_series_nan_timestamp_detected(self, synthetic_session):
         from sessionforge.session import TimedSeries
@@ -816,7 +873,8 @@ class TestMutationDetection:
         bad = replace(
             synthetic_session, numeric={**synthetic_session.numeric, "ee_pose": bad_series}
         )
-        assert any("finite" in v for v in validate_session(bad))
+        broken, _ = session_checks(bad)
+        assert any("finite" in v for v in broken)
 
 
 def sidecars(csv):

@@ -18,7 +18,7 @@ from sessionforge.errors import (
     MalformedFrame,
     NeedMoreBytes,
 )
-from sessionforge.session import Channel, Task, load_session, validate_session
+from sessionforge.session import Channel, Task, load_session, session_checks
 from sessionforge.transport import (
     AudioDatagram,
     RecorderConfig,
@@ -458,6 +458,21 @@ class TestRecording:
         assert entries["other"].nominal_rate == pytest.approx(10.0)
         assert [c.name for c in entries["other"].channels] == ["ch0", "ch1"]
 
+    def test_stream_map_channel_the_header_cannot_hold_is_left_out(self, tmp_path):
+        """A mapped channel name with a comma would save a container whose CSV
+        header cannot load back; its topic is dropped, the others are saved."""
+        channels = (Channel("x", "m"), Channel("y,z", "m"))
+        config = RecorderConfig(session_root=tmp_path / "rec", stream_map={"ee": (100.0, channels)})
+        handle = start_recording(config)
+        frames = [
+            TcpFrame(topic, k / 10, (float(k), 0.0)) for k in range(20) for topic in ("ee", "other")
+        ]
+        self.send_frames(handle.tcp_port, frames)
+        with pytest.warns(UserWarning, match=r"topic 'ee' left out.*channels\['y,z'\]"):
+            session = handle.stop()
+        assert sorted(session.numeric) == ["other"]
+        assert sorted(load_session(tmp_path / "rec").numeric) == ["other"]
+
     def test_bad_topic_is_left_out_not_fatal(self, tmp_path):
         """A topic that breaks a stream invariant (one sample, or repeated
         timestamps) is dropped with a warning; the good topic is still saved."""
@@ -519,7 +534,7 @@ class TestRecording:
         loaded = load_session(tmp_path / "rec")
         assert loaded.audio["mic"].meta.sample_rate == 16000
         assert len(loaded.audio["mic"].samples) == 5 * 320
-        assert "streams[mic]: audio-rate-nonconformant (16000 Hz)" in validate_session(loaded)
+        assert "streams[mic]: audio-rate-nonconformant (16000 Hz)" in session_checks(loaded)[1]
 
     def test_stop_that_failed_to_save_can_be_repeated(self, tmp_path, monkeypatch):
         handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))

@@ -234,12 +234,8 @@ def _cmd_curate(args) -> int:
 
 
 def _collect_dialogues(root: Path) -> list[dlg.AnnotatedDialogue]:
-    manifests = curation.load_manifests(root)  # refuses a dataset that repeats a session_id
-    return [
-        d
-        for trial_dir, manifest in zip(sess.trial_dirs(root), manifests)
-        for d in sess.read_dialogues(trial_dir, manifest)
-    ]
+    pairs = curation.trial_manifests(root)  # refuses a dataset that repeats a session_id
+    return [d for trial_dir, manifest in pairs for d in sess.read_dialogues(trial_dir, manifest)]
 
 
 def _cmd_dialogue(args) -> int:

@@ -55,10 +55,7 @@ def label_trial(dataset_root: str | Path, trial_id: str, flags: list[str]) -> Se
     and raises IoError. A dataset that repeats a session_id is refused before
     anything is written.
     """
-    dirs = trial_dirs(dataset_root)
-    manifests = [read_manifest(trial_dir) for trial_dir in dirs]
-    _one_trial_per_id(manifests)
-    for trial_dir, manifest in zip(dirs, manifests):
+    for trial_dir, manifest in trial_manifests(dataset_root):
         if manifest.session_id != trial_id:
             continue
         parsed = tuple(Violation.parse(f) for f in flags)
@@ -118,11 +115,17 @@ def dataset_stats(manifests: list[SessionManifest]) -> DatasetStats:
     )
 
 
+def trial_manifests(dataset_root: str | Path) -> list[tuple[Path, SessionManifest]]:
+    """Each trial directory of a dataset with its manifest, from one walk of
+    the dataset, refused if a session_id repeats."""
+    pairs = [(trial_dir, read_manifest(trial_dir)) for trial_dir in trial_dirs(dataset_root)]
+    _one_trial_per_id([m for _, m in pairs])
+    return pairs
+
+
 def load_manifests(dataset_root: str | Path) -> list[SessionManifest]:
     """The manifests of a dataset's trials, refused if a session_id repeats."""
-    manifests = [read_manifest(trial_dir) for trial_dir in trial_dirs(dataset_root)]
-    _one_trial_per_id(manifests)
-    return manifests
+    return [m for _, m in trial_manifests(dataset_root)]
 
 
 def filter_successful(dataset_root: str | Path, strict: bool = True) -> list[str]:
@@ -170,8 +173,9 @@ def survey_stats(responses: dict[str, list[int]]) -> SurveySummary:
 def load_survey_csv(path: str | Path) -> dict[str, list[int]]:
     """Read survey responses: CSV columns question_id, participant_id, rating.
 
-    A missing file raises MissingFile; a missing column or a rating that is
-    not an integer raises MalformedSurvey naming the file and the line.
+    A missing file raises MissingFile; a missing column, a row without a
+    question_id or a rating that is not an integer raises MalformedSurvey
+    naming the file and the line.
     """
     import csv
 
@@ -185,6 +189,8 @@ def load_survey_csv(path: str | Path) -> dict[str, list[int]]:
         if missing:
             raise MalformedSurvey(f"{path}: line 1: missing column(s) {', '.join(missing)}")
         for row in reader:
+            if not row["question_id"]:  # None for a short row
+                raise MalformedSurvey(f"{path}: line {reader.line_num}: no question_id")
             try:
                 rating = int(row["rating"])
             except (TypeError, ValueError) as exc:  # TypeError: None for a short row

@@ -119,6 +119,8 @@ def _dialogue_to_record(d: AnnotatedDialogue) -> dict:
 
 
 def _dialogue_from_record(rec: dict, line_no: int = 0) -> AnnotatedDialogue:
+    """The dialogue of JSONL record ``rec``. A record of another shape, such as
+    ``labels`` that is not a JSON object, raises SerializationError naming it."""
     try:
         turns = tuple(
             Utterance(
@@ -147,7 +149,7 @@ def _dialogue_from_record(rec: dict, line_no: int = 0) -> AnnotatedDialogue:
             labels=labels,
             frame_refs=frame_refs,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"record {line_no}: {exc}") from exc
 
 

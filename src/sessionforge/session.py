@@ -46,16 +46,17 @@ leaves no manifest, so ``trial_dirs`` skips it. A file that cannot be read
 raises ``MissingFile`` or ``MalformedManifest`` naming it.
 
 The first read of a CSV leaves a hidden sidecar next to it,
-``.<name>.csv.<sha256>.npy``: the table parsed from the bytes read, in
-``.npy`` format, named after their digest. Later reads of the same bytes load
-the sidecar instead of parsing the text. An edited CSV no longer matches its
-sidecar's digest and is parsed again, and a sidecar that is unreadable or whose
-``.npy`` header, dtype, width or size is wrong is ignored and replaced. The
-sidecar's data bytes are trusted, not checked: a byte flipped in them changes
-what a load returns, and deleting the sidecars recovers the CSV's values,
-which stay canonical. Sidecars add about 40 % of the CSV bytes on disk and are
-safe to delete; a dataset that cannot be written, read-only say, is simply not
-cached.
+``.<name>.csv.<sha256>.<code>``, named after the digest of the bytes read and
+the table's dtype (``f8``, or ``i8`` for a selection): an 8-byte little-endian
+row count, then the rows parsed from those bytes, C order, little-endian.
+Later reads of the same bytes load the sidecar instead of parsing the text. An
+edited CSV no longer matches its sidecar's digest and is parsed again, and a
+sidecar that cannot be read or whose size does not match its row count is
+ignored and replaced. The sidecar's data bytes are trusted, not checked: a
+byte flipped in them changes what a load returns, and deleting the sidecars
+recovers the CSV's values, which stay canonical. Sidecars add about 40 % of
+the CSV bytes on disk and are safe to delete; a dataset that cannot be
+written, read-only say, is simply not cached.
 The cache pays only when the same bytes are read again: a first read costs
 a hash and a file write more than the parse, and a read of a dataset that
 cannot be written a hash more.
@@ -281,7 +282,8 @@ def describe_stream(name: str, data, rate: float | None = None) -> StreamDescrip
 def descriptor_violations(desc: StreamDescriptor) -> list[str]:
     """The invariants manifest entry ``desc`` breaks; one string per rule. Its
     name must be a plain file name, its file the path of its kind and name,
-    and each numeric channel name one cell of the CSV header that load reads."""
+    and each numeric channel name one cell of the CSV header that load reads,
+    and named once, or ``TimedSeries.channel_index`` finds only the first."""
     s, violations = desc, []
     if not isinstance(s.name, str) or s.name in ("", ".", "..") or set("/\\\0") & set(s.name):
         violations.append(f"streams[{s.name}].name: must be a plain file name")
@@ -296,6 +298,9 @@ def descriptor_violations(desc: StreamDescriptor) -> list[str]:
     if s.kind is StreamKind.NUMERIC:
         if len(s.channels) < 1:
             violations.append(f"streams[{s.name}].channels: numeric streams need >= 1 channel")
+        names = [ch.name for ch in s.channels if isinstance(ch.name, str)]
+        if len(set(names)) != len(names):
+            violations.append(f"streams[{s.name}].channels: a channel name repeats")
         for ch in s.channels:
             name = ch.name
             if not isinstance(name, str) or set(",\r\n") & set(name) or name != name.strip():
@@ -691,11 +696,12 @@ def _read_table(path: Path, header: list[str], dtype=np.float64) -> np.ndarray:
     cannot be read or decoded. A missing file raises MissingFile.
 
     The body is memoized in a hidden sidecar keyed on the sha256 of the CSV's
-    bytes (see ``_sidecar_name``), like a hash-checked ``.pyc``: the CSV stays
-    canonical, and the sidecar is used only when the digest it is named after
-    is the CSV's and it holds a 2-D ``dtype`` array as wide as the header.
-    Otherwise the body is parsed, and the parsed array is stored as the
-    sidecar, so a sidecar holds the parse of the bytes its name hashes.
+    bytes and on ``dtype`` (see ``_sidecar_name``), like a hash-checked
+    ``.pyc``: the CSV stays canonical, and the sidecar is used only when the
+    digest it is named after is the CSV's and its size matches its row count
+    at the header's width. Otherwise the body is parsed, and the parsed array
+    is stored as the sidecar, so a sidecar holds the parse of the bytes its
+    name hashes.
     """
     if not path.is_file():
         raise MissingFile(str(path))
@@ -705,7 +711,9 @@ def _read_table(path: Path, header: list[str], dtype=np.float64) -> np.ndarray:
         names = text.readline().strip().split(",")
         if names != header:
             raise MalformedManifest(f"{path}: header {names} is not {header}")
-        sidecar = path.with_name(_sidecar_name(path.name, hashlib.sha256(raw).hexdigest()))
+        dtype = np.dtype(dtype).newbyteorder("<")  # a sidecar's byte order
+        digest = hashlib.sha256(raw).hexdigest()
+        sidecar = path.with_name(_sidecar_name(path.name, digest, f"{dtype.kind}{dtype.itemsize}"))
         data = _read_sidecar(sidecar, dtype, len(header))
         if data is None:
             # universal newlines are applied; str.splitlines would also split
@@ -723,38 +731,24 @@ def _text(raw: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
 
 
-def _sidecar_name(csv_name: str, digest: str) -> str:
-    """``.<name>.<digest>.npy``, next to the CSV: hidden, and not ``*.csv``,
+def _sidecar_name(csv_name: str, digest: str, code: str) -> str:
+    """``.<name>.<digest>.<code>``, next to the CSV: hidden, and not ``*.csv``,
     so the container's CSV globs never pick it up."""
-    return f".{csv_name}.{digest}.npy"
+    return f".{csv_name}.{digest}.{code}"
 
 
-def _read_sidecar(sidecar: Path, dtype, width: int) -> np.ndarray | None:
-    """The sidecar's array, or None when it is missing, unreadable, or not a
-    2-D C-order ``dtype`` array ``width`` columns wide.
-
-    The ``.npy`` header is checked against the file's size before the body is
-    read, so a header that claims more data than the file holds allocates
-    nothing.
-    """
+def _read_sidecar(sidecar: Path, dtype: np.dtype, width: int) -> np.ndarray | None:
+    """The sidecar's ``(rows, width)`` table of ``dtype``, or None when it is
+    missing, unreadable, or not an 8-byte little-endian row count followed by
+    exactly that many rows. The size is checked before any row is read, so a
+    count that claims more rows than the file holds allocates nothing."""
     try:
         with sidecar.open("rb") as f:
-            # np.save writes format 1.0 for every table a sidecar holds
-            if np.lib.format.read_magic(f) != (1, 0):
+            rows = int.from_bytes(f.read(8), "little")
+            if os.fstat(f.fileno()).st_size != 8 + rows * width * dtype.itemsize:
                 return None
-            # numpy parses the header with ast.literal_eval, which on CPython 3.11
-            # can raise SystemError when threads race: a miss, the CSV is parsed
-            try:
-                shape, fortran_order, stored = np.lib.format.read_array_header_1_0(f)
-            except SystemError:
-                return None
-            if stored != dtype or fortran_order or len(shape) != 2 or shape[1] != width:
-                return None
-            count = shape[0] * width
-            if os.fstat(f.fileno()).st_size - f.tell() != count * stored.itemsize:
-                return None
-            return np.fromfile(f, stored, count).reshape(shape)
-    except (OSError, ValueError):
+            return np.fromfile(f, dtype, rows * width).reshape(rows, width)
+    except OSError:
         return None
 
 
@@ -806,16 +800,16 @@ def _replace_file(path: Path, data, mode: int | None = None) -> None:
 
 def _write_sidecar(path: Path, sidecar: Path, data: np.ndarray) -> None:
     """Store ``data``, parsed from ``path``, as its one sidecar, with
-    ``path``'s permissions, removing its stale ones. It is written whole
-    (``_replace_file``), so a reader never sees a partial sidecar. A dataset
-    that cannot be written, read-only say, is simply not cached.
+    ``path``'s permissions, removing its stale ones, of any digest or format.
+    It is written whole (``_replace_file``), so a reader never sees a partial
+    sidecar. A dataset that cannot be written, read-only say, is simply not
+    cached.
     """
     with contextlib.suppress(OSError):
-        buf = io.BytesIO()
-        np.save(buf, data, allow_pickle=False)
-        _replace_file(sidecar, buf.getbuffer(), stat.S_IMODE(path.stat().st_mode))
+        body = len(data).to_bytes(8, "little") + data.tobytes()
+        _replace_file(sidecar, body, stat.S_IMODE(path.stat().st_mode))
         any_digest = "?" * (2 * hashlib.sha256().digest_size)
-        for old in path.parent.glob(_sidecar_name(glob.escape(path.name), any_digest)):
+        for old in path.parent.glob(_sidecar_name(glob.escape(path.name), any_digest, "*")):
             if old != sidecar:
                 old.unlink()
 

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sessionforge import filters, transport
+from sessionforge import curation, filters, transport
+from sessionforge import session as sess
 from sessionforge.cli import denoise_and_sync, main, process_trial
 from sessionforge.curation import label_trial
 from sessionforge.dialogue import AnnotatedDialogue
@@ -785,6 +786,15 @@ BAD_USER_FILE_CASES = {
         "malformed-survey",
         "line 3",
     ),
+    "survey-short-row": (
+        "curate survey {file}", "rating,question_id\n5,q1\n4\n", "malformed-survey", "line 3"
+    ),
+    "survey-empty-question-id": (
+        "curate survey {file}",
+        "question_id,participant_id,rating\nq1,p1,5\n,p2,4\n",
+        "malformed-survey",
+        "line 3",
+    ),
     "survey-missing-column": (
         "curate survey {file}", "question_id,participant_id\nq1,p1\n", "malformed-survey", "rating"
     ),
@@ -830,6 +840,16 @@ class TestSynthCommand:
         assert code == 2
         assert "--seed" in err
         assert not (tmp_path / "s").exists()
+
+    def test_seed_overrides_the_scenario_file(self, capsys, tmp_path):
+        scenario = tmp_path / "sc.json"
+        scenario.write_text(json.dumps({"seed": 4, "task": "cleaning", "duration": 1.5}))
+        code, out, _ = run(
+            capsys, "synth", "--scenario", str(scenario), "--seed", "9", "--out", str(tmp_path),
+            "--as-trial",
+        )
+        assert code == 0 and out.startswith("wrote synth-cleaning-00000009 ")
+        assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["synth-cleaning-00000009"]
 
     def test_scenario_file(self, capsys, tmp_path):
         scenario = tmp_path / "sc.json"
@@ -992,6 +1012,48 @@ class TestDialogueCommands:
         dist = json.loads(out)
         assert dist["utterances"] == {"drinking": 3, "feeding": 6}
 
+    def test_stats_by_type(self, capsys, dataset):
+        root, trial_ids = dataset
+        path = root / trial_ids[0] / "dialogue.jsonl"
+        run(capsys, "dialogue", "annotate", "--file", str(path), "--trial", trial_ids[0],
+            "--turn", "0", "--clarity", "ambiguous", "--type", "spatial")
+        code, out, _ = run(capsys, "dialogue", "stats", "--root", str(root), "--by", "type")
+        assert code == 0
+        assert json.loads(out)["spatial"] == {"drinking": 0.0, "feeding": 1.0}
+
+    def test_a_trial_saved_during_the_walk_shifts_no_dialogue(self, capsys, dataset, monkeypatch):
+        """A trial whose save ends while ``dialogue stats`` walks the dataset,
+        as a recording's may, since the recorder writes its manifest last, is
+        left out whole: each trial's dialogues are read with its own manifest."""
+        root, _ = dataset
+        late, _ = gen_session(Scenario(seed=3, task=Task.DRINKING, duration=2.0))
+        late_dir = root / late.manifest.session_id  # sorts between the other trials
+        walk = sess.trial_dirs
+
+        def walk_then_save(dataset_root):
+            found = walk(dataset_root)
+            if not late_dir.exists():
+                save_session(late, late_dir)
+            return found
+
+        monkeypatch.setattr(curation, "trial_dirs", walk_then_save)
+        monkeypatch.setattr(sess, "trial_dirs", walk_then_save)
+        code, out, err = run(capsys, "--errors", "json", "dialogue", "stats", "--root", str(root))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["utterances"] == {"drinking": 3, "feeding": 6}
+
+    def test_annotate_unknown_trial(self, capsys, dataset):
+        root, trial_ids = dataset
+        path = root / trial_ids[0] / "dialogue.jsonl"
+        before = path.read_bytes()
+        code, _, err = run(
+            capsys, "--errors", "json", "dialogue", "annotate", "--file", str(path),
+            "--trial", "no-such-trial", "--turn", "0", "--clarity", "specific",
+        )
+        assert code == 1
+        assert json.loads(err)["message"] == f"trial no-such-trial not found in {path}"
+        assert path.read_bytes() == before
+
     def test_annotate_rewrites_file(self, capsys, dataset):
         root, trial_ids = dataset
         path = root / trial_ids[0] / "dialogue.jsonl"
@@ -1014,6 +1076,14 @@ class TestDialogueCommands:
 
 
 class TestPipeline:
+    @pytest.mark.parametrize("command", ["pipeline", "report"])
+    def test_root_without_trials(self, capsys, tmp_path, command):
+        (tmp_path / "empty").mkdir()
+        code, out, err = run(capsys, "--errors", "json", command, "--root", str(tmp_path / "empty"))
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == f"no trials under {tmp_path / 'empty'}"
+        assert list(tmp_path.iterdir()) == [tmp_path / "empty"]
+
     def test_one_nan_sample_is_not_smeared(self, tmp_path):
         """One NaN in a raw stream stays one sample through the native-rate
         prefilter, so sync bridges it and the trial is scored."""

@@ -148,3 +148,17 @@ def test_dialogue_record_of_another_trial(capsys, tmp_path, pristine, field, val
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert json.loads(captured.err)["code"] == "invariant-violation"
+
+
+@pytest.mark.parametrize("field", ["labels", "frame_refs"])
+def test_dialogue_field_that_is_not_an_object(capsys, tmp_path, pristine, field):
+    copy = tmp_path / "data"
+    shutil.copytree(pristine / "data", copy)
+    path = copy / "trial" / "dialogue.jsonl"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record[field] = []
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code = main(["--errors", "json", "report", "--root", str(copy)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert json.loads(captured.err)["code"] == "malformed-manifest"

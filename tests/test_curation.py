@@ -16,6 +16,7 @@ from sessionforge.curation import (
 from sessionforge.errors import (
     EmptyInput,
     EmptyQuestion,
+    MalformedSurvey,
     OutOfRangeRating,
     UnknownTrial,
     UnlabeledTrial,
@@ -200,3 +201,14 @@ class TestSurvey:
             writer.writerows([["q1", "p1", 4], ["q1", "p2", 5], ["q2", "p1", 3]])
         responses = load_survey_csv(path)
         assert responses == {"q1": [4, 5], "q2": [3]}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["rating,question_id\n5,q1\n4\n", "question_id,participant_id,rating\nq1,p1,5\n,p2,4\n"],
+        ids=["short-row", "empty-cell"],
+    )
+    def test_row_without_question_id(self, tmp_path, text):
+        path = tmp_path / "survey.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedSurvey, match=r"line 3: no question_id"):
+            load_survey_csv(path)

@@ -171,6 +171,13 @@ class TestJsonl:
         with pytest.raises((SerializationError, LabelSchemaViolation)):
             import_jsonl(json.dumps(rec).encode() + b"\n")
 
+    @pytest.mark.parametrize("field", ["labels", "frame_refs"])
+    @pytest.mark.parametrize("value", [[], "x", 3])
+    def test_field_that_is_not_an_object(self, field, value):
+        rec = {"trial_id": "a", "task": "b", "turns": [], field: value}
+        with pytest.raises(SerializationError, match=r"^record 1: "):
+            import_jsonl(b"\n" + json.dumps(rec).encode() + b"\n")
+
     def test_blank_lines_skipped(self):
         data = export_jsonl([simple_dialogue()])
         assert import_jsonl(b"\n" + data + b"\n\n") == [simple_dialogue()]

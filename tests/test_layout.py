@@ -1,7 +1,7 @@
 """The session container layout has one owner: only ``session.py`` names the
-files of the trial and synced containers, the ``.npy`` sidecars that cache
-their CSVs included, calls the manifest codec or imports the private helpers
-of ``session.py``. Every other module goes through ``read_manifest``,
+files of the trial and synced containers, the sidecars that cache their CSVs
+included, calls the manifest codec or imports the private helpers of
+``session.py``. Every other module goes through ``read_manifest``,
 ``trial_dirs``, ``read_dialogues``, ``load_synced`` and friends."""
 
 import ast
@@ -17,7 +17,7 @@ OWNED = (
     "streams/",
     ".timestamps.csv",
     ".wav",
-    ".npy",
+    ".csv.",  # in a sidecar's name, ``.<name>.csv.<sha256>.<dtype code>``
     "_sidecar",
     "_manifest_from_dict",
     "_manifest_to_dict",
@@ -87,6 +87,43 @@ def test_stream_roles_are_matched_only_in_filters():
         or (isinstance(node, ast.ImportFrom) and node.module == "re")
     }
     assert importers == {"filters.py"}
+
+
+NPY_CODEC = {f"{numpy}.{name}" for numpy in ("np", "numpy") for name in ("save", "load", "lib.format")}
+
+
+def _npy_codec_uses(tree: ast.AST) -> list[str]:
+    """The uses in ``tree`` of numpy's ``.npy`` codec: ``np.save``,
+    ``np.load`` and ``np.lib.format``, spelled ``np`` or ``numpy``, called or
+    imported."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+        else:
+            names = []
+        found += [name for name in names if name in NPY_CODEC]
+    return found
+
+
+def test_one_sidecar_codec():
+    """A sidecar has one writer, ``session._write_sidecar``, and one reader,
+    ``session._read_sidecar``, in one format: no module in the package saves,
+    loads or parses numpy's ``.npy`` files."""
+    sample = ast.parse(
+        "np.save(p, a); numpy.load(p); np.lib.format.read_magic(f)\n"
+        "from numpy.lib.format import read_array_header_1_0; from numpy import save\n"
+        "np.fromfile(f, d, n); np.loadtxt(lines); np.savetxt(p, a); np.lib.stride_tricks"
+    )
+    assert len(_npy_codec_uses(sample)) == 5
+    found = [
+        f"{module.name}: {use}"
+        for module in sorted(SRC.glob("*.py"))
+        for use in _npy_codec_uses(ast.parse(module.read_text(encoding="utf-8")))
+    ]
+    assert found == []
 
 
 def test_one_manifest_reader():

@@ -34,6 +34,7 @@ from sessionforge.session import (
     _BLOCK_VALUES,
     _fixed_tables,
     _read_series_csv,
+    _read_sidecar,
     _read_table,
     _replace_file,
     _table_bytes,
@@ -735,6 +736,23 @@ class TestChannelNames:
         with pytest.raises(MalformedManifest, match=r"streams\[ee_pose\]\.channels"):
             read_manifest(tmp_path / "trial")
 
+    def test_save_refuses_a_repeated_name(self, synthetic_session, tmp_path):
+        """``x, y, x``: ``channel_index`` would find only the first ``x``."""
+        bad = _with_last_ee_channel(synthetic_session, "x")
+        with pytest.raises(InvariantViolation, match=r"streams\[ee_pose\]\.channels: a channel"):
+            save_session(bad, tmp_path / "trial")
+        assert not (tmp_path / "trial").exists()
+
+    def test_read_manifest_refuses_a_repeated_name(self, synthetic_session, tmp_path):
+        save_session(synthetic_session, tmp_path / "trial")
+        path = tmp_path / "trial" / "manifest.json"
+        d = json.loads(path.read_text(encoding="utf-8"))
+        entry = next(s for s in d["streams"] if s["name"] == "ee_pose")
+        entry["channels"][-1]["name"] = entry["channels"][0]["name"]
+        path.write_text(json.dumps(d), encoding="utf-8")
+        with pytest.raises(MalformedManifest, match=r"streams\[ee_pose\]\.channels: a channel"):
+            read_manifest(tmp_path / "trial")
+
     def test_a_name_with_inner_space_round_trips(self, synthetic_session, tmp_path):
         session = _with_last_ee_channel(synthetic_session, "z axis")
         save_session(session, tmp_path / "trial")
@@ -894,6 +912,10 @@ def no_parse(*args, **kwargs):
     raise AssertionError("parsed a CSV that has a valid sidecar")
 
 
+def no_rows(*args, **kwargs):
+    raise AssertionError("read the rows of a sidecar whose size is wrong")
+
+
 # Tables a sidecar must reproduce bit for bit: a negative NaN is written as
 # "nan" and parses back positive, so the sidecar holds the parse, not the table.
 SIDECAR_TABLES = {
@@ -906,21 +928,18 @@ SIDECAR_TABLES = {
 }
 
 
+def count_bytes(rows):
+    """A sidecar's header: its row count, 8 bytes little-endian."""
+    return rows.to_bytes(8, "little")
+
+
 def huge_header(path, data):
-    """A valid ``.npy`` header claiming far more rows than the file holds."""
-    header = {"descr": "<f8", "fortran_order": False, "shape": (1 << 40, data.shape[1])}
-    with path.open("wb") as f:
-        np.lib.format.write_array_header_1_0(f, header)
-        f.write(data.tobytes())
-
-
-def format_2_0(path, data):
-    """The same table in ``.npy`` format 2.0, which ``np.save`` does not write for it."""
-    with path.open("wb") as f:
-        np.lib.format.write_array(f, data, version=(2, 0))
+    """A row count of 2**40 over the sidecar's own rows."""
+    path.write_bytes(count_bytes(1 << 40) + data.tobytes())
 
 
 XY = ["t", "x", "y"]  # the header of TestSidecar's table
+F8 = np.dtype("<f8")  # the dtype of its sidecar
 
 
 class TestSidecar:
@@ -986,53 +1005,62 @@ class TestSidecar:
     @pytest.mark.parametrize(
         "spoil",
         [
-            lambda path, data: path.write_bytes(b"not an npy file"),
+            lambda path, data: path.write_bytes(b"not a sidecar"),
             lambda path, data: path.write_bytes(path.read_bytes()[:-8]),
+            lambda path, data: path.write_bytes(path.read_bytes()[: -3 * 8]),
+            lambda path, data: path.write_bytes(path.read_bytes() + data[:1].tobytes()),
             lambda path, data: path.write_bytes(b""),
-            lambda path, data: np.save(path, data.astype(np.float32)),
-            lambda path, data: np.save(path, data[:, :2]),
-            lambda path, data: np.save(path, data.ravel()),
-            lambda path, data: np.save(path, data.astype(object), allow_pickle=True),
-            lambda path, data: np.save(path, np.asfortranarray(data)),
+            lambda path, data: path.write_bytes(
+                count_bytes(len(data)) + data.astype(np.float32).tobytes()
+            ),
+            lambda path, data: path.write_bytes(count_bytes(len(data)) + data[:, :2].tobytes()),
             huge_header,
-            format_2_0,
         ],
         ids=[
             "corrupt",
             "truncated",
+            "short-a-row",
+            "extra-row",
             "empty",
             "wrong-dtype",
             "wrong-width",
-            "1-d",
-            "pickled",
-            "fortran-order",
             "huge-header",
-            "format-2.0",
         ],
     )
-    def test_bad_sidecar_falls_back_and_is_replaced(self, csv, spoil):
+    def test_bad_sidecar_falls_back_and_is_replaced(self, csv, spoil, monkeypatch):
+        """A sidecar whose size is not its row count's is a miss, found
+        before any row is read, and is replaced by the parse."""
         want = fresh_parse(csv)
         _read_table(csv, XY)
         (sidecar,) = sidecars(csv)
         spoil(sidecar, want)
+        with monkeypatch.context() as m:
+            m.setattr(np, "fromfile", no_rows)
+            assert _read_sidecar(sidecar, F8, len(XY)) is None
         data = _read_table(csv, XY)
         assert same_bits(data, want)
         assert sidecars(csv) == [sidecar]
-        assert same_bits(np.load(sidecar, allow_pickle=False), want)
+        assert same_bits(_read_sidecar(sidecar, F8, len(XY)), want)
 
-    def test_header_parse_system_error_is_a_miss(self, csv, monkeypatch):
-        """numpy parses a ``.npy`` header with ``ast.literal_eval``, which can
-        raise SystemError when threads race; the CSV is then parsed again."""
-
-        def racing(*args, **kwargs):
-            raise SystemError("AST constructor recursion depth mismatch (before=30, after=26)")
-
+    def test_sidecar_is_a_row_count_and_its_rows(self, csv):
         _read_table(csv, XY)
-        monkeypatch.setattr(np.lib.format, "read_array_header_1_0", racing)
-        data = _read_table(csv, XY)
-        assert same_bits(data, fresh_parse(csv)) and len(sidecars(csv)) == 1
+        (sidecar,) = sidecars(csv)
+        want = fresh_parse(csv)
+        assert sidecar.name.endswith(".f8")
+        assert sidecar.read_bytes() == count_bytes(len(want)) + want.astype("<f8").tobytes()
 
-    @pytest.mark.parametrize("call", ["os.open", "numpy.save", "os.replace"])
+    def test_old_npy_sidecar_is_a_miss_and_is_swept(self, csv):
+        """A sidecar of another format, say a ``.npy`` of the same digest, is
+        not read; the CSV is parsed, and its new sidecar is its only one."""
+        want = fresh_parse(csv)
+        _read_table(csv, XY)
+        (sidecar,) = sidecars(csv)
+        sidecar.unlink()
+        np.save(sidecar.with_name(sidecar.name[: -len("f8")] + "npy"), want)
+        assert same_bits(_read_table(csv, XY), want)
+        assert sidecars(csv) == [sidecar]
+
+    @pytest.mark.parametrize("call", ["os.open", "os.fchmod", "os.replace"])
     def test_failed_sidecar_write_still_loads(self, csv, monkeypatch, call):
         def fail(*args, **kwargs):
             raise OSError(30, "Read-only file system")
@@ -1065,7 +1093,7 @@ class TestSidecar:
         def interrupt(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(np, "save", interrupt)
+        monkeypatch.setattr(os, "fchmod", interrupt)  # inside the sidecar's write
         with pytest.raises(KeyboardInterrupt):
             _read_table(csv, XY)
         assert sidecars(csv) == []
@@ -1147,4 +1175,4 @@ class TestSidecar:
         assert len(results) == 160 and all(same_bits(r, want) for r in results)
         (sidecar,) = sidecars(csv)
         assert sorted(csv.parent.iterdir()) == [sidecar, csv]
-        assert same_bits(np.load(sidecar, allow_pickle=False), want)
+        assert same_bits(_read_sidecar(sidecar, F8, len(XY)), want)

@@ -214,6 +214,19 @@ class TestInterpolateNumeric:
         assert np.isfinite(out.values).all()
         np.testing.assert_allclose(out.values[:, 0], 2 * out.timestamps, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "valid", [slice(100, 101), slice(0, 150), slice(50, 201)], ids=["one", "late-end", "late-start"]
+    )
+    def test_too_few_valid_samples(self, valid):
+        """A channel whose finite samples are fewer than two, or do not span
+        the grid, cannot be bridged."""
+        t = np.linspace(0, 2, 201)
+        v = np.full((201, 1), np.nan)
+        v[valid] = 1.0
+        grid = build_reference_grid(OverlapWindow(0, 2), 12.0)
+        with pytest.raises(UnbridgeableGap, match=r"^channel x: too few valid samples$"):
+            interpolate_numeric(series(t, v), grid)
+
     def test_unbridgeable_gap(self):
         t = np.linspace(0, 2, 201)
         v = np.ones((201, 1))

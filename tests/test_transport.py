@@ -473,6 +473,19 @@ class TestRecording:
         assert sorted(session.numeric) == ["other"]
         assert sorted(load_session(tmp_path / "rec").numeric) == ["other"]
 
+    def test_stream_map_with_a_repeated_channel_is_left_out(self, tmp_path):
+        channels = (Channel("x", "m"), Channel("x", "m"))
+        config = RecorderConfig(session_root=tmp_path / "rec", stream_map={"ee": (100.0, channels)})
+        handle = start_recording(config)
+        frames = [
+            TcpFrame(topic, k / 10, (float(k), 0.0)) for k in range(20) for topic in ("ee", "other")
+        ]
+        self.send_frames(handle.tcp_port, frames)
+        with pytest.warns(UserWarning, match=r"topic 'ee' left out.*a channel name repeats"):
+            session = handle.stop()
+        assert sorted(session.numeric) == ["other"]
+        assert sorted(load_session(tmp_path / "rec").numeric) == ["other"]
+
     def test_bad_topic_is_left_out_not_fatal(self, tmp_path):
         """A topic that breaks a stream invariant (one sample, or repeated
         timestamps) is dropped with a warning; the good topic is still saved."""

@@ -17,9 +17,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import curation, dialogue as dlg, filters, metrics, session as sess, sync, synth
+from . import curation, dialogue as dlg, session as sess, sync, synth
 from .errors import MissingFile, SessionForgeError
+
+if TYPE_CHECKING:  # each command that filters or scores imports these, and with them scipy
+    from . import filters, metrics
 
 ENV_ROOT = "SESSIONFORGE_ROOT"
 
@@ -37,6 +41,7 @@ def _aggregate_to_dict(agg: metrics.TaskAggregate) -> dict:
 
 def _comfort_entry(wheelchair_mean_jerk: float) -> dict:
     """The comfort band field that ``analyze`` and the report give a mean jerk."""
+    from . import metrics
     return {"wheelchair_comfort_band": metrics.comfort_check(wheelchair_mean_jerk).wheelchair_band}
 
 
@@ -49,6 +54,7 @@ def denoise_and_sync(
     The grid-rate stage takes every stream the native stage left; a stream of
     no policy class passes through there with one warning. Each stage is
     called through its module."""
+    from . import filters
     prefiltered, done = filters.denoise_raw(raw, policy, strict=False)
     synced = sync.sync_session(prefiltered, tau=tau)
     rest = {name: series for name, series in synced.numeric.items() if name not in done}
@@ -65,6 +71,7 @@ def process_trial(
     ``denoise_and_sync``, its dialogues and its manifest, a small picklable
     value holding no arrays. No stage reads audio, so each WAV's header is
     checked and its samples are left unread."""
+    from . import metrics
     raw = sess.load_session(trial_dir, audio=False)
     synced = denoise_and_sync(raw, tau, policy)
     return metrics.compute_trial_metrics(synced), raw.dialogues, raw.manifest
@@ -76,6 +83,7 @@ def build_report(
     manifests: list[sess.SessionManifest],
 ) -> dict:
     """Consolidated report: task performance, dialogue, and curation tables."""
+    from . import metrics
     by_task = metrics.aggregate_by_task(trials)
     tasks = {}
     for task, row in by_task.items():
@@ -106,7 +114,8 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# The prefix of each reported metric's mean and sd columns in the CSV report.
+# The prefix of each reported metric's mean and sd columns in the CSV report,
+# in column order.
 CSV_PREFIXES = {
     "duration": "duration",
     "ee_path_length": "path",
@@ -119,7 +128,7 @@ def _report_csv(report: dict) -> str:
     def fmt(v):
         return "" if v is None else repr(v)
 
-    stats = [(m, stat) for m in metrics.REPORTED_METRICS for stat in ("mean", "sd")]
+    stats = [(m, stat) for m in CSV_PREFIXES for stat in ("mean", "sd")]
     lines = [",".join(["task", "n"] + [f"{CSV_PREFIXES[m]}_{stat}" for m, stat in stats])]
     for task, row in sorted(report["tasks"].items()):
         lines.append(",".join([task, str(row["n"])] + [fmt(row[m][stat]) for m, stat in stats]))
@@ -177,12 +186,14 @@ def _cmd_sync(args) -> int:
 
 
 def _load_policy(spec: str) -> filters.DenoisePolicy:
+    from . import filters
     if spec == "default":
         return filters.DenoisePolicy.default()
     return sess.read_user_json(Path(spec), filters.DenoisePolicy.from_json_dict, "denoise policy")
 
 
 def _cmd_denoise(args) -> int:
+    from . import filters
     policy = _load_policy(args.policy)
     synced = sess.load_synced(args.input)
     denoised = filters.denoise_session(synced, policy, strict=not args.lenient)
@@ -193,6 +204,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import metrics
     synced = sess.load_synced(args.input)
     tm = metrics.compute_trial_metrics(synced)
     payload = {**tm.to_json_dict(), **_comfort_entry(tm.wheelchair_mean_jerk)}
@@ -249,15 +261,12 @@ def _cmd_dialogue(args) -> int:
             clarity=dlg.Clarity(args.clarity),
             ambiguity_type=dlg.AmbiguityType(args.type) if args.type else None,
         )
-        updated = []
-        found = False
-        for d in dialogues:
-            if d.trial_id == args.trial:
-                d = dlg.annotate_utterance(d, args.turn, label)
-                found = True
-            updated.append(d)
-        if not found:
+        if all(d.trial_id != args.trial for d in dialogues):
             raise SessionForgeError(f"trial {args.trial} not found in {path}")
+        updated = [
+            dlg.annotate_utterance(d, args.turn, label) if d.trial_id == args.trial else d
+            for d in dialogues
+        ]
         _write_user_file(path, dlg.export_jsonl(updated))
         print(f"labeled {args.trial} turn {args.turn}: {args.clarity}" + (f"/{args.type}" if args.type else ""))
         return 0
@@ -289,7 +298,7 @@ def _cmd_pipeline(args) -> int:
         raise SessionForgeError(f"no trials under {root}")
 
     work = (process_trial, trial_dirs, repeat(args.tau), repeat(policy))
-    if args.jobs > 1:  # threads: GIL-bound, no faster than one job
+    if args.jobs > 1:  # threads: GIL-bound, so little faster than one job
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(*work))
     else:

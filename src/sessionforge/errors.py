@@ -44,20 +44,6 @@ class MalformedFrame(SessionForgeError):
     code = "malformed-frame"
 
 
-class NeedMoreBytes(SessionForgeError):
-    """Raised by the frame decoder when the buffer holds only a partial frame.
-
-    ``missing`` is a lower bound on the number of additional bytes required.
-    """
-
-    module = "transport_gateway"
-    code = "need-more-bytes"
-
-    def __init__(self, missing: int):
-        super().__init__(f"need at least {missing} more bytes")
-        self.missing = missing
-
-
 class BindError(SessionForgeError):
     module = "transport_gateway"
     code = "bind-error"

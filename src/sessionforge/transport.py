@@ -20,13 +20,14 @@ each connection once, up to 64 KB, and takes the queued datagrams up to a
 fixed per-pass budget, so a TCP flood cannot starve the audio. TCP flow
 control is the backpressure.
 
-A connection's chunk is decoded in one loop that checks each frame by
-``frame_decode``'s rules and appends its timestamp and values, as their wire
-bytes (8 per value), to its topic's buffer, without building a frame object;
-per-topic arrival order is kept, cross-stream order is unspecified. Each topic
-is converted to one array once, at ``stop()``. A topic whose name is not UTF-8
-is a malformed frame every time. A malformed frame is counted and skipped by
-its declared length, and a partial frame waits for the connection's next chunk.
+One loop, ``_walk``, decides which frames are well formed, for the recorder's
+chunks and ``frame_decode`` alike. It appends each frame's timestamp and
+values, as their wire bytes (8 per value), to its topic's buffer; per-topic
+arrival order is kept, cross-stream order is unspecified. Each topic is
+converted to one array once, at ``stop()``. A malformed frame, such as one
+whose topic is not UTF-8, is counted and skipped by its declared length, and a
+partial frame waits for the connection's next chunk. A length above 1 MiB would
+skip the rest of the stream: it is malformed at once, and the connection closed.
 
 ``stop()`` is the cut-off: it wakes the thread, which stops after its current
 read and takes, without waiting, what the sockets hold: the connections in
@@ -41,7 +42,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import operator
 import selectors
 import socket
 import struct
@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BindError, InvariantViolation, MalformedFrame, NeedMoreBytes
+from .errors import BindError, InvariantViolation, MalformedFrame
 from .session import (
     AudioMeta,
     AudioTrack,
@@ -68,8 +68,10 @@ from .session import (
     utc_now,
 )
 
-# smallest valid frame body: 1-byte topic + terminator + timestamp
-_MIN_BODY = 1 + 1 + 8
+# the longest frame body a length field may declare
+_MAX_BODY = 1 << 20
+# a topic's name bytes -> (its frames' timestamp and value bytes, their sizes)
+_Topics = dict[bytes, tuple[bytearray, set[int]]]
 _U32 = struct.Struct(">I")
 _RECV_BYTES = 65536
 _BACKLOG = 16
@@ -96,39 +98,79 @@ class TcpFrame:
             + struct.pack(">d", self.timestamp)
             + struct.pack(f">{len(self.values)}d", *self.values)
         )
+        if len(body) > _MAX_BODY:  # no receiver would take it
+            raise MalformedFrame(f"body of {len(body)} bytes above the {_MAX_BODY}-byte bound")
         return struct.pack(">I", len(body)) + body
 
 
-def frame_decode(data: bytes, offset: int = 0) -> tuple[TcpFrame, int]:
-    """Decode one frame starting at ``data[offset]``.
+def _new_topic(topics: _Topics, name: bytes) -> tuple[bytearray, set[int]] | None:
+    """A new entry in ``topics`` for the topic ``name``; None, and no entry,
+    when ``name`` is not UTF-8."""
+    try:
+        name.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return topics.setdefault(name, (bytearray(), set()))
 
-    Returns (frame, bytes consumed). Raises NeedMoreBytes for a partial frame
-    and MalformedFrame for an invalid one.
-    """
-    avail = len(data) - offset
-    if avail < 4:
-        raise NeedMoreBytes(4 - avail)
-    (length,) = _U32.unpack_from(data, offset)
-    if length < _MIN_BODY:
-        raise MalformedFrame(f"length field {length} below minimum frame body {_MIN_BODY}")
-    total = 4 + length
-    if avail < total:
-        raise NeedMoreBytes(total - avail)
-    start, end = offset + 4, offset + total
-    nul = data.find(b"\x00", start, end)
-    if nul <= start:  # -1 (no terminator) or an empty topic
+
+def _walk(topics: _Topics, buf: bytes) -> tuple[int, int, int | None]:
+    """Add each well-formed frame in ``buf`` to ``topics`` and skip each malformed
+    one by its declared length. Returns both counts and the offset of the partial
+    frame at the end, or None at a length above ``_MAX_BODY``, which ends the walk."""
+    unpack, find = _U32.unpack_from, buf.find
+    frames = malformed = 0
+    off, end = 0, len(buf)
+    while end - off >= 4:
+        start = off + 4
+        length = unpack(buf, off)[0]
+        if length > _MAX_BODY:
+            return frames, malformed + 1, None
+        nxt = start + length
+        if nxt > end:
+            break
+        nul = find(b"\x00", start, nxt)
+        size = nxt - nul - 1  # timestamp and values
+        # a body too short for a topic, its terminator and a timestamp fails one of these
+        entry = None
+        if nul > start and size >= 8 and not size % 8:
+            key = buf[start:nul]
+            entry = topics.get(key) or _new_topic(topics, key)
+        if entry is None:
+            malformed += 1
+        else:
+            entry[0].extend(buf[nul + 1 : nxt])
+            entry[1].add(size)
+            frames += 1
+        off = nxt
+    return frames, malformed, off
+
+
+def frame_decode(data: bytes) -> tuple[TcpFrame, int]:
+    """Decode the frame at the start of ``data``, walking exactly its declared
+    bytes, into (frame, bytes consumed). Raises MalformedFrame, naming the first
+    failing part, for a refused frame and for a ``data`` that holds part of one."""
+    length = _U32.unpack_from(data)[0] if len(data) >= 4 else 0
+    topics: _Topics = {}
+    frames, malformed, end = _walk(topics, data[: 4 + length])
+    if frames:
+        ((name, (values, _)),) = topics.items()
+        numbers = struct.unpack(f">{len(values) // 8}d", values)
+        return TcpFrame(name.decode("utf-8"), numbers[0], numbers[1:]), end
+    if end is None:
+        raise MalformedFrame(f"length field {length} above the {_MAX_BODY}-byte bound")
+    if not malformed:
+        raise MalformedFrame(f"partial frame: {len(data)} of at least {4 + length} bytes")
+    # the walk refused the frame: name the part that fails first
+    topic, terminator, stamped = data[4 : 4 + length].partition(b"\x00")
+    if not (topic and terminator):
         raise MalformedFrame("missing or empty topic before terminator")
     try:
-        topic = data[start:nul].decode("utf-8")
+        topic.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedFrame(f"topic not valid UTF-8: {exc}") from exc
-    payload = end - nul - 1 - 8
-    if payload < 0:
+    if len(stamped) < 8:
         raise MalformedFrame("frame too short for timestamp")
-    if payload % 8 != 0:
-        raise MalformedFrame(f"payload length {payload} not a multiple of 8")
-    numbers = struct.unpack_from(f">{payload // 8 + 1}d", data, nul + 1)
-    return TcpFrame(topic, numbers[0], numbers[1:]), total
+    raise MalformedFrame(f"payload length {len(stamped) - 8} not a multiple of 8")
 
 
 @dataclass(frozen=True)
@@ -195,19 +237,6 @@ def audio_reassemble(datagrams: list[AudioDatagram]) -> tuple[bytes, GapReport]:
 
 
 # -- live recorder ----------------------------------------------------------
-
-def _new_topic(
-    topics: dict[bytes, tuple[bytearray, set[int]]], name: bytes
-) -> tuple[bytearray, set[int]] | None:
-    """A new entry in ``topics`` for the topic ``name``; None, and no entry,
-    when ``name`` is not UTF-8."""
-    try:
-        name.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    entry = topics[name] = (bytearray(), set())
-    return entry
-
 
 def _take_queued(sock: socket.socket) -> bytes:
     """At the cut-off: the bytes the kernel has received for ``sock`` and not
@@ -287,8 +316,7 @@ class RecordingHandle:
             )
         self.config = config
         # written only by the recording thread
-        # topic name bytes -> (its frames' timestamp and value bytes, their sizes)
-        self._topics: dict[bytes, tuple[bytearray, set[int]]] = {}
+        self._topics: _Topics = {}
         self._datagrams: list[AudioDatagram] = []
         # each open connection -> the partial frame at the end of its last chunk
         self._rest: dict[socket.socket, bytes] = {}
@@ -383,42 +411,18 @@ class RecordingHandle:
             return 0
         except OSError:
             return None
-        if not chunk:
+        rest = self._ingest(self._rest[conn] + chunk) if chunk else None
+        if rest is None:
             return None
-        self._rest[conn] = self._ingest(self._rest[conn] + chunk)
+        self._rest[conn] = rest
         return len(chunk)
 
-    def _ingest(self, buf: bytes) -> bytes:
-        """Record every whole frame in ``buf``; return the partial frame at its end.
-
-        A frame that ``frame_decode`` would accept adds its timestamp and value
-        bytes to its topic; a malformed one is skipped by its declared length."""
-        topics = self._topics
-        unpack, find = _U32.unpack_from, buf.find
-        frames = malformed = 0
-        off, end = 0, len(buf)
-        while end - off >= 4:
-            start = off + 4
-            nxt = start + unpack(buf, off)[0]
-            if nxt > end:
-                break
-            nul = find(b"\x00", start, nxt)
-            size = nxt - nul - 1  # timestamp and values
-            # a body under _MIN_BODY fails one of these checks
-            entry = None
-            if nul > start and size >= 8 and not size % 8:
-                key = buf[start:nul]
-                entry = topics.get(key) or _new_topic(topics, key)
-            if entry is None:
-                malformed += 1
-            else:
-                entry[0].extend(buf[nul + 1 : nxt])
-                entry[1].add(size)
-                frames += 1
-            off = nxt
+    def _ingest(self, buf: bytes) -> bytes | None:
+        """Record the whole frames in ``buf``; return the rest, or None to close (``_walk``)."""
+        frames, malformed, end = _walk(self._topics, buf)
         self.frames_received += frames
         self.malformed_frames += malformed
-        return buf[off:]
+        return None if end is None else buf[end:]
 
     def _recv_datagram(self) -> int | None:
         try:
@@ -461,7 +465,7 @@ class RecordingHandle:
         if self._datagrams:
             pcm, self.gap_report = audio_reassemble(self._datagrams)
             # a sequence past the fill bound is refused, like a malformed datagram
-            sequences = len(set(map(operator.attrgetter("sequence"), self._datagrams)))
+            sequences = len({d.sequence for d in self._datagrams})
             self.malformed_frames += sequences - self.gap_report.received
             audio[cfg.audio_stream] = AudioTrack(self._audio_meta, np.frombuffer(pcm, dtype="<i2"))
 

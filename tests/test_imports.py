@@ -48,7 +48,7 @@ def fresh(code: str) -> str:
         "import sessionforge",
         *(
             f"import sessionforge.{module}"
-            for module in ("transport", "session", "curation", "dialogue", "sync", "synth")
+            for module in ("transport", "session", "curation", "dialogue", "sync", "synth", "cli")
         ),
         "from sessionforge import RecorderConfig, Scenario, gen_session, load_session",
     ],

@@ -138,6 +138,54 @@ def test_one_manifest_reader():
     assert readers == ["read_manifest"]
 
 
+FRAME_CHECKS = {
+    "topic terminator": lambda node: isinstance(node, ast.Call)
+    and ast.unparse(node.func).endswith("find")
+    and ast.unparse(node.args[:1]) == "b'\\x00'",
+    "topic": lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_new_topic",
+    "payload size": lambda node: isinstance(node, ast.BinOp)
+    and isinstance(node.op, ast.Mod)
+    and ast.unparse(node.right) == "8",
+    "length bound": lambda node: isinstance(node, ast.Compare) and "_MAX_BODY" in ast.unparse(node),
+}
+
+
+def _frame_checks(tree: ast.AST) -> set[tuple[str, str]]:
+    """(check, function) for each of ``FRAME_CHECKS`` a function in ``tree``
+    applies, named by its innermost function."""
+    found = set()
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else function
+            found.update((check, name) for check, test in FRAME_CHECKS.items() if test(child))
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_frame_walker():
+    """``transport._walk`` is the one rule of a well-formed TCP frame: no
+    other function looks for the topic terminator with ``find``, makes a
+    topic, tests a payload's size or holds a length field to the bound.
+    ``frame_decode`` accepts and refuses through it, and words why only after
+    the walk refused; ``TcpFrame.encode`` refuses a body above the bound."""
+    sample = ast.parse(
+        'def f(buf, n):\n    buf.find(b"\\x00", 4); _new_topic(t, k); n % 8; n > _MAX_BODY\n'
+        'def g(buf, n):\n    buf.find(b"x"); n % 4; _MAX_BODY + 1'
+    )
+    assert _frame_checks(sample) == {(check, "f") for check in FRAME_CHECKS}
+    found = {
+        (check, f"{module.stem}.{function}")
+        for module in sorted(SRC.glob("*.py"))
+        for check, function in _frame_checks(ast.parse(module.read_text(encoding="utf-8")))
+    }
+    assert found == {(check, "transport._walk") for check in FRAME_CHECKS} | {
+        ("length bound", "transport.encode")
+    }
+
+
 def _file_writes(tree: ast.AST) -> list[ast.Call]:
     """The calls in ``tree`` that may write a file: ``write_bytes``,
     ``write_text``, an ``os.open`` with a write flag, and an ``open``,

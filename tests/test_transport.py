@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import resource
 import socket
@@ -9,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionforge import transport
 from sessionforge.errors import (
@@ -16,7 +19,6 @@ from sessionforge.errors import (
     InvariantViolation,
     IoError,
     MalformedFrame,
-    NeedMoreBytes,
 )
 from sessionforge.session import Channel, Task, load_session, session_checks
 from sessionforge.transport import (
@@ -29,9 +31,11 @@ from sessionforge.transport import (
     start_recording,
 )
 
+# the longest frame body a length field may declare
+BOUND = 1 << 20
 
 # Encoded bytes and whether they end inside their frame, by case: two good
-# frames, two cut ones and six malformed ones.
+# frames, two cut ones, seven malformed ones, and a length field above the bound.
 FRAME_CASES = {
     "good": (TcpFrame(topic="ee_pose", timestamp=1.5, values=(1.0, -2.0, 3.0)).encode(), False),
     "no-values": (TcpFrame(topic="t", timestamp=0.0, values=()).encode(), False),
@@ -42,8 +46,59 @@ FRAME_CASES = {
     "empty-topic": (struct.pack(">I", 10) + b"\x00t" + struct.pack(">d", 0.0), False),
     "no-terminator": (struct.pack(">I", 10) + b"tt" + b"\x01" * 8, False),
     "short-timestamp": (struct.pack(">I", 10) + b"tt\x00" + bytes(7), False),  # no room for timestamp
+    "no-timestamp": (struct.pack(">I", 2) + b"t\x00", False),
     "bad-utf8": (struct.pack(">I", 10) + b"\xff\x00" + struct.pack(">d", 0.0), False),
+    "over-bound": (struct.pack(">I", 0xFFFFFFF0) + b"t\x00", True),
 }
+
+
+def _reference(buf):
+    """The frame rule, written out one frame at a time with ``struct``: per
+    topic, the timestamp and value bytes of its frames (its rows) and the set
+    of their sizes; the frames recorded; the frames malformed; and the bytes of
+    the partial frame left at the end, or None after a length field above the
+    bound, where decoding stops."""
+    topics, frames, malformed, off = {}, 0, 0, 0
+    while len(buf) - off >= 4:
+        (length,) = struct.unpack_from(">I", buf, off)
+        if length > BOUND:
+            return topics, frames, malformed + 1, None
+        if len(buf) - off - 4 < length:
+            break
+        body = buf[off + 4 : off + 4 + length]
+        off += 4 + length
+        topic, terminator, stamped = body.partition(b"\x00")
+        try:
+            topic.decode("utf-8")
+        except UnicodeDecodeError:
+            terminator = b""
+        if not (topic and terminator) or len(stamped) < 8 or len(stamped) % 8:
+            malformed += 1
+            continue
+        rows, sizes = topics.get(topic, (b"", set()))
+        topics[topic] = (rows + stamped, sizes | {len(stamped)})
+        frames += 1
+    return topics, frames, malformed, buf[off:]
+
+
+def _ingest(buf, cuts=()):
+    """Feed ``buf`` cut at ``cuts`` to a handle holding only the state
+    ``_ingest`` writes: no sockets, no thread. Returns what ``_reference``
+    returns, from the handle: the partial frame is the one it carries, and None
+    once it closes the connection, after which it is fed nothing."""
+    handle = transport.RecordingHandle.__new__(transport.RecordingHandle)
+    handle._topics, handle.frames_received, handle.malformed_frames = {}, 0, 0
+    rest = b""
+    for lo, hi in zip((0, *cuts), (*cuts, len(buf))):
+        rest = handle._ingest(rest + buf[lo:hi])
+        if rest is None:
+            break
+    topics = {name: (bytes(rows), sizes) for name, (rows, sizes) in handle._topics.items()}
+    return topics, handle.frames_received, handle.malformed_frames, rest
+
+
+def _row(frame):
+    return struct.pack(f">{1 + len(frame.values)}d", frame.timestamp, *frame.values)
 
 
 class TestFrameCodec:
@@ -64,13 +119,11 @@ class TestFrameCodec:
             decoded, consumed = frame_decode(encoded + b"tail")
             assert decoded == frame and consumed == len(encoded)
 
-    def test_partial_input_needs_more(self):
+    def test_partial_input_is_malformed(self):
         frame = TcpFrame(topic="t", timestamp=1.0, values=(2.0,)).encode()
-        with pytest.raises(NeedMoreBytes):
-            frame_decode(frame[:2])
-        with pytest.raises(NeedMoreBytes) as exc:
-            frame_decode(frame[:-3])
-        assert exc.value.missing == 3
+        for cut in (0, 2, 4, len(frame) - 3):
+            with pytest.raises(MalformedFrame, match=f"^partial frame: {cut} of at least"):
+                frame_decode(frame[:cut])
 
     def test_tiny_length_field_malformed(self):
         with pytest.raises(MalformedFrame):
@@ -78,7 +131,7 @@ class TestFrameCodec:
 
     def test_payload_not_multiple_of_eight(self):
         body = b"t\x00" + struct.pack(">d", 0.0) + b"abc"
-        with pytest.raises(MalformedFrame):
+        with pytest.raises(MalformedFrame, match="payload length 3 not a multiple of 8"):
             frame_decode(struct.pack(">I", len(body)) + body)
 
     def test_missing_terminator(self):
@@ -86,22 +139,56 @@ class TestFrameCodec:
         with pytest.raises(MalformedFrame):
             frame_decode(struct.pack(">I", len(body)) + body)
 
+    def test_length_above_the_bound_is_malformed_whole_or_partial(self):
+        """A frame may declare a body of up to 1 MiB: a longer one is refused
+        by its length field alone, whether or not its body is there, and
+        ``encode`` refuses to make one."""
+        values = (0.0,) * ((BOUND - 16) // 8)  # a 7-byte topic, its terminator and a timestamp
+        at_bound = TcpFrame("abcdefg", 1.0, values)
+        encoded = at_bound.encode()
+        assert struct.unpack_from(">I", encoded)[0] == BOUND
+        assert frame_decode(encoded) == (at_bound, len(encoded))
+        over = TcpFrame("abcdefg", 1.0, (*values, 0.0))
+        with pytest.raises(MalformedFrame, match=f"body of {BOUND + 8} bytes above the {BOUND}-byte"):
+            over.encode()
+        body = b"abcdefg\x00" + bytes(8 * (len(values) + 2))
+        for data in (struct.pack(">I", BOUND + 8) + body, struct.pack(">I", 0xFFFFFFF0)):
+            with pytest.raises(MalformedFrame, match=f"above the {BOUND}-byte bound"):
+                frame_decode(data)
+            assert _ingest(data) == ({}, 0, 1, None)
+
     @pytest.mark.parametrize("frame, partial", list(FRAME_CASES.values()), ids=list(FRAME_CASES))
     def test_decode_at_offset_equals_decode_of_slice(self, frame, partial):
-        """At an offset the decoder gives what it gives on the slice from that
-        offset: the same frame and length, or the same error. The prefixes hold
-        NUL bytes and a complete frame follows, so neither may be read."""
+        """At an offset in a stream the recorder decides a frame as
+        ``frame_decode`` decides the slice from that offset: it records the
+        frame ``frame_decode`` returns, counts one malformed frame where
+        ``frame_decode`` refuses it (and closes the connection above the
+        bound), and carries a frame ``frame_decode`` finds partial. Neither
+        reads past the frame's declared bytes: the prefixes are whole frames
+        that hold NUL bytes, and a complete frame follows a whole case."""
         following = b"" if partial else TcpFrame(topic="next", timestamp=9.0, values=(9.0,)).encode()
-        for prefix in (b"", b"\x00", b"xy\x00\x00\x00\x0ct"):
-            buf, off = prefix + frame + following, len(prefix)
-            try:
-                want = frame_decode(buf[off:])
-            except (NeedMoreBytes, MalformedFrame) as exc:
-                with pytest.raises(type(exc)) as got:
-                    frame_decode(buf, off)
-                assert str(got.value) == str(exc)
+        try:
+            want = frame_decode(frame + following)
+        except MalformedFrame as exc:
+            with pytest.raises(MalformedFrame) as got:
+                frame_decode(frame)
+            assert str(got.value) == str(exc)
+            want = str(exc)
+        else:
+            assert frame_decode(frame) == want
+        for prefix in (b"", FRAME_CASES["empty-topic"][0], FRAME_CASES["good"][0]):
+            topics, frames, malformed, rest = _ingest(prefix)
+            if isinstance(want, tuple):
+                decoded, consumed = want
+                key = decoded.topic.encode()
+                topics[key] = (topics.get(key, (b"", set()))[0] + _row(decoded), {consumed - len(key) - 5})
+                frames += 1
+            elif want.startswith("partial frame"):
+                rest = frame
             else:
-                assert frame_decode(buf, off) == want
+                malformed += 1
+                rest = None if "bound" in want else b""
+            assert _ingest(prefix + frame) == (topics, frames, malformed, rest)
 
     def test_bad_utf8_topic_is_malformed_every_time_and_never_cached(self):
         frame = FRAME_CASES["bad-utf8"][0]
@@ -109,7 +196,7 @@ class TestFrameCodec:
             with pytest.raises(MalformedFrame, match="topic not valid UTF-8"):
                 frame_decode(frame)
         # nor does the recorder keep a topic for it
-        assert TestIngest.ingest(frame * 3, ()) == ({}, 0, 3)
+        assert _ingest(frame * 3) == ({}, 0, 3, b"")
 
     def test_more_topics_and_widths_than_the_caches_hold_still_decode(self):
         frames = [TcpFrame(f"topic{i}", float(i), (float(i),)) for i in range(266)]
@@ -119,52 +206,20 @@ class TestFrameCodec:
                 assert frame_decode(frame.encode()) == (frame, len(frame.encode()))
 
 
-def _walk(buf):
-    """One frame_decode walk over ``buf`` under the recorder's resync rule:
-    per-topic (timestamps, values), frames decoded and frames malformed."""
-    topics, frames, malformed, off = {}, 0, 0, 0
-    while off < len(buf):
-        try:
-            frame, consumed = frame_decode(buf, off)
-        except MalformedFrame:
-            malformed += 1
-            consumed = 4 + struct.unpack_from(">I", buf, off)[0]
-        else:
-            ts, vals = topics.setdefault(frame.topic, ([], []))
-            ts.append(frame.timestamp)
-            vals.append(frame.values)
-            frames += 1
-        off += consumed
-    return topics, frames, malformed
-
-
-def _bits(topics):
-    """``_walk``'s topics as the recorder's bytes give them back: per topic,
-    the bit patterns of its timestamps and of each frame's values, or, when
-    its frames carry different numbers of values, its frame count and the set
-    of those numbers."""
-    pack = lambda xs: struct.pack(f">{len(xs)}d", *xs)  # noqa: E731
-    out = {}
-    for t, (ts, vals) in topics.items():
-        widths = {len(v) for v in vals}
-        out[t] = (pack(ts), [pack(v) for v in vals]) if len(widths) == 1 else (len(ts), widths)
-    return out
-
-
 class TestIngest:
     """The recorder decodes each chunk where it ends: whatever the cuts, it
-    records what one decode walk over the whole stream gives."""
+    records what the reference decoder gives on the whole stream."""
 
     @staticmethod
     def stream():
         """Good frames of four topics, with every whole case of FRAME_CASES
-        after each step, and two bodies shorter than the minimum that pass
-        all but one of the recorder's checks: an empty topic before a
-        timestamp, and a topic with no timestamp. One frame holds a NaN and a
-        negative zero, and the frames of "mixed" carry 1 or 2 values."""
+        after each step, and a body shorter than the minimum that passes all
+        but one of the recorder's checks: an empty topic before a timestamp.
+        One frame holds a NaN and a negative zero, and the frames of "mixed"
+        carry 1 or 2 values."""
         rng = np.random.default_rng(3)
         whole = [frame for frame, partial in FRAME_CASES.values() if not partial]
-        whole += [struct.pack(">I", 9) + b"\x00" + bytes(8), struct.pack(">I", 2) + b"t\x00"]
+        whole.append(struct.pack(">I", 9) + b"\x00" + bytes(8))
         parts = []
         for k, case in enumerate(whole):
             parts += [
@@ -177,37 +232,24 @@ class TestIngest:
         return b"".join(parts)
 
     @staticmethod
-    def ingest(buf, cuts):
-        """Feed ``buf`` cut at ``cuts`` to a handle holding only the state
-        ``_ingest`` writes: no sockets, no thread. Returns its topics as
-        ``_bits`` gives them, and its frame and malformed counts. Each
-        topic's bytes are turned back into rows; a ragged topic's frames, one
-        such topic at most, are the frames that no row holds."""
-        handle = transport.RecordingHandle.__new__(transport.RecordingHandle)
-        handle._topics, handle.frames_received, handle.malformed_frames = {}, 0, 0
-        rest = b""
-        for lo, hi in zip((0, *cuts), (*cuts, len(buf))):
-            rest = handle._ingest(rest + buf[lo:hi])
-        assert rest == b""
-        topics, rows, ragged = {}, 0, []
-        for name, (data, sizes) in handle._topics.items():
-            widths = {size // 8 - 1 for size in sizes}
-            if len(widths) > 1:
-                ragged.append((name.decode(), widths))
-                continue
-            table = np.frombuffer(data, ">f8").reshape(-1, 1 + widths.pop())
-            topics[name.decode()] = (table[:, 0].tobytes(), [row.tobytes() for row in table[:, 1:]])
-            rows += len(table)
-        assert len(ragged) <= 1
-        for name, widths in ragged:
-            topics[name] = (handle.frames_received - rows, widths)
-        return topics, handle.frames_received, handle.malformed_frames
+    def many_topics():
+        """Good frames of 320 topics of 0 to 4 values and of "mixed", whose
+        frames carry 1 or 2, with every whole case of FRAME_CASES among them."""
+        rng = np.random.default_rng(5)
+        whole = [frame for frame, partial in FRAME_CASES.values() if not partial]
+        parts = []
+        for k in range(320):
+            parts.append(TcpFrame(f"topic{k}", k / 10, tuple(rng.normal(size=k % 5))).encode())
+            parts.append(TcpFrame("mixed", k / 10, (1.0,) * (1 + k % 2)).encode())
+            if k % 32 == 31:
+                parts.append(whole[k // 32 % len(whole)])
+        return b"".join(parts)
 
     def test_any_cuts_record_what_one_walk_decodes(self):
         buf = self.stream()
-        want_topics, want_frames, want_malformed = _walk(buf)
-        assert (want_frames, want_malformed) == (4 * 10 + 2, 8)
-        assert _bits(want_topics)["mixed"] == (10, {1, 2})
+        want = _reference(buf)
+        assert want[1:] == (4 * 10 + 2, 8, b"")
+        assert want[0][b"mixed"][1] == {16, 24}
         rng = np.random.default_rng(11)
         cut_sets = [(k,) for k in range(len(buf) + 1)]
         cut_sets.append(tuple(range(1, len(buf))))  # one byte per chunk
@@ -216,9 +258,24 @@ class TestIngest:
             for _ in range(50)
         ]
         for cuts in cut_sets:
-            topics, frames, malformed = self.ingest(buf, cuts)
-            assert (frames, malformed) == (want_frames, want_malformed), cuts
-            assert topics == _bits(want_topics), cuts
+            assert _ingest(buf, cuts) == want, cuts
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_flips_and_cuts_record_what_the_reference_decodes(self, data):
+        """A stream of more than 300 topics and one ragged one, with random
+        bytes flipped, ends in any case of FRAME_CASES, and is cut anywhere:
+        the recorder gives the reference decoder's rows, sizes, counts and
+        carried frame. A flipped length field resyncs the walk elsewhere,
+        holds back the rest of the stream, or passes the bound."""
+        tail = data.draw(st.sampled_from([frame for frame, _ in FRAME_CASES.values()]), label="tail")
+        buf = bytearray(self.many_topics() + tail)
+        flips = st.tuples(st.integers(0, len(buf) - 1), st.integers(1, 255))
+        for pos, mask in data.draw(st.lists(flips, max_size=6), label="flips"):
+            buf[pos] ^= mask
+        buf = bytes(buf)
+        cuts = data.draw(st.lists(st.integers(0, len(buf)), max_size=40).map(sorted), label="cuts")
+        assert _ingest(buf, cuts) == _reference(buf)
 
 
 class TestAudioReassembly:
@@ -389,6 +446,48 @@ class TestRecording:
         session = handle.stop()
         assert session.numeric["ok"].n_samples == 2
         assert handle.malformed_frames == 1
+
+    @staticmethod
+    def send_past_the_bound(port):
+        """One good frame of topic "a", a length field above the bound, then
+        1000 good frames, which the recorder may refuse to read."""
+        good = TcpFrame("a", 1.0, (1.0,)).encode()
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            with contextlib.suppress(ConnectionError):  # the recorder closed it
+                sock.sendall(good + struct.pack(">I", 0xFFFFFFF0) + good * 1000)
+
+    @staticmethod
+    def wait_until(condition, seconds=5.0):
+        deadline = time.monotonic() + seconds
+        while not condition() and time.monotonic() < deadline:
+            time.sleep(0.01)
+
+    def test_length_above_the_bound_drops_the_connection(self, tmp_path):
+        """Skipping a body above the bound would skip the rest of the stream:
+        the recorder counts one malformed frame, closes the connection and
+        holds none of its bytes."""
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        self.send_past_the_bound(handle.tcp_port)
+        self.wait_until(lambda: handle.malformed_frames and not handle._rest)
+        assert (handle.frames_received, handle.malformed_frames) == (1, 1)
+        assert handle._rest == {}
+        with pytest.warns(UserWarning, match="topic 'a' left out"):  # one frame makes no series
+            session = handle.stop()
+        assert session.numeric == {}
+        assert (handle.frames_received, handle.malformed_frames) == (1, 1)
+
+    def test_other_connections_record_past_a_dropped_one(self, tmp_path):
+        handle = start_recording(RecorderConfig(session_root=tmp_path / "rec"))
+        with socket.create_connection(("127.0.0.1", handle.tcp_port)) as other:
+            self.send_past_the_bound(handle.tcp_port)
+            self.wait_until(lambda: handle.malformed_frames and len(handle._rest) == 1)
+            frames = [TcpFrame("b", float(k), (float(k),)) for k in range(500)]
+            other.sendall(b"".join(frame.encode() for frame in frames))
+            self.wait_until(lambda: handle.frames_received == 501)
+        with pytest.warns(UserWarning, match="topic 'a' left out"):
+            session = handle.stop()
+        assert (handle.frames_received, handle.malformed_frames) == (501, 1)
+        np.testing.assert_array_equal(session.numeric["b"].timestamps, np.arange(500.0))
 
     @pytest.mark.parametrize(
         "bad",

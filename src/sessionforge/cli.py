@@ -66,15 +66,20 @@ def denoise_and_sync(
 
 def process_trial(
     trial_dir: Path, tau: float | None, policy: filters.DenoisePolicy
-) -> tuple[metrics.TrialMetrics, tuple[dlg.AnnotatedDialogue, ...], sess.SessionManifest]:
+) -> tuple[metrics.TrialMetrics, tuple[dlg.AnnotatedDialogue, ...], sess.SessionManifest] | dict:
     """What the report needs of one trial: its metrics after
     ``denoise_and_sync``, its dialogues and its manifest, a small picklable
     value holding no arrays. No stage reads audio, so each WAV's header is
-    checked and its samples are left unread."""
+    checked and its samples are left unread. A trial that fails gives its
+    error instead, as ``{"trial", "module", "code", "message"}``, so that it
+    fails alone."""
     from . import metrics
-    raw = sess.load_session(trial_dir, audio=False)
-    synced = denoise_and_sync(raw, tau, policy)
-    return metrics.compute_trial_metrics(synced), raw.dialogues, raw.manifest
+    try:
+        raw = sess.load_session(trial_dir, audio=False)
+        synced = denoise_and_sync(raw, tau, policy)
+        return metrics.compute_trial_metrics(synced), raw.dialogues, raw.manifest
+    except SessionForgeError as exc:
+        return {"trial": Path(trial_dir).name, **exc.to_json_dict()}
 
 
 def build_report(
@@ -107,6 +112,17 @@ def _write_user_file(path: Path, data: bytes) -> None:
     whole: a write that fails leaves the old file and raises ``IoError`` naming it."""
     with sess._io_error(path):
         sess._replace_file(path, data)
+
+
+def _print_error(errors: str, failure: dict) -> None:
+    """One stderr line for ``failure``, ``{"module", "code", "message"}`` and
+    the ``"trial"`` it ended, if any, in the ``--errors`` format."""
+    if errors == "json":
+        line = json.dumps(failure)
+    else:
+        trial = f"{failure['trial']}: " if "trial" in failure else ""
+        line = f"error [{failure['module']}/{failure['code']}]: {trial}{failure['message']}"
+    print(line, file=sys.stderr)
 
 
 def _json_text(obj) -> str:
@@ -290,7 +306,8 @@ def _cmd_dialogue(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     """Run the batch pipeline; ``pipeline`` writes the report to ``--report``,
-    ``report`` prints it."""
+    ``report`` prints it. A trial that fails is reported under ``failures``
+    and on stderr, the others as without it, and the run exits 1."""
     root = _dataset_root(args)
     policy = _load_policy(args.policy)
     trial_dirs = sess.trial_dirs(root)
@@ -303,16 +320,23 @@ def _cmd_pipeline(args) -> int:
             results = list(pool.map(*work))
     else:
         results = list(map(*work))
-    trials, dialogues, manifests = zip(*results)
-    report = build_report(list(trials), [d for ds in dialogues for d in ds], list(manifests))
+    failures = sorted((r for r in results if isinstance(r, dict)), key=lambda f: f["trial"])
+    done = [r for r in results if not isinstance(r, dict)]
+    report = build_report(
+        [t for t, _, _ in done], [d for _, ds, _ in done for d in ds], [m for _, _, m in done]
+    )
+    if failures:
+        report["failures"] = failures
+    for failure in failures:
+        _print_error(args.errors, failure)
     text = _report_csv(report) if args.format == "csv" else _json_text(report)
     if args.cmd == "report":
         print(text, end="")
-        return 0
-    out = Path(args.report)
-    _write_user_file(out, text.encode("utf-8"))
-    print(f"report -> {out}")
-    return 0
+    else:
+        out = Path(args.report)
+        _write_user_file(out, text.encode("utf-8"))
+        print(f"report -> {out}")
+    return 1 if failures else 0
 
 
 # -- argument parsing -------------------------------------------------------
@@ -443,10 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except SessionForgeError as exc:
-        if args.errors == "json":
-            print(json.dumps(exc.to_json_dict()), file=sys.stderr)
-        else:
-            print(f"error [{exc.module}/{exc.code}]: {exc}", file=sys.stderr)
+        _print_error(args.errors, exc.to_json_dict())
         return 1
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import statistics
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
@@ -73,7 +73,12 @@ class DatasetStats:
     success_percentage: str  # 2 decimals, half-up, e.g. "80.30"
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "per_task": {task: dict(row) for task, row in self.per_task.items()},
+            "total_raw": self.total_raw,
+            "total_successful": self.total_successful,
+            "success_percentage": self.success_percentage,
+        }
 
 
 def _percentage(successful: int, raw: int) -> str:

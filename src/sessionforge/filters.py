@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -153,7 +154,11 @@ class DenoisePolicy:
             order = v["order"]
             if type(order) is not int or order < 1:  # bool is an int subclass
                 raise ValueError(f"{name}: order must be an integer >= 1, not {order!r}")
-            cutoffs[ChannelClass(name)] = (order, float(v["cutoff"]))
+            cutoff = v["cutoff"]
+            # NaN fails the comparison; an integer past the float range, the bound
+            if type(cutoff) not in (int, float) or not 0 < cutoff <= sys.float_info.max:
+                raise ValueError(f"{name}: cutoff must be a finite number > 0, not {cutoff!r}")
+            cutoffs[ChannelClass(name)] = (order, float(cutoff))
         return cls(cutoffs=cutoffs)
 
     def spec_for(self, cls_: ChannelClass, sample_rate: float) -> FilterSpec:

@@ -6,7 +6,7 @@ statistics aggregate trial means with the sample (n-1) standard deviation.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,13 +66,22 @@ class TaskAggregate:
     sd: float | None  # absent for a single trial
 
 
+def _aggregates(rows: np.ndarray) -> list[TaskAggregate]:
+    """Mean and sample SD (n-1 denominator) of each row of a C-contiguous
+    (metrics, trials) array, in one reduction per statistic. Each row reduces
+    as the same values would alone: numpy sums a contiguous row pairwise, as
+    it sums a 1-D array."""
+    n = rows.shape[1]
+    if n == 0:
+        raise EmptyInput("no trial values")
+    means = rows.mean(axis=1).tolist()
+    sds = rows.std(axis=1, ddof=1).tolist() if n > 1 else [None] * len(means)
+    return [TaskAggregate(n_trial=n, mean=m, sd=sd) for m, sd in zip(means, sds)]
+
+
 def task_aggregate(values: list[float]) -> TaskAggregate:
     """Mean and sample SD (n-1 denominator) over per-trial metric values."""
-    if len(values) == 0:
-        raise EmptyInput("no trial values")
-    mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1)) if len(values) > 1 else None
-    return TaskAggregate(n_trial=len(values), mean=mean, sd=sd)
+    return _aggregates(np.array([values], dtype=np.float64))[0]
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class TrialMetrics:
     wheelchair_mean_jerk: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # str and float fields: a shallow copy is a whole one
 
 
 def _positions(synced, cls: ChannelClass, axes: tuple[str, ...]) -> np.ndarray:
@@ -151,8 +160,6 @@ def aggregate_by_task(trials: list[TrialMetrics]) -> dict:
         by_task.setdefault(tm.task, []).append(tm)
     out = {}
     for task, tms in sorted(by_task.items()):
-        out[task] = {
-            "n": len(tms),
-            **{m: task_aggregate([getattr(t, m) for t in tms]) for m in REPORTED_METRICS},
-        }
+        rows = np.array([[getattr(t, m) for t in tms] for m in REPORTED_METRICS], dtype=np.float64)
+        out[task] = {"n": len(tms), **dict(zip(REPORTED_METRICS, _aggregates(rows)))}
     return out

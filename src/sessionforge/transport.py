@@ -4,7 +4,7 @@ Wire layouts (all multi-byte integers and floats big-endian unless noted):
 
 TCP frame:
     length    u32       byte count of everything after this field
-    topic     UTF-8 bytes terminated by 0x00
+    topic     UTF-8 bytes terminated by 0x00, at least one and none of them 0x00
     timestamp f64       seconds
     payload   C x f64   channel values
 
@@ -92,6 +92,8 @@ class TcpFrame:
 
     def encode(self) -> bytes:
         topic_bytes = self.topic.encode("utf-8")
+        if not topic_bytes or b"\x00" in topic_bytes:  # the walker would not give it back
+            raise MalformedFrame(f"topic {self.topic!r} is empty or holds a NUL")
         body = (
             topic_bytes
             + b"\x00"

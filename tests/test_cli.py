@@ -10,15 +10,16 @@ import threading
 import time
 import warnings
 import wave
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sessionforge import curation, filters, transport
+from sessionforge import curation, filters, metrics, transport
+from sessionforge import dialogue as dlg
 from sessionforge import session as sess
-from sessionforge.cli import denoise_and_sync, main, process_trial
+from sessionforge.cli import build_report, denoise_and_sync, main, process_trial
 from sessionforge.curation import label_trial
 from sessionforge.dialogue import AnnotatedDialogue
 from sessionforge.filters import DenoisePolicy
@@ -76,15 +77,17 @@ class TestExitCodes:
         assert {"module", "code", "message"} <= set(payload)
 
 
-    def test_malformed_csv_row_is_json_error(self, capsys, dataset):
+    def test_malformed_csv_row_is_json_error(self, capsys, tmp_path, dataset):
         root, trial_ids = dataset
         path = root / trial_ids[0] / "streams" / "ee_pose.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[3] = lines[3].rsplit(",", 1)[0]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root))
+        report = tmp_path / "r.json"
+        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root), "--report", str(report))
         assert code == 1
         payload = json.loads(err)
+        assert json.loads(report.read_text(encoding="utf-8"))["failures"] == [payload]
         assert payload["code"] == "malformed-manifest"
         assert "ee_pose.csv" in payload["message"]
 
@@ -99,7 +102,7 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(err)["code"] == "io-error"
 
-    def test_trial_without_video_is_json_error(self, capsys, dataset):
+    def test_trial_without_video_is_json_error(self, capsys, tmp_path, dataset):
         root, trial_ids = dataset
         trial = root / trial_ids[0]
         manifest = json.loads((trial / "manifest.json").read_text(encoding="utf-8"))
@@ -108,9 +111,11 @@ class TestExitCodes:
         (trial / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         for s in video:
             (trial / s["file"]).unlink()
-        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root))
+        report = tmp_path / "r.json"
+        code, _, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root), "--report", str(report))
         assert code == 1
         assert json.loads(err)["code"] == "missing-stream"
+        assert json.loads(report.read_text(encoding="utf-8"))["failures"] == [json.loads(err)]
 
 
 @pytest.mark.parametrize(
@@ -188,6 +193,22 @@ def _sync_or_report(command, tmp_path, root, trial_id):
     return ["report", "--root", str(root)]
 
 
+def _trial_error(command, out, err, trial_id) -> dict:
+    """The one JSON error line of a run in which ``trial_id`` failed: ``sync``
+    prints nothing else; ``report`` still reports the other two trials and
+    lists that error, naming the trial, under ``failures``."""
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    if command == "sync":
+        assert out == ""
+    else:
+        report = json.loads(out)
+        assert payload["trial"] == trial_id and report["failures"] == [payload]
+        assert len(report["trials"]) == 2
+        assert trial_id not in {t["trial_id"] for t in report["trials"]}
+    return payload
+
+
 @pytest.mark.parametrize("command", ["sync", "report"])
 @pytest.mark.parametrize("tau", ["-1", "nan", "inf", "abc"])
 def test_tau_not_finite_and_nonnegative_is_usage_error(capsys, tmp_path, dataset, command, tau):
@@ -252,9 +273,7 @@ def test_video_rate_not_finite_and_positive_is_json_error(capsys, tmp_path, data
     argv = _sync_or_report(command, tmp_path, root, trial_ids[0])
     code, out, err = run(capsys, "--errors", "json", *argv)
     assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    payload = json.loads(err)
+    payload = _trial_error(command, out, err, trial_ids[0])
     assert payload["code"] == "malformed-manifest"
     assert "nominal_rate: must be finite and > 0" in payload["message"]
 
@@ -273,9 +292,7 @@ def test_video_rate_above_its_frame_log_is_json_error(capsys, tmp_path, dataset,
     argv = _sync_or_report(command, tmp_path, root, trial_ids[0])
     code, out, err = run(capsys, "--errors", "json", *argv)
     assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    payload = json.loads(err)
+    payload = _trial_error(command, out, err, trial_ids[0])
     assert payload["code"] == "rate-exceeds-log"
     assert "nominal rate 10000.0 Hz" in payload["message"]
 
@@ -380,9 +397,7 @@ def test_csv_that_cannot_be_read_is_json_error(capsys, dataset, monkeypatch):
     monkeypatch.setattr(Path, "read_bytes", refuse)
     code, out, err = run(capsys, "--errors", "json", "report", "--root", str(root))
     assert code == 1
-    assert out == ""
-    assert err.count("\n") == 1
-    payload = json.loads(err)
+    payload = _trial_error("report", out, err, trial_ids[0])
     assert payload["code"] == "malformed-manifest"
     assert str(target) in payload["message"] and "Permission denied" in payload["message"]
 
@@ -699,6 +714,24 @@ BAD_USER_FILE_CASES = {
         '{"imu": {"order": 2.7, "cutoff": 5.0}}',
         "malformed-manifest",
         "order",
+    ),
+    "policy-cutoff-negative": (
+        "pipeline --root {root} --policy {file}",
+        '{"ee_pose": {"order": 4, "cutoff": -1}}',
+        "malformed-manifest",
+        "cutoff",
+    ),
+    "policy-cutoff-nan": (
+        "pipeline --root {root} --policy {file}",
+        '{"ee_pose": {"order": 4, "cutoff": NaN}}',
+        "malformed-manifest",
+        "cutoff",
+    ),
+    "policy-cutoff-inf": (
+        "pipeline --root {root} --policy {file}",
+        '{"ee_pose": {"order": 4, "cutoff": Infinity}}',
+        "malformed-manifest",
+        "cutoff",
     ),
     "scenario-missing": ("synth --scenario {file} --out {out}", None, "missing-file", ""),
     "scenario-not-json": (
@@ -1075,7 +1108,106 @@ class TestDialogueCommands:
         assert code == 1 and "not a user turn" in err
 
 
+def _reference_report(trials, dialogues, manifests) -> dict:
+    """``build_report`` as it was written first: ``asdict`` rows and one
+    ``np.mean`` and ``np.std`` call per task and metric."""
+    by_task = {}
+    for tm in trials:
+        by_task.setdefault(tm.task, []).append(tm)
+    tasks = {}
+    for task, tms in sorted(by_task.items()):
+        row = {"n": len(tms)}
+        for m in metrics.REPORTED_METRICS:
+            values = [getattr(t, m) for t in tms]
+            sd = float(np.std(values, ddof=1)) if len(values) > 1 else None
+            row[m] = {"mean": float(np.mean(values)), "sd": sd, "n": len(values)}
+        band = metrics.comfort_check(row["wheelchair_mean_jerk"]["mean"]).wheelchair_band
+        tasks[task] = {**row, "wheelchair_comfort_band": band}
+    report = {
+        "tasks": tasks,
+        "trials": [asdict(t) for t in sorted(trials, key=lambda t: (t.task, t.trial_id))],
+        "dialogue": dlg.ambiguity_distribution(dialogues) if dialogues else None,
+    }
+    if manifests:
+        report["curation"] = asdict(curation.dataset_stats(manifests))
+    return report
+
+
+def test_build_report_equals_the_reference_bit_for_bit():
+    """On random trial metrics, of tasks with 1 to 40 trials and values from
+    1e-6 to 1e6, the report equals the reference, float bits included (the
+    JSON text holds each float's shortest repr)."""
+    rng = np.random.default_rng(3002)
+    session, _ = gen_session(Scenario(seed=1, duration=1.0))
+    dialogues = list(session.dialogues)
+    for _ in range(20):
+        trials, manifests = [], []
+        for k in range(int(rng.integers(1, 6))):
+            task = list(Task)[k % len(Task)].value if k < len(Task) else f"other{k}"
+            for i in range(int(rng.integers(1, 41))):
+                scale = 10.0 ** rng.uniform(-6, 6, size=4)
+                values = map(float, rng.uniform(0.0, 2.0, size=4) * scale)
+                trials.append(TrialMetrics(f"t{k}-{i}", task, *values))
+                manifests.append(
+                    replace(session.manifest, session_id=f"t{k}-{i}", success=bool(rng.integers(2)))
+                )
+        got = build_report(trials, dialogues, manifests)
+        want = _reference_report(trials, dialogues, manifests)
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert build_report([], [], []) == _reference_report([], [], []) == {
+        "tasks": {}, "trials": [], "dialogue": None
+    }
+
+
 class TestPipeline:
+    def _ragged(self, root, trial_id):
+        with (root / trial_id / "streams" / "ee_pose.csv").open("a", encoding="utf-8") as f:
+            f.write("1.0,2.0\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_trial_is_reported_and_the_rest_as_without_it(self, capsys, tmp_path, dataset, fmt):
+        """A trial that fails leaves the report of the others as it would be
+        without that trial, in both formats; the JSON report lists the failure
+        under ``failures``, stderr holds one ``--errors text`` line naming the
+        trial, and the run exits 1."""
+        root, trial_ids = dataset
+        without = tmp_path / "without"
+        shutil.copytree(root, without)
+        shutil.rmtree(without / trial_ids[1])
+        code, want, err = run(capsys, "report", "--root", str(without), "--format", fmt)
+        assert (code, err) == (0, "")
+        self._ragged(root, trial_ids[1])
+        code, out, err = run(capsys, "report", "--root", str(root), "--format", fmt)
+        assert code == 1
+        csv = root / trial_ids[1] / "streams" / "ee_pose.csv"
+        line = f"{trial_ids[1]}: {csv}: line "
+        assert err.startswith(f"error [session_store/malformed-manifest]: {line}")
+        assert err.count("\n") == 1 and "has 2 columns, header has 4" in err
+        if fmt == "csv":
+            assert out == want
+        else:
+            report = json.loads(out)
+            failure = report.pop("failures")
+            assert report == json.loads(want)
+            assert failure == [
+                {"trial": trial_ids[1], "module": "session_store", "code": "malformed-manifest",
+                 "message": err.split(f"{trial_ids[1]}: ", 1)[1].rstrip("\n")}
+            ]
+
+    def test_every_trial_failing_gives_an_empty_report(self, capsys, tmp_path, dataset):
+        root, trial_ids = dataset
+        for trial_id in trial_ids:
+            self._ragged(root, trial_id)
+        out_path = tmp_path / "r.json"
+        code, out, err = run(capsys, "--errors", "json", "pipeline", "--root", str(root),
+                             "--report", str(out_path))
+        assert code == 1 and out == f"report -> {out_path}\n"
+        report = json.loads(out_path.read_text(encoding="utf-8"))
+        assert report["tasks"] == {} and report["trials"] == [] and "curation" not in report
+        assert [f["trial"] for f in report["failures"]] == sorted(trial_ids)
+        assert [json.loads(line) for line in err.splitlines()] == report["failures"]
+
     @pytest.mark.parametrize("command", ["pipeline", "report"])
     def test_root_without_trials(self, capsys, tmp_path, command):
         (tmp_path / "empty").mkdir()

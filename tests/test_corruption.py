@@ -13,6 +13,10 @@ rate or a duration into one that generates gigabytes.
 Two targeted corruptions join the sweep: a dialogue record that names another
 trial, or another task, than its trial's manifest. Each is refused with
 ``invariant-violation`` by every command that reads dialogues.
+
+A bad trial fails itself, not the run: in a three-trial dataset, one file of
+one trial is corrupted per case, and ``pipeline`` still reports the two others,
+alike with one and two workers.
 """
 
 import json
@@ -23,12 +27,13 @@ import warnings
 import pytest
 
 from sessionforge.cli import main
-from sessionforge.session import save_session, save_synced
+from sessionforge.session import Task, save_session, save_synced
 from sessionforge.sync import sync_session
 from sessionforge.synth import Scenario, gen_session
 
 SEED = 20261019
 CASES = 100  # per input
+TRIAL_CASES = 12  # seeded corruptions of one trial in a three-trial dataset
 
 SCENARIO = {
     "seed": 17,
@@ -70,6 +75,70 @@ def pristine(tmp_path_factory):
     save_session(session, root / "data" / "trial")
     save_synced(sync_session(session), root / "synced")
     return root
+
+
+@pytest.fixture(scope="module")
+def three_trials(tmp_path_factory):
+    """A dataset of three short trials, one per task, so that no one
+    corruption of a session_id can make it another trial's."""
+    root = tmp_path_factory.mktemp("three")
+    for seed, task in [(3, Task.FEEDING), (4, Task.DRINKING), (5, Task.CLEANING)]:
+        session, _ = gen_session(
+            Scenario(seed=seed, task=task, duration=2.0, noise_sd=0.01, timestamp_jitter_sd=0.003)
+        )
+        save_session(session, root / session.manifest.session_id)
+    return root
+
+
+def _ragged_row(trial):
+    with (trial / "streams" / "ee_pose.csv").open("a", encoding="utf-8") as f:
+        f.write("1.0,2.0\n")
+
+
+def _seeded(case: int):
+    def corrupt(trial):
+        rng = random.Random(f"{SEED}-trial-{case}")
+        rel = rng.choice(sorted(p.relative_to(trial) for p in trial.rglob("*") if p.is_file()))
+        (trial / rel).write_bytes(_corrupt(rng, (trial / rel).read_bytes()))
+
+    return corrupt
+
+
+# case -> (corruption of one trial directory, whether that trial must fail)
+TRIAL_CORRUPTIONS = {
+    "ragged-row": (_ragged_row, True),
+    **{f"seeded-{case}": (_seeded(case), None) for case in range(TRIAL_CASES)},
+}
+
+
+@pytest.mark.parametrize("case", TRIAL_CORRUPTIONS)
+def test_one_corrupted_trial_fails_alone(capsys, tmp_path, three_trials, case):
+    """Every case exits 0 or 1 with both untouched trials in the report. A
+    failed trial is in ``failures``, and on stderr as one JSON line, exactly
+    when the run exits 1; one and two workers give the same report and lines."""
+    corrupt, must_fail = TRIAL_CORRUPTIONS[case]
+    copy = tmp_path / "data"
+    shutil.copytree(three_trials, copy)
+    trials = sorted(p.name for p in copy.iterdir())
+    corrupt(copy / trials[1])
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"report{jobs}.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # warnings are not the error channel
+            code = main(["--errors", "json", "pipeline", "--root", str(copy), "--report", str(out),
+                         "--jobs", jobs])
+        runs.append((code, out.read_text(encoding="utf-8"), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    code, text, err = runs[0]
+    report = json.loads(text)
+    failures = report.get("failures", [])
+    assert code == (1 if failures else 0)
+    assert must_fail in (None, bool(failures))
+    assert [json.loads(line) for line in err.splitlines()] == failures
+    assert all(f["trial"] == trials[1] for f in failures)
+    assert {trials[0], trials[2]} <= {t["trial_id"] for t in report["trials"]}
+    assert len(report["trials"]) == 3 - len(failures)
 
 
 def _sweep(capsys, tmp_path, salt: str, source, run_case):
@@ -130,6 +199,22 @@ def test_corrupted_scenario_through_synth(capsys, tmp_path):
     _sweep(capsys, tmp_path, "scenario", source, run_case)
 
 
+def _failed_alone(command: list[str], captured) -> dict:
+    """The one JSON error line of a run over the pristine one-trial dataset.
+    ``report`` fails the trial alone: it still prints a report, with no task
+    and no trial, that lists the error under ``failures``. The dialogue
+    commands print nothing else."""
+    assert captured.err.count("\n") == 1
+    payload = json.loads(captured.err)
+    if command == ["report"]:
+        report = json.loads(captured.out)
+        assert report["tasks"] == {} and report["trials"] == []
+        assert report["failures"] == [payload] and payload["trial"] == "trial"
+    else:
+        assert captured.out == ""
+    return payload
+
+
 @pytest.mark.parametrize("field,value", [("trial_id", "no-such-trial"), ("task", "cleaning")])
 @pytest.mark.parametrize(
     "command", [["report"], ["dialogue", "stats"], ["dialogue", "export"]], ids=" ".join
@@ -146,8 +231,8 @@ def test_dialogue_record_of_another_trial(capsys, tmp_path, pristine, field, val
     path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     code = main(["--errors", "json", *command, "--root", str(copy)])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert json.loads(captured.err)["code"] == "invariant-violation"
+    assert code == 1
+    assert _failed_alone(command, captured)["code"] == "invariant-violation"
 
 
 @pytest.mark.parametrize("field", ["labels", "frame_refs"])
@@ -160,5 +245,5 @@ def test_dialogue_field_that_is_not_an_object(capsys, tmp_path, pristine, field)
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     code = main(["--errors", "json", "report", "--root", str(copy)])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert json.loads(captured.err)["code"] == "malformed-manifest"
+    assert code == 1
+    assert _failed_alone(["report"], captured)["code"] == "malformed-manifest"

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 
@@ -192,6 +193,26 @@ class TestClassification:
         assert policy.cutoffs[ChannelClass.ARM_JOINTS] == (4, 5.0)
         assert policy.cutoffs[ChannelClass.WHEELCHAIR_WHEELS] == (4, 5.0)
         assert policy.cutoffs[ChannelClass.IMU] == (4, 10.0)
+
+
+class TestPolicyFile:
+    @pytest.mark.parametrize("cutoff", ["-1", "0", "NaN", "Infinity", "-Infinity", "true", '"5"', "null",
+                                        "1" + "0" * 400])
+    def test_cutoff_must_be_a_finite_number_above_zero(self, cutoff):
+        """A cutoff no filter can be designed at is refused when the file is
+        read, as ``order`` is, not at the first trial; ``Infinity`` would be
+        clamped below Nyquist with only a warning, and a JSON integer past
+        the float range would not convert."""
+        d = json.loads(f'{{"ee_pose": {{"order": 4, "cutoff": {cutoff}}}}}')
+        with pytest.raises(ValueError, match="ee_pose: cutoff must be a finite number > 0"):
+            DenoisePolicy.from_json_dict(d)
+
+    def test_integer_and_float_cutoffs_are_taken_as_floats(self):
+        policy = DenoisePolicy.from_json_dict(
+            {"ee_pose": {"order": 4, "cutoff": 5}, "imu": {"order": 2, "cutoff": 12.5}}
+        )
+        assert policy.cutoffs == {ChannelClass.EE_POSE: (4, 5.0), ChannelClass.IMU: (2, 12.5)}
+        assert type(policy.cutoffs[ChannelClass.EE_POSE][1]) is float
 
 
 class TestDenoiseSession:

@@ -4,6 +4,9 @@ from scipy.integrate import quad
 
 from sessionforge.errors import AmbiguousStream, EmptyInput, MissingChannel, TooFewSamples
 from sessionforge.metrics import (
+    REPORTED_METRICS,
+    TrialMetrics,
+    aggregate_by_task,
     comfort_check,
     compute_trial_metrics,
     jerk_series,
@@ -96,6 +99,45 @@ class TestTaskAggregate:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             task_aggregate([])
+
+
+def _bits(x):
+    return None if x is None else np.float64(x).tobytes()
+
+
+class TestAggregateByTask:
+    def test_bit_for_bit_per_list_numpy(self):
+        """Each task's four metrics reduce together, and each gives what
+        ``np.mean`` and ``np.std(ddof=1)`` give on its own list, bit for bit:
+        tasks of 1 trial (no sd), of 2-8, and of 9-300, past numpy's 8-value
+        unrolled and 128-value pairwise blocks, with values from 1e-6 to 1e6
+        in magnitude."""
+        rng = np.random.default_rng(3001)
+        sizes = [1] * 4 + list(rng.integers(2, 9, 16)) + list(rng.integers(9, 301, 24))
+        trials = []
+        for k, n in enumerate(sizes):
+            scale = 10.0 ** rng.uniform(-6, 6, size=len(REPORTED_METRICS))
+            values = rng.uniform(0.5, 1.5, size=(int(n), len(REPORTED_METRICS))) * scale
+            values *= rng.choice([-1.0, 1.0], size=values.shape)
+            trials += [
+                TrialMetrics(f"trial-{k}-{i}", f"task{k:02d}", *map(float, row))
+                for i, row in enumerate(values)
+            ]
+        rng.shuffle(trials)
+        got = aggregate_by_task(trials)
+        assert list(got) == sorted(f"task{k:02d}" for k in range(len(sizes)))
+        for task, row in got.items():
+            tms = [t for t in trials if t.task == task]
+            assert row["n"] == len(tms)
+            for m in REPORTED_METRICS:
+                values = [getattr(t, m) for t in tms]
+                sd = float(np.std(values, ddof=1)) if len(values) > 1 else None
+                agg = row[m]
+                assert agg.n_trial == len(values)
+                assert _bits(agg.mean) == _bits(float(np.mean(values)))
+                assert _bits(agg.sd) == _bits(sd)
+                assert _bits(task_aggregate(values).mean) == _bits(agg.mean)
+                assert _bits(task_aggregate(values).sd) == _bits(sd)
 
 
 class TestPathLength:

@@ -157,6 +157,32 @@ class TestFrameCodec:
                 frame_decode(data)
             assert _ingest(data) == ({}, 0, 1, None)
 
+    @pytest.mark.parametrize("topic", ["", "a\x00bbbbbbb", "\x00"], ids=["empty", "nul", "only-nul"])
+    def test_encode_refuses_a_topic_the_walker_cannot_give_back(self, topic):
+        """An empty topic would be counted malformed; a NUL would end the topic
+        early and shift its bytes into the timestamp and values."""
+        with pytest.raises(MalformedFrame, match="empty or holds a NUL"):
+            TcpFrame(topic, 1.0, (2.0,)).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        topic=st.text(min_size=0, max_size=12),
+        timestamp=st.floats(allow_nan=True, allow_infinity=True),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+    )
+    def test_every_frame_encode_takes_comes_back(self, topic, timestamp, values):
+        """Whatever ``encode`` accepts, ``frame_decode`` gives back whole: the
+        same topic, and the timestamp and values bit for bit."""
+        frame = TcpFrame(topic, timestamp, tuple(values))
+        try:
+            encoded = frame.encode()
+        except MalformedFrame:
+            assert topic == "" or "\x00" in topic
+            return
+        decoded, consumed = frame_decode(encoded)
+        assert decoded.topic == topic and consumed == len(encoded)
+        assert _row(decoded) == _row(frame)
+
     @pytest.mark.parametrize("frame, partial", list(FRAME_CASES.values()), ids=list(FRAME_CASES))
     def test_decode_at_offset_equals_decode_of_slice(self, frame, partial):
         """At an offset in a stream the recorder decides a frame as
